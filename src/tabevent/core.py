@@ -312,14 +312,6 @@ class LabelSet:
             return None
         return tag[2:]
 
-    @staticmethod
-    def b_tag(role: str) -> str:
-        return f"B-{role}"
-
-    @staticmethod
-    def i_tag(role: str) -> str:
-        return f"I-{role}"
-
     def to_dict(self) -> dict:
         return {
             "roles": list(self.roles),
@@ -380,6 +372,19 @@ def spans_from_tags(tags: Sequence[str]) -> list[tuple[str, int, int]]:
     if open_role is not None:
         spans.append((open_role, start, len(tags)))
     return spans
+
+
+def tags_from_spans(n: int, spans: Iterable[tuple[str, int, int]]) -> list[str]:
+    """BIO tags of length n for disjoint (role, start, end) spans.
+
+    The inverse of spans_from_tags on disjoint spans.
+    """
+    tags = [OUTSIDE] * n
+    for role, start, end in spans:
+        tags[start] = f"B-{role}"
+        for i in range(start + 1, end):
+            tags[i] = f"I-{role}"
+    return tags
 
 
 @dataclass(frozen=True)
@@ -452,10 +457,6 @@ def read_corpus(path: str) -> list[ParsedSentence]:
     return sentences
 
 
-def write_corpus(path: str, sentences: Iterable[ParsedSentence], header: Mapping | None = None) -> None:
-    write_jsonl(path, (s.to_dict() for s in sentences), header=header)
-
-
 def read_tables(path: str) -> list[EventTable]:
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -465,9 +466,3 @@ def read_tables(path: str) -> list[EventTable]:
     if isinstance(payload, dict):
         payload = [payload]
     return [EventTable.from_dict(rec) for rec in payload]
-
-
-def write_tables(path: str, tables: Sequence[EventTable]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump([t.to_dict() for t in tables], fh, indent=2)
-        fh.write("\n")

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 from .core import EventSchema, spans_from_tags
-from .supervision import split_role
+from .supervision import dataset_report, split_role  # dataset_report is re-exported
 
 ArgSet = frozenset[tuple[str, tuple[int, int]]]
 
@@ -195,30 +195,3 @@ def mentions_from_record(rec: Mapping, schemas: Mapping[str, EventSchema]) -> di
         events.append({"event_type": event_type, "arguments": arguments})
     return {"sentence_id": rec["sentence_id"], "events": events}
 
-
-def dataset_report(records: Sequence[Mapping], name: str = "dataset") -> dict:
-    """Summary statistics of one generated dataset."""
-    positives = [r for r in records if r.get("polarity") == "positive"]
-    per_type: dict[str, int] = {}
-    events = 0
-    args = 0
-    multi = 0
-    for rec in positives:
-        types = rec.get("event_types", [])
-        if len(types) >= 2:
-            multi += 1
-        events += len(types)
-        for t in types:
-            per_type[t] = per_type.get(t, 0) + 1
-        args += sum(1 for tag in rec.get("labels", []) if tag.startswith("B-"))
-    return {
-        "name": name,
-        "sentences": len(records),
-        "positives": len(positives),
-        "positive_percentage": 100.0 * len(positives) / len(records) if records else 0.0,
-        "types": len(per_type),
-        "per_type": dict(sorted(per_type.items())),
-        "events": events,
-        "arguments_per_event": args / events if events else 0.0,
-        "multi_type_fraction": multi / len(positives) if positives else 0.0,
-    }

@@ -194,8 +194,11 @@ def stage2(
 ) -> list[EventMention]:
     """Fill in non-key arguments for each stage-1 detection.
 
-    Plain Viterbi decoding; non-key spans that collide with a key span are
-    dropped so stage-1 output survives bit-exactly in the mention.
+    Plain Viterbi decoding. Stage-1 key spans are taken first, then stage-2
+    non-key spans, left to right; a span is kept only if its role is still
+    unclaimed and none of its tokens is taken. Non-key spans therefore never
+    displace a key span, and of two stage-1 spans of one key role the
+    leftmost is kept.
     """
     if model.cfg.num_keyarg_labels != len(labels1):
         raise ValueError(
@@ -210,25 +213,21 @@ def stage2(
         path, _ = crf.viterbi(P, model.transitions)
         tags2 = [model.label_set.labels[i] for i in path]
 
+        candidates = [(span, schema.key_args) for span in spans_from_tags(seq.tags)]
+        candidates += [(span, schema.nonkey_args) for span in spans_from_tags(tags2)]
         arguments: list[Argument] = []
+        claimed_roles: set[str] = set()
         occupied: set[int] = set()
-        for role, start, end in spans_from_tags(seq.tags):
+        for (role, start, end), props in candidates:
             role_type, prop = split_role(role)
-            if role_type == event_type and prop in schema.key_args:
-                arguments.append(Argument(prop, start, end))
-                occupied |= set(range(start, end))
-        claimed_roles = {a.role for a in arguments}
-        for role, start, end in spans_from_tags(tags2):
-            role_type, prop = split_role(role)
-            if role_type != event_type or prop not in schema.nonkey_args:
+            if role_type != event_type or prop not in props or prop in claimed_roles:
                 continue
-            if prop in claimed_roles:
-                continue
-            if set(range(start, end)) & occupied:
+            tokens = set(range(start, end))
+            if tokens & occupied:
                 continue
             arguments.append(Argument(prop, start, end))
             claimed_roles.add(prop)
-            occupied |= set(range(start, end))
+            occupied |= tokens
         arguments.sort(key=lambda a: (a.start, a.end, a.role))
         mentions.append(EventMention(event_type, tuple(arguments)))
     return mentions

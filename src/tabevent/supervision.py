@@ -25,6 +25,7 @@ from .core import (
     Token,
     normalize_surface,
     read_jsonl,
+    tags_from_spans,
     validate_sentence,
     write_jsonl,
 )
@@ -83,6 +84,11 @@ def importance_score(stats: ImportanceStats, event_type: str, prop: str) -> floa
     return math.log(joint / (n_cvt * n_arg))
 
 
+def _by_importance(importance: Mapping[str, float], props: Iterable[str]) -> list[str]:
+    """Properties by descending importance score, ties by ascending name."""
+    return sorted(props, key=lambda p: (-importance.get(p, NEG_INF), p))
+
+
 def time_related_properties(table: EventTable) -> list[str]:
     """Properties flagged time-related, else a keyword fallback on names."""
     if table.time_properties:
@@ -114,14 +120,13 @@ def select_key_args(
     if strategy == Strategy.ALL:
         key = set(table.properties)
     else:
-        ranked = sorted(table.properties, key=lambda p: (-importance[p], p))
+        ranked = _by_importance(importance, table.properties)
         top = math.ceil(len(table.properties) / 2)
         key = set(ranked[:top])
         if strategy == Strategy.IMP_TIME:
             time_props = time_related_properties(table)
             if time_props:
-                best_time = min(time_props, key=lambda p: (-importance[p], p))
-                key.add(best_time)
+                key.add(_by_importance(importance, time_props)[0])
     return EventSchema(
         event_type=table.event_type,
         key_args=frozenset(key),
@@ -320,6 +325,26 @@ class LabeledInstance:
     diagnostics: list[str] = field(default_factory=list)
 
 
+def _claim_free_spans(
+    candidates: Iterable[tuple[str, int, int]],
+) -> tuple[list[tuple[str, int, int]], list[tuple[str, int, int]]]:
+    """Walk (name, start, end) spans in order, keeping each whose tokens are free.
+
+    Returns the kept spans and the dropped spans, both in walk order.
+    """
+    kept: list[tuple[str, int, int]] = []
+    dropped: list[tuple[str, int, int]] = []
+    occupied: set[int] = set()
+    for name, start, end in candidates:
+        tokens = set(range(start, end))
+        if tokens & occupied:
+            dropped.append((name, start, end))
+            continue
+        kept.append((name, start, end))
+        occupied |= tokens
+    return kept, dropped
+
+
 def label_sentence(
     sentence: ParsedSentence,
     matches: Mapping[str, tuple[int, int]],
@@ -333,23 +358,14 @@ def label_sentence(
     reason recorded. Overlapping spans keep the higher-importance role.
     """
     n = len(sentence)
-    diagnostics: list[str] = []
-    order = sorted(
-        matches,
-        key=lambda p: (-schema.importance.get(p, NEG_INF), p),
+    kept_spans, dropped = _claim_free_spans(
+        (p, *matches[p]) for p in _by_importance(schema.importance, matches)
     )
-    kept: dict[str, tuple[int, int]] = {}
-    occupied: set[int] = set()
-    for prop in order:
-        start, end = matches[prop]
-        tokens = set(range(start, end))
-        if tokens & occupied:
-            diagnostics.append(
-                f"overlap: dropped {prop} span [{start},{end}) in {sentence.id}"
-            )
-            continue
-        kept[prop] = (start, end)
-        occupied |= tokens
+    diagnostics = [
+        f"overlap: dropped {prop} span [{start},{end}) in {sentence.id}"
+        for prop, start, end in dropped
+    ]
+    kept = {prop: (start, end) for prop, start, end in kept_spans}
 
     matched_keys = set(matches) & schema.key_args
     kept_keys = set(kept) & schema.key_args
@@ -380,19 +396,16 @@ def label_sentence(
     if cfg.max_dep_distance is not None and max_distance > cfg.max_dep_distance:
         return negative("distance", max_distance)
 
-    tags = [OUTSIDE] * n
-    for prop, (start, end) in kept.items():
-        role = role_label(schema.event_type, prop)
-        tags[start] = f"B-{role}"
-        for i in range(start + 1, end):
-            tags[i] = f"I-{role}"
+    tags = tags_from_spans(
+        n, ((role_label(schema.event_type, p), s, e) for p, s, e in kept_spans)
+    )
     return LabeledInstance(
         sentence_id=sentence.id,
         event_type=schema.event_type,
         entry_id="",
         sequence=LabelSequence(tags=tuple(tags)),
         positive=True,
-        spans=dict(kept),
+        spans=kept,
         max_key_distance=max_distance,
         diagnostics=diagnostics,
     )
@@ -411,35 +424,19 @@ def _merge_positive_instances(
     the record's event_types list.
     """
     instances = sorted(instances, key=lambda inst: (inst.event_type, inst.entry_id))
-    n = len(sentence)
-    kept: list[tuple[str, str, tuple[int, int]]] = []  # (event_type, prop, span)
-    occupied: set[int] = set()
-    for inst in instances:
-        schema = schemas[inst.event_type]
-        order = sorted(
-            inst.spans, key=lambda p: (-schema.importance.get(p, NEG_INF), p)
-        )
-        for prop in order:
-            start, end = inst.spans[prop]
-            tokens = set(range(start, end))
-            if tokens & occupied:
-                diagnostics.append(
-                    f"merge-overlap: dropped {inst.event_type}:{prop} span "
-                    f"[{start},{end}) in {sentence.id}"
-                )
-                continue
-            kept.append((inst.event_type, prop, (start, end)))
-            occupied |= tokens
-    tags = [OUTSIDE] * n
-    for event_type, prop, (start, end) in kept:
-        role = role_label(event_type, prop)
-        tags[start] = f"B-{role}"
-        for i in range(start + 1, end):
-            tags[i] = f"I-{role}"
+    kept, dropped = _claim_free_spans(
+        (role_label(inst.event_type, prop), *inst.spans[prop])
+        for inst in instances
+        for prop in _by_importance(schemas[inst.event_type].importance, inst.spans)
+    )
+    diagnostics.extend(
+        f"merge-overlap: dropped {role} span [{start},{end}) in {sentence.id}"
+        for role, start, end in dropped
+    )
     return {
         "sentence_id": sentence.id,
         "tokens": sentence.surfaces,
-        "labels": tags,
+        "labels": tags_from_spans(len(sentence), kept),
         "event_types": sorted({inst.event_type for inst in instances}),
         "polarity": "positive",
     }
@@ -539,19 +536,7 @@ def generate_dataset(
                 rec["max_key_distance"] = max_distance
             records.append(rec)
 
-    per_type: dict[str, int] = {}
-    multi = 0
-    args_total = 0
-    events_total = 0
-    for rec in positive_records.values():
-        types = rec["event_types"]
-        if len(types) >= 2:
-            multi += 1
-        for t in types:
-            per_type[t] = per_type.get(t, 0) + 1
-        events_total += len(types)
-        args_total += sum(1 for tag in rec["labels"] if tag.startswith("B-"))
-
+    summary = dataset_report(records)
     report = {
         "strategy": strategy.value,
         "seed": seed,
@@ -566,11 +551,11 @@ def generate_dataset(
             "trivial": len(pools["trivial"]),
             "pool_sizes": {k: len(v) for k, v in pools.items()},
         },
-        "positive_percentage": (100.0 * n_pos / len(records)) if records else 0.0,
-        "events": events_total,
-        "per_type": dict(sorted(per_type.items())),
-        "multi_type_fraction": (multi / n_pos) if n_pos else 0.0,
-        "arguments_per_event": (args_total / events_total) if events_total else 0.0,
+        "positive_percentage": summary["positive_percentage"],
+        "events": summary["events"],
+        "per_type": summary["per_type"],
+        "multi_type_fraction": summary["multi_type_fraction"],
+        "arguments_per_event": summary["arguments_per_event"],
         "trigger_candidates": {
             t: [
                 {"token": tok, "share": count / sum(counts.values())}
@@ -582,6 +567,34 @@ def generate_dataset(
         "diagnostics": diagnostics,
     }
     return records, report
+
+
+def dataset_report(records: Sequence[Mapping], name: str = "dataset") -> dict:
+    """Summary statistics of one generated dataset."""
+    positives = [r for r in records if r.get("polarity") == "positive"]
+    per_type: dict[str, int] = {}
+    events = 0
+    args = 0
+    multi = 0
+    for rec in positives:
+        types = rec.get("event_types", [])
+        if len(types) >= 2:
+            multi += 1
+        events += len(types)
+        for t in types:
+            per_type[t] = per_type.get(t, 0) + 1
+        args += sum(1 for tag in rec.get("labels", []) if tag.startswith("B-"))
+    return {
+        "name": name,
+        "sentences": len(records),
+        "positives": len(positives),
+        "positive_percentage": 100.0 * len(positives) / len(records) if records else 0.0,
+        "types": len(per_type),
+        "per_type": dict(sorted(per_type.items())),
+        "events": events,
+        "arguments_per_event": args / events if events else 0.0,
+        "multi_type_fraction": multi / len(positives) if positives else 0.0,
+    }
 
 
 def read_dataset(path: str) -> list[dict]:

@@ -14,6 +14,7 @@ from tabevent.core import (
     normalize_surface,
     read_jsonl,
     spans_from_tags,
+    tags_from_spans,
     validate_sentence,
 )
 
@@ -146,6 +147,14 @@ def test_spans_from_tags():
     assert spans_from_tags(tags) == [("a", 0, 2), ("b", 3, 4), ("a", 4, 6)]
     # orphan I opens a span so malformed decoder output is still usable
     assert spans_from_tags(["O", "I-a", "I-a"]) == [("a", 1, 3)]
+    # tags_from_spans is its inverse on disjoint spans
+    for n, spans, want in [
+        (6, [("a", 0, 2), ("b", 3, 4), ("a", 4, 6)], tags),
+        (4, [("a", 1, 4)], ["O", "B-a", "I-a", "I-a"]),
+        (3, [], ["O", "O", "O"]),
+    ]:
+        assert tags_from_spans(n, spans) == want
+        assert spans_from_tags(want) == spans
 
 
 class TestEventMention:

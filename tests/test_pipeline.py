@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tabevent import ilp, neural, pipeline
-from tabevent.core import EventSchema, LabelSequence
+from tabevent.core import EventSchema, LabelSequence, ParsedSentence
 from tabevent.pipeline import (
     ExtractorModel,
     TaggerModel,
@@ -189,6 +189,28 @@ class TestStage2:
         mentions = stage2(sent, model2, labels1, self.detection(labels1, key_tags), schemas)
         titles = [(a.start, a.end) for a in mentions[0].arguments if a.role == "title"]
         assert titles == [(3, 4)]
+
+    def test_duplicate_key_role_keeps_leftmost(self):
+        # Two B- spans of one key role satisfy the stage-1 constraints, so
+        # stage 2 must resolve them rather than build an invalid mention.
+        schemas = {"t": EventSchema("t", frozenset({"a"}), frozenset(), {"a": 0.0})}
+        labels1, labels2 = build_label_sets(schemas)
+        key_tags = ("B-t:a", "O", "B-t:a")
+        assert ilp.check_constraints(key_tags, labels1) == []
+        sent = ParsedSentence.build("s", ["x", "y", "z"], [-1, 0, 0])
+        cfg2 = neural.ModelConfig(
+            vocab={neural.UNK: 0},
+            num_labels=len(labels2),
+            keyarg_embed_dim=2,
+            num_keyarg_labels=len(labels1),
+        )
+        model2 = FixedTagger(
+            np.zeros((3, len(labels2))), np.zeros((len(labels2),) * 2), labels2, cfg=cfg2
+        )
+        detections = [("t", LabelSequence(key_tags, score=0.0))]
+        mentions = stage2(sent, model2, labels1, detections, schemas)
+        assert len(mentions) == 1
+        assert [(a.role, a.start, a.end) for a in mentions[0].arguments] == [("a", 0, 1)]
 
     def test_label_set_size_mismatch(self, fixture_corpus):
         sent = fixture_corpus[4]
