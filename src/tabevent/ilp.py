@@ -11,8 +11,10 @@ set defined by four constraints:
 
 C1-C3 are enforced by construction of the transition lattice; C4 is
 resolved by branch-and-bound with an admissible bound from the
-unconstrained suffix Viterbi scores. Enumeration of next-best solutions
-uses no-good cuts that each exclude exactly one full assignment.
+unconstrained suffix Viterbi scores. The same best-first pass yields
+near-optimal solutions in order: a finished path is released once no open
+node can still reach its score, so one search returns the k best
+sequences within a score gap of the optimum.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ import numpy as np
 from . import crf
 from .core import LabelSequence, LabelSet
 
-# Slack for float comparisons between the DP accumulation and the canonical
-# left-to-right rescoring of a finished path.
+# Slack for float comparisons between a node's bound, whose suffix part is
+# summed right to left, and the left-to-right scores of the paths below it.
 _EPS = 1e-9
 
 _BRUTE_FORCE_LIMIT = 10**7
@@ -51,6 +53,8 @@ class DecodeProblem:
                 f"emissions shape {self.emissions.shape} does not match "
                 f"{n_labels} labels"
             )
+        if self.emissions.shape[0] == 0:
+            raise ValueError("emissions need at least one token")
         if self.transitions.shape != (n_labels, n_labels):
             raise ValueError(
                 f"transitions shape {self.transitions.shape} does not match "
@@ -137,14 +141,6 @@ def _group_masks(labels: LabelSet) -> tuple[np.ndarray, list[int]]:
     return label_bits, group_masks
 
 
-def _groups_ok(begun: int, group_masks: list[int]) -> bool:
-    for mask in group_masks:
-        part = begun & mask
-        if part and part != mask:
-            return False
-    return True
-
-
 def _groups_can_finish(begun: int, group_masks: list[int], remaining: int) -> bool:
     # Every missing role of a started group still needs one position for its
     # B- tag, and distinct roles need distinct positions.
@@ -157,15 +153,12 @@ def _groups_can_finish(begun: int, group_masks: list[int], remaining: int) -> bo
     return True
 
 
-def _search(
-    prob: DecodeProblem, excluded: frozenset[tuple[int, ...]]
-) -> tuple[list[int], float] | None:
+def _search(prob: DecodeProblem, gap: float, k: int) -> list[tuple[list[int], float]]:
     """Best-first branch-and-bound over token positions.
 
-    Returns the optimal feasible (path, canonical score) outside `excluded`,
-    or None when every feasible sequence is excluded. Ties between
-    co-optimal paths resolve like Viterbi: smallest label index at the
-    latest differing position.
+    Returns up to k feasible (path, score) pairs within `gap` of the
+    optimum, by descending score. Ties resolve like Viterbi: smallest label
+    index at the latest differing position.
     """
     P, A = prob.emissions, prob.transitions
     n, L = P.shape
@@ -181,52 +174,45 @@ def _search(
         cont = np.where(allowed, cont, neg_inf)
         suffix[t] = cont.max(axis=1)
 
-    # Search nodes hold (label, parent id); begun-role bitmasks ride in a
-    # parallel store keyed by node id.
+    # Open nodes are (-f, node id, position, label, g, begun-role bitmask);
+    # nodes[id] = (label, parent id) rebuilds the path. g is the prefix score
+    # summed left to right, emission then transition, like crf.seq_score.
     nodes: list[tuple[int, int]] = []
-    begun_of: dict[int, int] = {}
     heap: list[tuple[float, int, int, int, float, int]] = []
-    counter = 0
     for l in range(L):
-        if not start_ok[l]:
+        begun = int(label_bits[l])
+        if not start_ok[l] or not _groups_can_finish(begun, group_masks, n - 1):
             continue
         g = float(P[0, l])
-        f = g + float(suffix[0, l])
         nodes.append((l, -1))
-        nid = len(nodes) - 1
-        begun_of[nid] = int(label_bits[l])
-        heapq.heappush(heap, (-f, counter, 0, l, g, nid))
-        counter += 1
+        heapq.heappush(heap, (-(g + float(suffix[0, l])), len(nodes) - 1, 0, l, g, begun))
 
-    best_score: float | None = None
-    best_paths: list[tuple[int, ...]] = []
-
-    def reconstruct(node_id: int) -> tuple[int, ...]:
-        out = []
-        while node_id != -1:
-            label, node_id = nodes[node_id]
-            out.append(label)
-        out.reverse()
-        return tuple(out)
-
-    while heap:
-        neg_f, _, t, l, g, nid = heapq.heappop(heap)
-        f = -neg_f
-        if best_score is not None and f < best_score - _EPS:
+    # Finished paths wait as (-score, reversed path) until no open node can
+    # still reach their score; then the smallest entry is the next result.
+    done: list[tuple[float, tuple[int, ...]]] = []
+    results: list[tuple[list[int], float]] = []
+    floor = neg_inf  # nodes below this cannot come within gap of the best path
+    while len(results) < k:
+        if done and (not heap or -heap[0][0] < -done[0][0] - _EPS):
+            neg_score, reversed_path = heapq.heappop(done)
+            score = -neg_score
+            if results and results[0][1] - score > gap:
+                break
+            results.append((list(reversed(reversed_path)), score))
+            continue
+        if not heap:
             break
-        begun = begun_of.pop(nid)
+        neg_f, nid, t, l, g, begun = heapq.heappop(heap)
+        if -neg_f < floor:
+            heap.clear()  # neither can any other open node
+            continue
         if t == n - 1:
-            if not _groups_ok(begun, group_masks):
-                continue
-            path = reconstruct(nid)
-            if path in excluded:
-                continue
-            canonical = crf.seq_score(P, A, list(path))
-            if best_score is None or canonical > best_score:
-                best_score = canonical
-                best_paths = [path]
-            elif canonical == best_score:
-                best_paths.append(path)
+            floor = max(floor, g - gap - _EPS)
+            reversed_path = []
+            while nid != -1:
+                label, nid = nodes[nid]
+                reversed_path.append(label)
+            heapq.heappush(done, (-g, tuple(reversed_path)))
             continue
         remaining = n - t - 2  # positions strictly after t+1
         for nl in range(L):
@@ -234,21 +220,14 @@ def _search(
                 continue
             ng = g + float(A[l, nl]) + float(P[t + 1, nl])
             nf = ng + float(suffix[t + 1, nl])
-            if best_score is not None and nf < best_score - _EPS:
+            if nf < floor:
                 continue
             nbegun = begun | int(label_bits[nl])
             if not _groups_can_finish(nbegun, group_masks, remaining):
                 continue
             nodes.append((nl, nid))
-            new_id = len(nodes) - 1
-            begun_of[new_id] = nbegun
-            heapq.heappush(heap, (-nf, counter, t + 1, nl, ng, new_id))
-            counter += 1
-
-    if best_score is None:
-        return None
-    winner = min(best_paths, key=lambda p: tuple(reversed(p)))
-    return list(winner), best_score
+            heapq.heappush(heap, (-nf, len(nodes) - 1, t + 1, nl, ng, nbegun))
+    return results
 
 
 def _to_sequence(prob: DecodeProblem, path: list[int], score: float) -> LabelSequence:
@@ -257,47 +236,25 @@ def _to_sequence(prob: DecodeProblem, path: list[int], score: float) -> LabelSeq
 
 def ilp_decode(prob: DecodeProblem) -> LabelSequence:
     """Optimal feasible label sequence under C1-C4."""
-    result = _search(prob, frozenset())
-    if result is None:
-        raise RuntimeError("no feasible sequence; the all-O sequence should exist")
-    path, score = result
+    path, score = _search(prob, 0.0, 1)[0]
     return _to_sequence(prob, path, score)
 
 
 def ilp_decode_multi(prob: DecodeProblem) -> MultiDecodeResult:
     """Enumerate near-optimal feasible sequences for multi-typed events.
 
-    Solves repeatedly, each round excluding all previous assignments with a
-    no-good cut, and stops before the first solution whose gap to the best
-    exceeds lambda_factor * sentence length. Scores are non-increasing.
+    Returns, best first, the feasible sequences whose gap to the best is at
+    most lambda_factor * sentence length, keeping at most max_solutions;
+    truncated says that a further sequence within the gap was cut.
     """
-    first = _search(prob, frozenset())
-    if first is None:
-        raise RuntimeError("no feasible sequence; the all-O sequence should exist")
-    threshold = prob.lambda_factor * prob.n
-    paths = [first]
-    excluded = {tuple(first[0])}
-    truncated = False
-    while True:
-        nxt = _search(prob, frozenset(excluded))
-        if nxt is None:
-            break
-        if first[1] - nxt[1] > threshold:
-            break
-        if len(paths) >= prob.max_solutions:
-            truncated = True
-            break
-        paths.append(nxt)
-        excluded.add(tuple(nxt[0]))
+    found = _search(prob, prob.lambda_factor * prob.n, prob.max_solutions + 1)
     return MultiDecodeResult(
-        sequences=[_to_sequence(prob, p, s) for p, s in paths],
-        truncated=truncated,
+        sequences=[_to_sequence(prob, p, s) for p, s in found[: prob.max_solutions]],
+        truncated=len(found) > prob.max_solutions,
     )
 
 
-def _enumerate_feasible(
-    prob: DecodeProblem, excluded: frozenset[tuple[int, ...]]
-) -> tuple[np.ndarray, np.ndarray]:
+def _enumerate_feasible(prob: DecodeProblem) -> tuple[np.ndarray, np.ndarray]:
     """All feasible label index sequences (rows) with vectorized scores."""
     P, A = prob.emissions, prob.transitions
     n, L = P.shape
@@ -321,8 +278,6 @@ def _enumerate_feasible(
     for mask in group_masks:
         part = bits & mask
         ok &= (part == 0) | (part == mask)
-    for path in excluded:
-        ok &= ~(seqs == np.asarray(path, dtype=np.int64)[None, :]).all(axis=1)
 
     seqs = seqs[ok]
     scores = P[np.arange(n)[None, :], seqs].sum(axis=1)
@@ -331,11 +286,7 @@ def _enumerate_feasible(
     return seqs, scores
 
 
-def brute_force_decode(
-    prob: DecodeProblem,
-    ranking: bool = False,
-    excluded: frozenset[tuple[int, ...]] = frozenset(),
-):
+def brute_force_decode(prob: DecodeProblem, ranking: bool = False):
     """Exhaustive feasible-set oracle.
 
     Returns the best feasible LabelSequence, or with ranking=True the full
@@ -343,11 +294,7 @@ def brute_force_decode(
     latest-position order the branch-and-bound uses).
     """
     P, A = prob.emissions, prob.transitions
-    seqs, scores = _enumerate_feasible(prob, excluded)
-    if seqs.shape[0] == 0:
-        if ranking:
-            return []
-        return None
+    seqs, scores = _enumerate_feasible(prob)
     if ranking:
         rescored = [
             (crf.seq_score(P, A, list(row)), tuple(int(v) for v in row))

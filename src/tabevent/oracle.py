@@ -75,6 +75,42 @@ def check_ilp(trials: int = 500, seed: int = 0) -> OracleReport:
     return report
 
 
+def check_ilp_multi(trials: int = 500, seed: int = 0) -> OracleReport:
+    """ilp_decode_multi must match the exhaustive ranking cut at the gap.
+
+    Odd trials draw emissions and transitions from {-1, 0, 1}, so many
+    sequences tie and the tie order is checked too.
+    """
+    rng = np.random.default_rng(seed)
+    report = OracleReport("ilp-multi-vs-brute-force", trials)
+    for trial in range(trials):
+        prob = random_problem(rng)
+        P, A = prob.emissions, prob.transitions
+        if trial % 2:
+            P = rng.integers(-1, 2, size=P.shape)
+            A = rng.integers(-1, 2, size=A.shape)
+        prob = ilp.DecodeProblem(
+            P,
+            A,
+            prob.labels,
+            lambda_factor=float(rng.choice([0.0, 0.5, 2.0])),
+            max_solutions=int(rng.integers(1, 12)),
+        )
+        got = ilp.ilp_decode_multi(prob)
+        ranked = ilp.brute_force_decode(prob, ranking=True)
+        gap = prob.lambda_factor * prob.n
+        within = [s for s in ranked if ranked[0].score - s.score <= gap]
+        want = [(s.tags, s.score) for s in within[: prob.max_solutions]]
+        want_truncated = len(within) > prob.max_solutions
+        have = [(s.tags, s.score) for s in got.sequences]
+        if have != want or got.truncated != want_truncated:
+            report.failures.append(
+                f"trial {trial}: branch-and-bound {have} truncated={got.truncated} "
+                f"vs brute force {want} truncated={want_truncated}"
+            )
+    return report
+
+
 def check_viterbi(trials: int = 500, seed: int = 0) -> OracleReport:
     """Unconstrained Viterbi must match exhaustive argmax, ties included."""
     rng = np.random.default_rng(seed)
@@ -218,6 +254,7 @@ def check_blstm_gradients(seeds: int = 10, rel_tol: float = 1e-3) -> OracleRepor
 
 CHECKS = {
     "ilp": check_ilp,
+    "ilp-multi": check_ilp_multi,
     "viterbi": check_viterbi,
     "partition": check_partition,
     "crf-gradients": check_crf_gradients,
@@ -232,7 +269,7 @@ def run_checks(names, trials: int | None = None, seed: int = 0) -> list[OracleRe
             raise ValueError(f"unknown check {name!r}; choose from {sorted(CHECKS)}")
         fn = CHECKS[name]
         kwargs: dict = {}
-        if name in ("ilp", "viterbi", "partition"):
+        if name in ("ilp", "ilp-multi", "viterbi", "partition"):
             kwargs["seed"] = seed
             if trials is not None:
                 kwargs["trials"] = trials

@@ -23,6 +23,10 @@ class TestProblemValidation:
         with pytest.raises(ValueError, match="lambda"):
             simple_problem(np.zeros((2, 3)), ["a"], lambda_factor=-1.0)
 
+    def test_zero_tokens(self):
+        with pytest.raises(ValueError, match="at least one token"):
+            simple_problem(np.zeros((0, 3)), ["a"])
+
 
 class TestChecker:
     def test_clean(self):
@@ -88,6 +92,13 @@ class TestIlpDecode:
         prob = simple_problem(np.zeros((1, 3)), ["a"], {"t": {"a"}})
         got = ilp.ilp_decode(prob)
         assert got is not None
+        # a lone token cannot begin both key roles of its group
+        P = np.zeros((1, 5))
+        P[0, 1] = 5.0  # B-a
+        prob = simple_problem(P, ["a", "b"], {"t": {"a", "b"}})
+        assert ilp.ilp_decode(prob).tags == ("O",)
+        res = ilp.ilp_decode_multi(prob)
+        assert [s.tags for s in res.sequences] == [("O",)] and not res.truncated
 
     def test_single_token_single_label(self):
         prob = simple_problem(np.array([[1.5]]), [])
@@ -137,6 +148,10 @@ class TestMulti:
                 break
             expected.append(seq)
         assert [s.tags for s in res.sequences] == [s.tags for s in expected]
+
+    def test_random_suite_matches_brute_force(self):
+        report = oracle.check_ilp_multi(trials=60, seed=123)
+        assert report.ok, report.failures[:3]
 
     def test_lambda_zero_returns_single(self):
         res = ilp.ilp_decode_multi(two_type_problem(lambda_factor=0.0))
