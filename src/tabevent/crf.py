@@ -62,17 +62,11 @@ def seq_score(P, A, y: Sequence[int]) -> float:
 def log_partition(P, A) -> float:
     """log sum over all label paths of exp(seq_score), by the forward pass."""
     P, A = _as_matrices(P, A)
-    n = P.shape[0]
-    alpha = P[0].copy()
-    for t in range(1, n):
-        # alpha[j] = logsumexp_i(alpha[i] + A[i,j]) + P[t,j]
-        scores = alpha[:, None] + A
-        m = scores.max(axis=0)
-        alpha = m + np.log(np.exp(scores - m[None, :]).sum(axis=0)) + P[t]
-    return _logsumexp(alpha)
+    return _logsumexp(_forward(P, A)[-1])
 
 
-def _forward_backward(P: np.ndarray, A: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+def _forward(P: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """Forward log-scores: alpha[t, j] = logsumexp_i(alpha[t-1, i] + A[i, j]) + P[t, j]."""
     n, L = P.shape
     alpha = np.empty((n, L))
     alpha[0] = P[0]
@@ -80,6 +74,12 @@ def _forward_backward(P: np.ndarray, A: np.ndarray) -> tuple[np.ndarray, np.ndar
         scores = alpha[t - 1][:, None] + A
         m = scores.max(axis=0)
         alpha[t] = m + np.log(np.exp(scores - m[None, :]).sum(axis=0)) + P[t]
+    return alpha
+
+
+def _forward_backward(P: np.ndarray, A: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    n, L = P.shape
+    alpha = _forward(P, A)
     beta = np.zeros((n, L))
     for t in range(n - 2, -1, -1):
         scores = A + (P[t + 1] + beta[t + 1])[None, :]

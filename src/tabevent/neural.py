@@ -96,25 +96,13 @@ def build_vocab(token_lists: Sequence[Sequence[str]]) -> dict[str, int]:
 def init_params(cfg: ModelConfig, rng: np.random.Generator) -> dict[str, np.ndarray]:
     """Uniform [-0.08, 0.08] weights, zero biases except forget gates at 1."""
     H = cfg.lstm_hidden
-
-    def uniform(*shape: int) -> np.ndarray:
-        return rng.uniform(-_INIT_SCALE, _INIT_SCALE, size=shape)
-
-    params: dict[str, np.ndarray] = {
-        "embeddings": uniform(len(cfg.vocab), cfg.embed_dim),
-        "proj.W": uniform(cfg.num_labels, 2 * H),
-        "proj.b": np.zeros(cfg.num_labels),
+    params = {
+        name: np.zeros(shape) if name.endswith(".b")
+        else rng.uniform(-_INIT_SCALE, _INIT_SCALE, size=shape)
+        for name, shape in expected_shapes(cfg).items()
     }
-    if cfg.uses_keyargs:
-        params["keyarg_embeddings"] = uniform(
-            cfg.num_keyarg_labels, cfg.keyarg_embed_dim
-        )
     for direction in ("fwd", "bwd"):
-        b = np.zeros(4 * H)
-        b[H:2 * H] = 1.0
-        params[f"lstm_{direction}.W"] = uniform(4 * H, cfg.input_dim)
-        params[f"lstm_{direction}.U"] = uniform(4 * H, H)
-        params[f"lstm_{direction}.b"] = b
+        params[f"lstm_{direction}.b"][H:2 * H] = 1.0
     return params
 
 

@@ -19,7 +19,6 @@ from .core import (
     OUTSIDE,
     EventSchema,
     EventTable,
-    LabelSequence,
     ParsedSentence,
     TableEntry,
     Token,
@@ -184,68 +183,47 @@ def read_alias_map(path: str) -> dict[str, str]:
     return aliases
 
 
-def _candidate_surfaces(value: str, alias_map: Mapping[str, str]) -> set[str]:
-    """The value itself, its canonical form, and surfaces redirecting to it."""
-    norm = normalize_surface(value)
-    out = {norm}
-    if norm in alias_map:
-        out.add(alias_map[norm])
+def entry_surfaces(
+    entry: TableEntry, alias_map: Mapping[str, str]
+) -> dict[str, list[list[str]]]:
+    """Normalized token patterns that match each property of an entry.
+
+    A value matches as itself, as its canonical form and as every surface
+    that redirects to it; the rule is not transitive. Scans the alias map
+    once, so callers build the patterns once per entry, not per sentence.
+    """
+    norms = {
+        prop: {normalize_surface(v) for v in values}
+        for prop, values in sorted(entry.values.items())
+    }
+    surfaces = {p: ns | {alias_map[n] for n in ns if n in alias_map} for p, ns in norms.items()}
     for surface, canonical in alias_map.items():
-        if canonical == norm:
-            out.add(surface)
-    return out
-
-
-def _find_span(
-    sentence_norm: Sequence[str], surfaces: Iterable[str]
-) -> tuple[int, int] | None:
-    """Longest-match, leftmost occurrence of any candidate surface."""
-    best: tuple[int, int] | None = None
-    for surface in surfaces:
-        pattern = surface.split()
-        if not pattern:
-            continue
-        width = len(pattern)
-        for start in range(0, len(sentence_norm) - width + 1):
-            if sentence_norm[start:start + width] == pattern:
-                if best is None or width > best[1] - best[0] or (
-                    width == best[1] - best[0] and start < best[0]
-                ):
-                    best = (start, start + width)
-                break  # leftmost occurrence of this surface
-    return best
+        for prop, ns in norms.items():
+            if canonical in ns:
+                surfaces[prop].add(surface)
+    return {prop: [s.split() for s in sorted(ss) if s.split()] for prop, ss in surfaces.items()}
 
 
 def find_role_spans(
-    sentence: ParsedSentence,
-    entry: TableEntry,
-    schema: EventSchema,
-    cfg: GenerationConfig,
+    sentence: ParsedSentence, surfaces: Mapping[str, Sequence[list[str]]]
 ) -> dict[str, tuple[int, int]]:
-    """Token spans for every entry property present in the sentence."""
+    """Each property's longest, then leftmost, pattern occurrence in the sentence."""
     norm = sentence.normalized
     spans: dict[str, tuple[int, int]] = {}
-    for prop in sorted(entry.values):
-        surfaces: set[str] = set()
-        for value in entry.values[prop]:
-            surfaces |= _candidate_surfaces(value, cfg.alias_map)
-        span = _find_span(norm, surfaces)
-        if span is not None:
-            spans[prop] = span
+    for prop, patterns in surfaces.items():
+        best: tuple[int, int] | None = None
+        for pattern in patterns:
+            width = len(pattern)
+            for start in range(0, len(norm) - width + 1):
+                if norm[start:start + width] == pattern:
+                    if best is None or width > best[1] - best[0] or (
+                        width == best[1] - best[0] and start < best[0]
+                    ):
+                        best = (start, start + width)
+                    break  # leftmost occurrence of this pattern
+        if best is not None:
+            spans[prop] = best
     return spans
-
-
-def match_entry(
-    sentence: ParsedSentence,
-    entry: TableEntry,
-    schema: EventSchema,
-    cfg: GenerationConfig,
-) -> list[tuple[str, tuple[int, int]]] | None:
-    """Role-to-span assignments iff every key argument matched, else None."""
-    spans = find_role_spans(sentence, entry, schema, cfg)
-    if not schema.key_args <= set(spans):
-        return None
-    return sorted(spans.items())
 
 
 def span_head(sentence: ParsedSentence, span: tuple[int, int]) -> int:
@@ -317,7 +295,6 @@ class LabeledInstance:
     sentence_id: str
     event_type: str
     entry_id: str
-    sequence: LabelSequence
     positive: bool
     reason: str | None = None          # partial | distance | trivial for negatives
     spans: dict[str, tuple[int, int]] = field(default_factory=dict)
@@ -351,13 +328,12 @@ def label_sentence(
     schema: EventSchema,
     cfg: GenerationConfig,
 ) -> LabeledInstance:
-    """BIO-tag a sentence against one entry's matched spans.
+    """Judge a sentence against one entry's matched spans.
 
     Positive iff all key arguments matched and every key-span pair lies
-    within max_dep_distance hops; otherwise an all-O negative with the
-    reason recorded. Overlapping spans keep the higher-importance role.
+    within max_dep_distance hops; otherwise a negative with the reason
+    recorded. Overlapping spans keep the higher-importance role.
     """
-    n = len(sentence)
     kept_spans, dropped = _claim_free_spans(
         (p, *matches[p]) for p in _by_importance(schema.importance, matches)
     )
@@ -375,7 +351,6 @@ def label_sentence(
             sentence_id=sentence.id,
             event_type=schema.event_type,
             entry_id="",
-            sequence=LabelSequence(tags=tuple([OUTSIDE] * n)),
             positive=False,
             reason=reason,
             spans={},
@@ -396,14 +371,10 @@ def label_sentence(
     if cfg.max_dep_distance is not None and max_distance > cfg.max_dep_distance:
         return negative("distance", max_distance)
 
-    tags = tags_from_spans(
-        n, ((role_label(schema.event_type, p), s, e) for p, s, e in kept_spans)
-    )
     return LabeledInstance(
         sentence_id=sentence.id,
         event_type=schema.event_type,
         entry_id="",
-        sequence=LabelSequence(tags=tuple(tags)),
         positive=True,
         spans=kept,
         max_key_distance=max_distance,
@@ -457,7 +428,11 @@ def generate_dataset(
     sized by the config ratios relative to the positive count. Returns the
     records in corpus order together with a statistics report.
     """
+    seen: set[str] = set()
     for sentence in corpus:
+        if sentence.id in seen:
+            raise ValueError(f"repeated sentence id {sentence.id!r}")
+        seen.add(sentence.id)
         violations = validate_sentence(sentence)
         if violations:
             raise ValueError(f"sentence {sentence.id}: {violations[0]}")
@@ -466,6 +441,10 @@ def generate_dataset(
     schemas = {
         table.event_type: select_key_args(table, stats, strategy) for table in tables
     }
+    # Parallel to table.entries: entry ids need not be unique.
+    surfaces = [
+        [entry_surfaces(entry, cfg.alias_map) for entry in table.entries] for table in tables
+    ]
 
     diagnostics: list[str] = []
     positive_records: dict[str, dict] = {}
@@ -477,10 +456,10 @@ def generate_dataset(
     for sentence in corpus:
         instances: list[LabeledInstance] = []
         best_reason: tuple[str, int | None] | None = None
-        for table in tables:
+        for table, table_surfaces in zip(tables, surfaces):
             schema = schemas[table.event_type]
-            for entry in table.entries:
-                spans = find_role_spans(sentence, entry, schema, cfg)
+            for entry, entry_patterns in zip(table.entries, table_surfaces):
+                spans = find_role_spans(sentence, entry_patterns)
                 inst = label_sentence(sentence, spans, schema, cfg)
                 inst.entry_id = entry.id
                 diagnostics.extend(inst.diagnostics)

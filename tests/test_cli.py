@@ -83,6 +83,23 @@ class TestGen:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_repeated_sentence_id_exits_1(self, tmp_path, fixture_paths, capsys):
+        lines = open(fixture_paths["corpus"], encoding="utf-8").read().splitlines()
+        dup = json.loads(lines[4])
+        dup["id"] = "S1"
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("\n".join([*lines, json.dumps(dup)]) + "\n")
+        code = run(
+            [
+                "gen",
+                "--tables", fixture_paths["tables"],
+                "--corpus", str(corpus),
+                "--out", str(tmp_path / "out.jsonl"),
+            ]
+        )
+        assert code == 1
+        assert "error: repeated sentence id 'S1'" in capsys.readouterr().err
+
 
 class TestUsage:
     def test_no_arguments_exits_2(self):

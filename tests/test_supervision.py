@@ -17,11 +17,11 @@ from tabevent.supervision import (
     ImportanceStats,
     Strategy,
     dep_distance,
+    entry_surfaces,
     find_role_spans,
     generate_dataset,
     importance_score,
     label_sentence,
-    match_entry,
     role_label,
     select_key_args,
     span_head,
@@ -33,6 +33,10 @@ from tabevent.supervision import (
 
 def stats_of(count_cvt, count_arg, count_cvt_arg):
     return ImportanceStats(count_cvt, count_arg, count_cvt_arg)
+
+
+def spans_of(sentence, entry, alias_map=None):
+    return find_role_spans(sentence, entry_surfaces(entry, alias_map or {}))
 
 
 class TestImportanceScore:
@@ -140,53 +144,63 @@ class TestMatching:
         s2 = fixture_corpus[1]
         entry = fixture_tables[0].entries[1]
         schema = fixture_schemas["business.acquisition"]
-        got = match_entry(s2, entry, schema, GenerationConfig())
-        assert got == [
-            ("acquiring_company", (0, 1)),
-            ("company_acquired", (10, 11)),
-            ("date", (12, 13)),
-        ]
+        spans = spans_of(s2, entry)
+        assert spans == {
+            "acquiring_company": (0, 1),
+            "company_acquired": (10, 11),
+            "date": (12, 13),
+        }
+        inst = label_sentence(s2, spans, schema, GenerationConfig())
+        assert inst.positive and inst.spans == spans
 
     def test_s3_misses_date(self, fixture_corpus, fixture_tables, fixture_schemas):
         s3 = fixture_corpus[2]
         entry = fixture_tables[0].entries[1]
         schema = fixture_schemas["business.acquisition"]
-        assert match_entry(s3, entry, schema, GenerationConfig()) is None
+        spans = spans_of(s3, entry)
+        assert "date" not in spans
+        inst = label_sentence(s3, spans, schema, GenerationConfig())
+        assert not inst.positive and inst.reason == "partial"
 
-    def test_alias_expansion_both_directions(self, fixture_schemas):
-        schema = fixture_schemas["business.acquisition"]
-        cfg = GenerationConfig(alias_map={"ms": "microsoft"})
-        entry = TableEntry(
-            "e",
-            {"company_acquired": ("aQuantive",), "acquiring_company": ("MS",), "date": ("2007",)},
-        )
+    def test_alias_expansion_both_directions(self):
+        aliases = {"ms": "microsoft"}
+        entry = TableEntry("e", {"acquiring_company": ("MS",)})
         s = ParsedSentence.build(
             "x", ["Microsoft", "bought", "aQuantive", "in", "2007"], [1, -1, 1, 4, 1]
         )
-        got = match_entry(s, entry, schema, cfg)
-        assert got is not None and ("acquiring_company", (0, 1)) in got
+        assert spans_of(s, entry, aliases) == {"acquiring_company": (0, 1)}
         # reverse direction: entry says Microsoft, sentence says MS
-        entry2 = TableEntry(
-            "e2",
-            {"company_acquired": ("aQuantive",), "acquiring_company": ("Microsoft",), "date": ("2007",)},
-        )
+        entry2 = TableEntry("e2", {"acquiring_company": ("Microsoft",)})
         s2 = ParsedSentence.build(
             "y", ["MS", "bought", "aQuantive", "in", "2007"], [1, -1, 1, 4, 1]
         )
-        got2 = match_entry(s2, entry2, schema, cfg)
-        assert got2 is not None and ("acquiring_company", (0, 1)) in got2
+        assert spans_of(s2, entry2, aliases) == {"acquiring_company": (0, 1)}
+
+    def test_aliases_not_transitive(self):
+        # ms -> microsoft <- msft: MS matches its canonical form, not MSFT
+        aliases = {"ms": "microsoft", "msft": "microsoft"}
+        entry = TableEntry("e", {"acquiring_company": ("MS",)})
+        assert entry_surfaces(entry, aliases) == {"acquiring_company": [["microsoft"], ["ms"]]}
+        hit = ParsedSentence.build("x", ["Microsoft", "bought", "it"], [1, -1, 1])
+        miss = ParsedSentence.build("y", ["MSFT", "bought", "it"], [1, -1, 1])
+        assert spans_of(hit, entry, aliases) == {"acquiring_company": (0, 1)}
+        assert spans_of(miss, entry, aliases) == {}
+
+    def test_empty_surfaces_skipped(self):
+        entry = TableEntry("e", {"place": ("", "  ", "New  York")})
+        assert entry_surfaces(entry, {}) == {"place": [["new", "york"]]}
 
     def test_longest_match_wins(self):
-        schema = select_key_args(
-            EventTable("t", ("place",), (), (TableEntry("e", {"place": ("x",)}),)),
-            stats_of({"t": 1}, {"place": 1}, {("t", "place"): 1}),
-        )
         entry = TableEntry("e", {"place": ("York", "New York City")})
         s = ParsedSentence.build(
             "x", ["He", "visited", "New", "York", "City", "today"], [1, -1, 4, 4, 1, 1]
         )
-        spans = find_role_spans(s, entry, schema, GenerationConfig())
-        assert spans["place"] == (2, 5)
+        assert spans_of(s, entry)["place"] == (2, 5)
+
+    def test_leftmost_among_equal_widths(self):
+        entry = TableEntry("e", {"who": ("Bob", "Ann")})
+        s = ParsedSentence.build("x", ["Ann", "met", "Bob"], [1, -1, 1])
+        assert spans_of(s, entry) == {"who": (0, 1)}
 
 
 class TestDepDistance:
@@ -235,21 +249,19 @@ class TestLabelSentence:
         s2 = fixture_corpus[1]
         entry = fixture_tables[0].entries[1]
         schema = fixture_schemas["business.acquisition"]
-        cfg = GenerationConfig()
-        inst = label_sentence(s2, find_role_spans(s2, entry, schema, cfg), schema, cfg)
+        inst = label_sentence(s2, spans_of(s2, entry), schema, GenerationConfig())
         assert inst.positive
-        assert sum(1 for t in inst.sequence.tags if t.startswith("B-")) == 3
+        assert sorted(inst.spans.values()) == [(0, 1), (10, 11), (12, 13)]
 
     def test_distance_negative_records_value(self, fixture_corpus, fixture_tables, fixture_schemas):
         s4 = fixture_corpus[3]
         entry = fixture_tables[1].entries[0]
         schema = fixture_schemas["people.marriage"]
-        cfg = GenerationConfig()
-        inst = label_sentence(s4, find_role_spans(s4, entry, schema, cfg), schema, cfg)
+        inst = label_sentence(s4, spans_of(s4, entry), schema, GenerationConfig())
         assert not inst.positive
         assert inst.reason == "distance"
         assert inst.max_key_distance == 3
-        assert set(inst.sequence.tags) == {"O"}
+        assert inst.spans == {}
 
     def test_zero_matches_trivial(self, fixture_schemas):
         schema = fixture_schemas["business.acquisition"]
@@ -269,9 +281,7 @@ class TestLabelSentence:
         schema = select_key_args(table, s, Strategy.ALL)
         assert schema.importance["big"] > schema.importance["small"]
         sent = ParsedSentence.build("x", ["alpha", "beta", "now"], [1, -1, 1])
-        cfg = GenerationConfig()
-        spans = find_role_spans(sent, table.entries[0], schema, cfg)
-        inst = label_sentence(sent, spans, schema, cfg)
+        inst = label_sentence(sent, spans_of(sent, table.entries[0]), schema, GenerationConfig())
         assert not inst.positive and inst.reason == "partial"
         assert any("overlap" in d for d in inst.diagnostics)
 
@@ -341,6 +351,31 @@ class TestGenerateDataset:
         records, _ = generate_dataset(fixture_tables, fixture_corpus, cfg, seed=0)
         reasons = {r.get("reason") for r in records if r["polarity"] == "negative"}
         assert reasons == {"trivial"}
+
+    def test_repeated_sentence_id_rejected(self, fixture_tables, fixture_corpus):
+        s5 = fixture_corpus[4]
+        dup = ParsedSentence.build("S1", s5.surfaces, list(s5.dep_head))
+        with pytest.raises(ValueError, match="repeated sentence id 'S1'"):
+            generate_dataset(fixture_tables, [*fixture_corpus, dup], GenerationConfig())
+
+    def test_entries_sharing_an_id_match_separately(self):
+        table = EventTable(
+            "t",
+            ("who", "what"),
+            (),
+            (
+                TableEntry("e", {"who": ("Alice",), "what": ("tennis",)}),
+                TableEntry("e", {"who": ("Bob",), "what": ("golf",)}),
+            ),
+        )
+        corpus = [
+            ParsedSentence.build("a", ["Alice", "plays", "tennis"], [1, -1, 1]),
+            ParsedSentence.build("b", ["Bob", "plays", "golf"], [1, -1, 1]),
+        ]
+        records, report = generate_dataset([table], corpus, GenerationConfig(), Strategy.ALL)
+        assert [r["polarity"] for r in records] == ["positive", "positive"]
+        assert records[1]["labels"] == ["B-t:who", "O", "B-t:what"]
+        assert report["positive_instances"] == 2
 
     def test_multi_type_record(self):
         # two types sharing the actor span in one sentence
