@@ -16,7 +16,8 @@ Parameter names (all row-major when flattened to disk):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import asdict, dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -60,15 +61,7 @@ class ModelConfig:
         return self.vocab.get(surface_normalized, self.vocab[UNK])
 
     def to_dict(self) -> dict:
-        return {
-            "vocab": dict(self.vocab),
-            "num_labels": self.num_labels,
-            "embed_dim": self.embed_dim,
-            "lstm_hidden": self.lstm_hidden,
-            "keyarg_embed_dim": self.keyarg_embed_dim,
-            "num_keyarg_labels": self.num_keyarg_labels,
-            "dropout_rate": self.dropout_rate,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, rec: Mapping) -> "ModelConfig":
@@ -122,8 +115,8 @@ def expected_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-def _check_param_shapes(params: Mapping[str, np.ndarray], cfg: ModelConfig) -> None:
-    for name, shape in expected_shapes(cfg).items():
+def _check_param_shapes(params: Mapping[str, np.ndarray], shapes: Mapping[str, tuple]) -> None:
+    for name, shape in shapes.items():
         if name not in params:
             raise ValueError(f"missing parameter {name!r}")
         if params[name].shape != shape:
@@ -132,36 +125,59 @@ def _check_param_shapes(params: Mapping[str, np.ndarray], cfg: ModelConfig) -> N
             )
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+class Parameters(Mapping[str, np.ndarray]):
+    """Copies of the given arrays, in order, as named views into one float64 buffer `flat`."""
+
+    def __init__(self, arrays: Mapping[str, np.ndarray]) -> None:
+        self.flat = np.concatenate([np.ravel(a) for a in arrays.values()], dtype=np.float64)
+        self.step = 0  # sgd_step updates so far; backward() refuses a cache made before one
+        self._views, offset = {}, 0
+        for name, arr in arrays.items():
+            self._views[name] = self.flat[offset:offset + np.size(arr)].reshape(np.shape(arr))
+            offset += np.size(arr)
+
+    def zeros_like(self) -> "Parameters":
+        return Parameters({name: np.zeros(arr.shape) for name, arr in self.items()})
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self._views[name]
+
+    def __iter__(self):
+        return iter(self._views)
+
+    def __len__(self) -> int:
+        return len(self._views)
 
 
 def lstm_forward(
     x: np.ndarray, W: np.ndarray, U: np.ndarray, b: np.ndarray
 ) -> dict[str, np.ndarray]:
-    """Single-direction LSTM pass; returns all activations for backprop."""
+    """Single-direction LSTM pass; returns all activations for backprop.
+
+    Each step adds `U @ h_prev` to its row of `gates` (`x @ W.T + b`) and turns
+    it into the gate values in place with one tanh: sigmoid(z) = 0.5 + 0.5*tanh(z/2).
+    """
     n = x.shape[0]
     H = U.shape[1]
-    i = np.zeros((n, H)); f = np.zeros((n, H))
-    g = np.zeros((n, H)); o = np.zeros((n, H))
-    c = np.zeros((n, H)); h = np.zeros((n, H))
-    h_prev = np.zeros(H)
-    c_prev = np.zeros(H)
+    gates = x @ W.T + b
+    scale = np.full(4 * H, 0.5)
+    scale[2 * H:3 * H] = 1.0
+    shift = 1.0 - scale
+    c = np.empty((n, H)); tanh_c = np.empty((n, H)); h = np.empty((n, H))
+    h_prev = c_prev = np.zeros(H)
     for t in range(n):
-        z = W @ x[t] + U @ h_prev + b
-        i[t] = _sigmoid(z[0:H])
-        f[t] = _sigmoid(z[H:2 * H])
-        g[t] = np.tanh(z[2 * H:3 * H])
-        o[t] = _sigmoid(z[3 * H:4 * H])
-        c[t] = f[t] * c_prev + i[t] * g[t]
-        h[t] = o[t] * np.tanh(c[t])
+        z = gates[t]
+        z += U @ h_prev
+        z *= scale
+        np.tanh(z, out=z)
+        z *= scale
+        z += shift
+        np.multiply(z[H:2 * H], c_prev, out=c[t])
+        c[t] += z[:H] * z[2 * H:3 * H]
+        np.tanh(c[t], out=tanh_c[t])
+        np.multiply(z[3 * H:], tanh_c[t], out=h[t])
         h_prev, c_prev = h[t], c[t]
-    return {"x": x, "i": i, "f": f, "g": g, "o": o, "c": c, "h": h}
+    return {"x": x, "gates": gates, "c": c, "tanh_c": tanh_c, "h": h}
 
 
 def _lstm_backward(
@@ -170,34 +186,29 @@ def _lstm_backward(
     W: np.ndarray,
     U: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Backprop through one direction. Returns (dx, dW, dU, db)."""
-    x, i, f, g, o, c = (cache[k] for k in ("x", "i", "f", "g", "o", "c"))
-    n, H = i.shape
-    dW = np.zeros_like(W)
-    dU = np.zeros_like(U)
-    db = np.zeros(4 * H)
-    dx = np.zeros_like(x)
-    dh_next = np.zeros(H)
-    dc_next = np.zeros(H)
+    """Backprop through one direction. Returns (dx, dW, dU, db).
+
+    Only the recurrence into dZ, the gate pre-activation gradients, runs per step.
+    """
+    x, gates, c, tanh_c, h = (cache[k] for k in ("x", "gates", "c", "tanh_c", "h"))
+    n, H = c.shape
+    i, f, g, o = (gates[:, k * H:(k + 1) * H] for k in range(4))
+    c_prev = np.vstack([np.zeros(H), c[:-1]])
+    # dZ[t] is dc * dc_gates[t] for the input, forget and cell gates, dh * dh_gate[t] for output.
+    dc_gates = np.stack([g * i * (1.0 - i), c_prev * f * (1.0 - f), i * (1.0 - g**2)], axis=1)
+    dh_gate = tanh_c * o * (1.0 - o)
+    dh_cell = o * (1.0 - tanh_c**2)
+    dZ = np.empty((n, 4 * H))
+    dZ_blocks = dZ.reshape(n, 4, H)
+    dh_next = dc_next = np.zeros(H)
     for t in range(n - 1, -1, -1):
-        tanh_c = np.tanh(c[t])
         dh = dh_out[t] + dh_next
-        dc = dc_next + dh * o[t] * (1.0 - tanh_c**2)
-        c_prev = c[t - 1] if t > 0 else np.zeros(H)
-        h_prev = cache["h"][t - 1] if t > 0 else np.zeros(H)
-        dz = np.concatenate([
-            dc * g[t] * i[t] * (1.0 - i[t]),
-            dc * c_prev * f[t] * (1.0 - f[t]),
-            dc * i[t] * (1.0 - g[t]**2),
-            dh * tanh_c * o[t] * (1.0 - o[t]),
-        ])
-        dW += np.outer(dz, x[t])
-        dU += np.outer(dz, h_prev)
-        db += dz
-        dx[t] = W.T @ dz
-        dh_next = U.T @ dz
+        dc = dc_next + dh * dh_cell[t]
+        np.multiply(dc_gates[t], dc, out=dZ_blocks[t, :3])
+        np.multiply(dh, dh_gate[t], out=dZ_blocks[t, 3])
+        dh_next = dZ[t] @ U
         dc_next = dc * f[t]
-    return dx, dW, dU, db
+    return dZ @ W, dZ.T @ x, dZ[1:].T @ h[:-1], dZ.sum(axis=0)
 
 
 def forward(
@@ -224,30 +235,28 @@ def forward(
         raise ValueError("model was not configured with key-argument features")
     n = len(token_ids)
 
-    _check_param_shapes(params, cfg)
+    _check_param_shapes(params, expected_shapes(cfg))
     emb = params["embeddings"]
     x = emb[token_ids]
     if cfg.uses_keyargs:
         x = np.concatenate([x, params["keyarg_embeddings"][keyarg_ids]], axis=1)
 
-    if train and cfg.dropout_rate > 0.0:
-        if rng is None:
-            raise ValueError("training-mode dropout needs a seeded rng")
-        keep = 1.0 - cfg.dropout_rate
-        in_mask = (rng.random(x.shape) < keep).astype(np.float64) / keep
-    else:
-        in_mask = np.ones_like(x)
+    dropout = train and cfg.dropout_rate > 0.0
+    if dropout and rng is None:
+        raise ValueError("training-mode dropout needs a seeded rng")
+    keep = 1.0 - cfg.dropout_rate
+
+    def mask(shape: tuple[int, ...]) -> np.ndarray:
+        return (rng.random(shape) < keep) / keep if dropout else np.ones(shape)
+
+    in_mask = mask(x.shape)
     x_dropped = x * in_mask
 
     fwd = lstm_forward(x_dropped, params["lstm_fwd.W"], params["lstm_fwd.U"], params["lstm_fwd.b"])
     bwd = lstm_forward(x_dropped[::-1], params["lstm_bwd.W"], params["lstm_bwd.U"], params["lstm_bwd.b"])
     h = np.concatenate([fwd["h"], bwd["h"][::-1]], axis=1)
 
-    if train and cfg.dropout_rate > 0.0:
-        keep = 1.0 - cfg.dropout_rate
-        out_mask = (rng.random(h.shape) < keep).astype(np.float64) / keep
-    else:
-        out_mask = np.ones_like(h)
+    out_mask = mask(h.shape)
     h_dropped = h * out_mask
 
     P = h_dropped @ params["proj.W"].T + params["proj.b"][None, :]
@@ -260,7 +269,8 @@ def forward(
         "fwd": fwd,
         "bwd": bwd,
         "h_dropped": h_dropped,
-        "params": {k: params[k] for k in params},
+        "params": params,
+        "step": getattr(params, "step", 0),
         "consumed": False,
     }
     return P, cache
@@ -274,9 +284,11 @@ def backward(cache: dict, dP: np.ndarray) -> dict[str, np.ndarray]:
     """
     if cache.get("consumed"):
         raise ValueError("stale cache: backward() was already run on it")
-    cache["consumed"] = True
     cfg: ModelConfig = cache["cfg"]
     params = cache["params"]
+    if getattr(params, "step", 0) != cache["step"]:
+        raise ValueError("stale cache: sgd_step() updated the parameters after forward()")
+    cache["consumed"] = True
     n = len(cache["token_ids"])
     dP = np.asarray(dP, dtype=np.float64)
     if dP.shape != (n, cfg.num_labels):
@@ -288,25 +300,18 @@ def backward(cache: dict, dP: np.ndarray) -> dict[str, np.ndarray]:
     grads["proj.b"] = dP.sum(axis=0)
     dh = (dP @ params["proj.W"]) * cache["out_mask"]
 
-    dx_f, dW_f, dU_f, db_f = _lstm_backward(
-        cache["fwd"], dh[:, :H], params["lstm_fwd.W"], params["lstm_fwd.U"]
-    )
-    dx_b_rev, dW_b, dU_b, db_b = _lstm_backward(
-        cache["bwd"], dh[::-1, H:], params["lstm_bwd.W"], params["lstm_bwd.U"]
-    )
-    grads["lstm_fwd.W"], grads["lstm_fwd.U"], grads["lstm_fwd.b"] = dW_f, dU_f, db_f
-    grads["lstm_bwd.W"], grads["lstm_bwd.U"], grads["lstm_bwd.b"] = dW_b, dU_b, db_b
-
-    dx = (dx_f + dx_b_rev[::-1]) * cache["in_mask"]
-    d_emb = np.zeros_like(params["embeddings"])
-    for t, tok in enumerate(cache["token_ids"]):
-        d_emb[tok] += dx[t, :cfg.embed_dim]
-    grads["embeddings"] = d_emb
+    d_in = {}
+    for direction, dh_dir in (("fwd", dh[:, :H]), ("bwd", dh[::-1, H:])):
+        p = f"lstm_{direction}."
+        d_in[direction], grads[p + "W"], grads[p + "U"], grads[p + "b"] = _lstm_backward(
+            cache[direction], dh_dir, params[p + "W"], params[p + "U"]
+        )
+    dx = (d_in["fwd"] + d_in["bwd"][::-1]) * cache["in_mask"]
+    grads["embeddings"] = np.zeros_like(params["embeddings"])
+    np.add.at(grads["embeddings"], cache["token_ids"], dx[:, :cfg.embed_dim])
     if cfg.uses_keyargs:
-        d_key = np.zeros_like(params["keyarg_embeddings"])
-        for t, k in enumerate(cache["keyarg_ids"]):
-            d_key[k] += dx[t, cfg.embed_dim:]
-        grads["keyarg_embeddings"] = d_key
+        grads["keyarg_embeddings"] = np.zeros_like(params["keyarg_embeddings"])
+        np.add.at(grads["keyarg_embeddings"], cache["keyarg_ids"], dx[:, cfg.embed_dim:])
     return grads
 
 
@@ -314,15 +319,17 @@ def backward(cache: dict, dP: np.ndarray) -> dict[str, np.ndarray]:
 # Optimizer: adaptive per-parameter steps with first/second moment estimates.
 # ---------------------------------------------------------------------------
 
-@dataclass
 class AdamState:
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
-    t: int = 0
+    """Step count, moments, gradient and scratch buffers laid out like the parameters."""
+
+    def __init__(self, params: Parameters) -> None:
+        self.t = 0
+        self.m, self.v, self.grad = (params.zeros_like() for _ in range(3))
+        self.scratch = np.empty_like(params.flat)
 
 
 def sgd_step(
-    params: dict[str, np.ndarray],
+    params: Parameters,
     grads: Mapping[str, np.ndarray],
     state: AdamState,
     lr: float = 1e-3,
@@ -330,26 +337,34 @@ def sgd_step(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> None:
-    """One adaptive update, in place. Embeddings update like any parameter."""
+    """One Adam update of the whole buffer, in place; embeddings update like any parameter.
+
+    The operations and their order are those of m = beta1*m + (1-beta1)*g, v = beta2*v +
+    (1-beta2)*g*g, p = p - lr*m_hat/(sqrt(v_hat)+eps) on separate arrays: bit-identical.
+    """
+    if grads.keys() != params.keys() or state.grad.keys() != params.keys():
+        raise ValueError("sgd_step needs one gradient per parameter and a state made for them")
     for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
-            raise ValueError(f"non-finite gradient for parameter {name!r}")
-    state.t += 1
-    for name, g in grads.items():
-        if name not in params:
-            raise ValueError(f"gradient for unknown parameter {name!r}")
         if params[name].shape != g.shape:
             raise ValueError(f"gradient shape mismatch for {name!r}")
-        if name not in state.m:
-            state.m[name] = np.zeros_like(g)
-            state.v[name] = np.zeros_like(g)
-        state.m[name] = beta1 * state.m[name] + (1.0 - beta1) * g
-        state.v[name] = beta2 * state.v[name] + (1.0 - beta2) * g * g
-        m_hat = state.m[name] / (1.0 - beta1**state.t)
-        v_hat = state.v[name] / (1.0 - beta2**state.t)
-        # Rebind instead of mutating so earlier forward caches keep pointing
-        # at the parameters they were computed with.
-        params[name] = params[name] - lr * m_hat / (np.sqrt(v_hat) + eps)
+        if not np.all(np.isfinite(g)):
+            raise ValueError(f"non-finite gradient for parameter {name!r}")
+        state.grad[name][...] = g
+    state.t += 1
+    g, m, v, a = state.grad.flat, state.m.flat, state.v.flat, state.scratch
+    m *= beta1
+    m += np.multiply(g, 1.0 - beta1, out=a)
+    v *= beta2
+    np.multiply(g, 1.0 - beta2, out=a)
+    v += np.multiply(a, g, out=a)
+    # The gradient is spent: g now holds lr * m_hat and a the denominator.
+    np.divide(m, 1.0 - beta1**state.t, out=g)
+    g *= lr
+    np.divide(v, 1.0 - beta2**state.t, out=a)
+    np.sqrt(a, out=a)
+    a += eps
+    params.flat -= np.divide(g, a, out=g)
+    params.step += 1
 
 
 # ---------------------------------------------------------------------------
@@ -358,16 +373,19 @@ def sgd_step(
 
 def tensors_to_dict(params: Mapping[str, np.ndarray]) -> dict:
     return {
-        name: {"shape": list(arr.shape), "data": [float(v) for v in arr.ravel()]}
+        name: {"shape": list(arr.shape), "data": arr.ravel().tolist()}
         for name, arr in sorted(params.items())
     }
 
 
 def tensors_from_dict(rec: Mapping) -> dict[str, np.ndarray]:
+    """Named arrays; a tensor whose data does not fill its shape is an error naming it."""
     params = {}
     for name, entry in rec.items():
-        arr = np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
-        params[name] = arr
+        shape, data = tuple(int(d) for d in entry["shape"]), entry["data"]
+        if len(data) != math.prod(shape):
+            raise ValueError(f"tensor {name!r} has {len(data)} values for shape {shape}")
+        params[name] = np.asarray(data, dtype=np.float64).reshape(shape)
     return params
 
 

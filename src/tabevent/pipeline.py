@@ -34,7 +34,7 @@ DECODERS = ("viterbi", "ilp", "ilp_multi")
 @dataclass
 class TaggerModel:
     cfg: neural.ModelConfig
-    params: dict[str, np.ndarray]
+    params: neural.Parameters
     label_set: LabelSet
 
     def to_dict(self) -> dict:
@@ -46,11 +46,15 @@ class TaggerModel:
 
     @classmethod
     def from_dict(cls, rec: Mapping) -> "TaggerModel":
-        return cls(
-            cfg=neural.ModelConfig.from_dict(rec["config"]),
-            params=neural.tensors_from_dict(rec["tensors"]),
-            label_set=LabelSet.from_dict(rec["label_set"]),
-        )
+        """A tagger whose tensors are exactly the network's, then the CRF's `crf.A`."""
+        cfg = neural.ModelConfig.from_dict(rec["config"])
+        tensors = neural.tensors_from_dict(rec["tensors"])
+        shapes = {**neural.expected_shapes(cfg), "crf.A": (cfg.num_labels, cfg.num_labels)}
+        neural._check_param_shapes(tensors, shapes)
+        for name in sorted(tensors.keys() - shapes.keys()):
+            raise ValueError(f"unexpected parameter {name!r}")
+        params = neural.Parameters({name: tensors[name] for name in shapes})
+        return cls(cfg, params, LabelSet.from_dict(rec["label_set"]))
 
     def emissions(
         self, sentence: ParsedSentence, keyarg_ids: Sequence[int] | None = None
@@ -83,7 +87,7 @@ class ExtractorModel:
         if meta is not None:
             payload["meta"] = dict(meta)
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh)
+            _write_json(fh, payload)
             fh.write("\n")
 
     @classmethod
@@ -96,28 +100,36 @@ class ExtractorModel:
         schemas = {
             rec["event_type"]: EventSchema.from_dict(rec) for rec in payload["schemas"]
         }
-        return cls(
-            stage1=TaggerModel.from_dict(payload["stage1"]),
-            stage2=TaggerModel.from_dict(payload["stage2"]),
-            schemas=schemas,
-        )
+        stages = {}
+        for stage in ("stage1", "stage2"):
+            try:
+                stages[stage] = TaggerModel.from_dict(payload[stage])
+            except ValueError as exc:
+                raise ValueError(f"{path}: {stage}: {exc}") from None
+        return cls(**stages, schemas=schemas)
+
+
+def _write_json(fh, obj) -> None:
+    """json.dumps(obj), written one dict value at a time to hold one value's text at most."""
+    if isinstance(obj, dict) and obj:
+        for i, (key, value) in enumerate(obj.items()):
+            fh.write(("{" if i == 0 else ", ") + json.dumps(key) + ": ")
+            _write_json(fh, value)
+        fh.write("}")
+    else:
+        fh.write(json.dumps(obj))
 
 
 def build_label_sets(schemas: Mapping[str, EventSchema]) -> tuple[LabelSet, LabelSet]:
     """Stage-1 label set over key roles, stage-2 over non-key roles."""
-    key_roles = []
-    nonkey_roles = []
-    groups: dict[str, set[str]] = {}
+    key_roles: list[str] = []
+    nonkey_roles: list[str] = []
+    groups: dict[str, list[str]] = {}
     for event_type in sorted(schemas):
         schema = schemas[event_type]
-        type_group = set()
-        for prop in sorted(schema.key_args):
-            role = role_label(event_type, prop)
-            key_roles.append(role)
-            type_group.add(role)
-        groups[event_type] = type_group
-        for prop in sorted(schema.nonkey_args):
-            nonkey_roles.append(role_label(event_type, prop))
+        groups[event_type] = [role_label(event_type, p) for p in sorted(schema.key_args)]
+        key_roles += groups[event_type]
+        nonkey_roles += [role_label(event_type, p) for p in sorted(schema.nonkey_args)]
     return LabelSet(key_roles, groups), LabelSet(nonkey_roles)
 
 
@@ -157,17 +169,13 @@ def stage1(
         else:
             sequences = ilp.ilp_decode_multi(prob).sequences
 
-    detections: list[tuple[str, LabelSequence]] = []
-    seen: set[str] = set()
+    detections: dict[str, LabelSequence] = {}
     for seq in sequences:
         begun = {tag[2:] for tag in seq.tags if tag.startswith("B-")}
         for event_type in sorted(labels.groups):
-            if event_type in seen:
-                continue
-            if labels.groups[event_type] <= begun:
-                detections.append((event_type, seq))
-                seen.add(event_type)
-    return detections
+            if event_type not in detections and labels.groups[event_type] <= begun:
+                detections[event_type] = seq
+    return list(detections.items())
 
 
 def _keyarg_feature_ids(
@@ -175,14 +183,10 @@ def _keyarg_feature_ids(
 ) -> list[int]:
     """Stage-1 tag ids restricted to this event type's key roles."""
     key_roles = {role_label(event_type, p) for p in schema.key_args}
-    ids = []
-    for tag in tags:
-        role = LabelSet.role_of(tag)
-        if role in key_roles and tag in labels1:
-            ids.append(labels1.index(tag))
-        else:
-            ids.append(labels1.index(OUTSIDE))
-    return ids
+    return [
+        labels1.index(tag if LabelSet.role_of(tag) in key_roles and tag in labels1 else OUTSIDE)
+        for tag in tags
+    ]
 
 
 def stage2(
@@ -308,16 +312,14 @@ def _train_tagger(
     settings: TrainSettings,
     seed: int,
 ) -> tuple[TaggerModel, dict]:
-    """Instance-at-a-time training with early stopping on dev NLL."""
-    if not instances:
-        raise ValueError("empty training set")
+    """Instance-at-a-time training with early stopping on dev NLL; no instances, no updates."""
     init_rng = np.random.default_rng(seed)
-    params = neural.init_params(cfg, init_rng)
+    arrays = neural.init_params(cfg, init_rng)
     if settings.embeddings_path:
-        params["embeddings"] = neural.load_embeddings(
+        arrays["embeddings"] = neural.load_embeddings(
             settings.embeddings_path, cfg.vocab, cfg.embed_dim, init_rng
         )
-    params["crf.A"] = np.zeros((cfg.num_labels, cfg.num_labels))
+    params = neural.Parameters({**arrays, "crf.A": np.zeros((cfg.num_labels, cfg.num_labels))})
 
     shuffle_rng = np.random.default_rng(seed + 1)
     dropout_rng = np.random.default_rng(seed + 2)
@@ -328,7 +330,7 @@ def _train_tagger(
     if not train_idx:
         train_idx, dev_idx = dev_idx, []
 
-    state = neural.AdamState()
+    state = neural.AdamState(params)
     history: dict[str, list[float]] = {"train_nll": [], "dev_nll": []}
     best_dev = float("inf")
     best_params = None
@@ -336,11 +338,7 @@ def _train_tagger(
 
     def nll(inst: _Instance, train: bool) -> float | tuple:
         P, cache = neural.forward(
-            inst.token_ids,
-            params,
-            cfg,
-            keyarg_ids=inst.keyarg_ids,
-            train=train,
+            inst.token_ids, params, cfg, keyarg_ids=inst.keyarg_ids, train=train,
             rng=dropout_rng if train else None,
         )
         loss, dP, dA = crf.nll_loss_and_grads(P, params["crf.A"], inst.gold)
@@ -350,7 +348,7 @@ def _train_tagger(
         grads["crf.A"] = dA
         return loss, grads
 
-    for epoch in range(settings.epochs):
+    for epoch in range(settings.epochs if train_idx else 0):
         epoch_loss = 0.0
         for i in shuffle_rng.permutation(len(train_idx)):
             inst = instances[train_idx[int(i)]]
@@ -363,7 +361,7 @@ def _train_tagger(
             history["dev_nll"].append(dev_loss)
             if dev_loss < best_dev - 1e-9:
                 best_dev = dev_loss
-                best_params = {k: v.copy() for k, v in params.items()}
+                best_params = neural.Parameters(params)
                 bad_epochs = 0
             else:
                 bad_epochs += 1
@@ -394,21 +392,11 @@ def train_pipeline(
         [[normalize_surface(t) for t in rec["tokens"]] for rec in records]
     )
 
-    cfg1 = neural.ModelConfig(
-        vocab=vocab,
-        num_labels=len(labels1),
-        embed_dim=settings.embed_dim,
-        lstm_hidden=settings.hidden1,
-        dropout_rate=settings.dropout,
-    )
+    shared = dict(vocab=vocab, embed_dim=settings.embed_dim, dropout_rate=settings.dropout)
+    cfg1 = neural.ModelConfig(num_labels=len(labels1), lstm_hidden=settings.hidden1, **shared)
     cfg2 = neural.ModelConfig(
-        vocab=vocab,
-        num_labels=len(labels2),
-        embed_dim=settings.embed_dim,
-        lstm_hidden=settings.hidden2,
-        keyarg_embed_dim=settings.keyarg_dim,
-        num_keyarg_labels=len(labels1),
-        dropout_rate=settings.dropout,
+        num_labels=len(labels2), lstm_hidden=settings.hidden2, keyarg_embed_dim=settings.keyarg_dim,
+        num_keyarg_labels=len(labels1), **shared,
     )
 
     stage1_instances: list[_Instance] = []
@@ -425,26 +413,15 @@ def train_pipeline(
                 raise ValueError(f"record {rec.get('sentence_id')}: unknown event type {event_type!r}")
             schema = schemas[event_type]
             feature_ids = _keyarg_feature_ids(tags, event_type, schema, labels1)
-            nonkey_roles = {role_label(event_type, p) for p in schema.nonkey_args}
-            gold2_tags = [
-                t if (LabelSet.role_of(t) in nonkey_roles and t in labels2) else OUTSIDE
+            nonkey = {role_label(event_type, p) for p in schema.nonkey_args}
+            gold2 = [
+                labels2.index(t if LabelSet.role_of(t) in nonkey and t in labels2 else OUTSIDE)
                 for t in tags
             ]
-            gold2 = [labels2.index(t) for t in gold2_tags]
             stage2_instances.append(_Instance(token_ids, gold2, keyarg_ids=feature_ids))
 
     model1, hist1 = _train_tagger(stage1_instances, cfg1, labels1, settings, settings.seed)
-    if stage2_instances:
-        model2, hist2 = _train_tagger(
-            stage2_instances, cfg2, labels2, settings, settings.seed + 1000
-        )
-    else:
-        # No positive instance carries non-key material; keep an untrained
-        # stage-2 model so extraction still runs (it will tag everything O).
-        rng = np.random.default_rng(settings.seed + 1000)
-        params2 = neural.init_params(cfg2, rng)
-        params2["crf.A"] = np.zeros((cfg2.num_labels, cfg2.num_labels))
-        model2 = TaggerModel(cfg=cfg2, params=params2, label_set=labels2)
-        hist2 = {"train_nll": [], "dev_nll": []}
+    # Without positive instances stage 2 stays untrained, so extraction still runs.
+    model2, hist2 = _train_tagger(stage2_instances, cfg2, labels2, settings, settings.seed + 1000)
     model = ExtractorModel(stage1=model1, stage2=model2, schemas=dict(schemas))
     return model, {"stage1": hist1, "stage2": hist2}

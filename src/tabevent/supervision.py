@@ -9,6 +9,7 @@ other. Everything else feeds seeded negative sampling pools.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass, field
@@ -252,13 +253,20 @@ def _depth_and_ancestors(sentence: ParsedSentence, node: int) -> list[int]:
     return chain
 
 
-def dep_distance(
-    sentence: ParsedSentence, span_a: tuple[int, int], span_b: tuple[int, int]
-) -> int:
-    """Minimal hop count between the head tokens of two spans."""
+def _check_parse(sentence: ParsedSentence) -> None:
     violations = validate_sentence(sentence)
     if violations:
         raise ValueError(f"sentence {sentence.id}: {violations[0]}")
+
+
+def dep_distance(sentence: ParsedSentence, span_a: tuple[int, int], span_b: tuple[int, int]) -> int:
+    """Minimal hop count between the head tokens of two spans."""
+    _check_parse(sentence)
+    return _hops(sentence, span_a, span_b)
+
+
+def _hops(sentence: ParsedSentence, span_a: tuple[int, int], span_b: tuple[int, int]) -> int:
+    """dep_distance on a sentence whose parse is known to be valid."""
     a = span_head(sentence, span_a)
     b = span_head(sentence, span_b)
     chain_a = _depth_and_ancestors(sentence, a)
@@ -364,10 +372,9 @@ def label_sentence(
         return negative("partial")
 
     key_spans = [kept[p] for p in sorted(schema.key_args)]
-    max_distance = 0
-    for i in range(len(key_spans)):
-        for j in range(i + 1, len(key_spans)):
-            max_distance = max(max_distance, dep_distance(sentence, key_spans[i], key_spans[j]))
+    _check_parse(sentence)
+    pairs = itertools.combinations(key_spans, 2)
+    max_distance = max((_hops(sentence, a, b) for a, b in pairs), default=0)
     if cfg.max_dep_distance is not None and max_distance > cfg.max_dep_distance:
         return negative("distance", max_distance)
 
@@ -433,9 +440,7 @@ def generate_dataset(
         if sentence.id in seen:
             raise ValueError(f"repeated sentence id {sentence.id!r}")
         seen.add(sentence.id)
-        violations = validate_sentence(sentence)
-        if violations:
-            raise ValueError(f"sentence {sentence.id}: {violations[0]}")
+        _check_parse(sentence)
     if stats is None:
         stats = collect_stats(tables)
     schemas = {

@@ -243,6 +243,33 @@ class TestPipelineCommands:
         assert code == 1
         assert "needs --model or --tables" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "stage, edit, named",
+        [
+            ("stage1", lambda tensors: tensors.pop("crf.A"), "missing parameter 'crf.A'"),
+            ("stage2", lambda tensors: tensors["proj.W"]["data"].pop(), "tensor 'proj.W' has"),
+        ],
+        ids=["missing", "truncated"],
+    )
+    def test_extract_rejects_bad_tensor(self, trained, fixture_paths, capsys, stage, edit, named):
+        base, _, model = trained
+        payload = read_json(model)
+        edit(payload[stage]["tensors"])
+        bad = base / "bad_model.json"
+        bad.write_text(json.dumps(payload))
+        code = run(
+            [
+                "extract",
+                "--model", str(bad),
+                "--corpus", fixture_paths["corpus"],
+                "--out", str(base / "bad_pred.jsonl"),
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert f"{stage}: {named}" in err
+
     def test_report(self, trained):
         base, dataset, _ = trained
         out = base / "report.json"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tabevent import neural, oracle
-from tabevent.neural import AdamState, ModelConfig, UNK
+from tabevent.neural import AdamState, ModelConfig, Parameters, UNK
 
 
 def tiny_cfg(**kwargs):
@@ -108,6 +108,61 @@ def reference_lstm(x, W, U, b):
     return np.array(out)
 
 
+def reference_lstm_step_kernels(x, W, U, b, dh_out):
+    """Per-step LSTM forward and backward with np.outer weight gradients.
+
+    Returns (h, c, dx, dW, dU, db); an independent oracle for lstm_forward
+    and _lstm_backward.
+    """
+    n, H = x.shape[0], U.shape[1]
+    sig = lambda v: 1.0 / (1.0 + np.exp(-v))
+    gates, cs, hs = [], [], []
+    h_prev = c_prev = np.zeros(H)
+    for t in range(n):
+        z = W @ x[t] + U @ h_prev + b
+        i, f, g, o = sig(z[:H]), sig(z[H:2*H]), np.tanh(z[2*H:3*H]), sig(z[3*H:])
+        c_prev = f * c_prev + i * g
+        h_prev = o * np.tanh(c_prev)
+        gates.append((i, f, g, o)); cs.append(c_prev); hs.append(h_prev)
+    dW, dU, db, dx = np.zeros_like(W), np.zeros_like(U), np.zeros(4 * H), np.zeros_like(x)
+    dh_next = dc_next = np.zeros(H)
+    for t in range(n - 1, -1, -1):
+        i, f, g, o = gates[t]
+        tanh_c = np.tanh(cs[t])
+        dh = dh_out[t] + dh_next
+        dc = dc_next + dh * o * (1.0 - tanh_c**2)
+        c_prev = cs[t - 1] if t > 0 else np.zeros(H)
+        h_prev = hs[t - 1] if t > 0 else np.zeros(H)
+        dz = np.concatenate([
+            dc * g * i * (1.0 - i),
+            dc * c_prev * f * (1.0 - f),
+            dc * i * (1.0 - g**2),
+            dh * tanh_c * o * (1.0 - o),
+        ])
+        dW += np.outer(dz, x[t])
+        dU += np.outer(dz, h_prev)
+        db += dz
+        dx[t] = W.T @ dz
+        dh_next = U.T @ dz
+        dc_next = dc * f
+    return np.array(hs), np.array(cs), dx, dW, dU, db
+
+
+@pytest.mark.parametrize("n", [1, 2, 9])
+def test_lstm_kernels_match_per_step_reference(n):
+    rng = np.random.default_rng(100 + n)
+    D, H = 5, 4
+    x = rng.normal(size=(n, D))
+    W, U, b = rng.normal(size=(4 * H, D)), rng.normal(size=(4 * H, H)), rng.normal(size=4 * H)
+    dh_out = rng.normal(size=(n, H))
+    cache = neural.lstm_forward(x, W, U, b)
+    got = (cache["h"], cache["c"]) + neural._lstm_backward(cache, dh_out, W, U)
+    want = reference_lstm_step_kernels(x, W, U, b, dh_out)
+    for name, a, e in zip(("h", "c", "dx", "dW", "dU", "db"), got, want):
+        assert a.shape == e.shape, name
+        assert np.abs(a - e).max() <= 1e-12 * np.abs(e).max(), name
+
+
 def test_backward_direction_is_reversed_forward():
     cfg = tiny_cfg()
     params = neural.init_params(cfg, np.random.default_rng(6))
@@ -149,16 +204,25 @@ class TestBackward:
         with pytest.raises(ValueError, match="stale"):
             neural.backward(cache, np.zeros_like(P))
 
+    def test_cache_made_before_a_step_is_stale(self):
+        cfg = tiny_cfg()
+        params = Parameters(neural.init_params(cfg, np.random.default_rng(9)))
+        P, old_cache = neural.forward([1, 2], params, cfg)
+        _, cache = neural.forward([1, 2], params, cfg)
+        neural.sgd_step(params, neural.backward(cache, np.ones_like(P)), AdamState(params))
+        with pytest.raises(ValueError, match="stale"):
+            neural.backward(old_cache, np.ones_like(P))
+
 
 class TestSgdStep:
     def test_zero_gradients_keep_params(self):
-        params = {"w": np.array([1.0, 2.0])}
-        neural.sgd_step(params, {"w": np.zeros(2)}, AdamState(), lr=0.1)
+        params = Parameters({"w": np.array([1.0, 2.0])})
+        neural.sgd_step(params, {"w": np.zeros(2)}, AdamState(params), lr=0.1)
         assert np.array_equal(params["w"], [1.0, 2.0])
 
     def test_quadratic_probe_descends(self):
-        params = {"x": np.array([0.0])}
-        state = AdamState()
+        params = Parameters({"x": np.array([0.0])})
+        state = AdamState(params)
         loss = lambda: float((params["x"][0] - 3.0) ** 2)
         start = loss()
         for _ in range(100):
@@ -167,8 +231,8 @@ class TestSgdStep:
         assert loss() < start * 0.05
 
     def test_moments_decay_after_gradients_stop(self):
-        params = {"x": np.array([0.0])}
-        state = AdamState()
+        params = Parameters({"x": np.array([0.0])})
+        state = AdamState(params)
         neural.sgd_step(params, {"x": np.array([1.0])}, state, lr=0.01)
         peak = abs(state.m["x"][0])
         for _ in range(50):
@@ -176,9 +240,55 @@ class TestSgdStep:
         assert abs(state.m["x"][0]) < peak * 1e-2
 
     def test_nan_gradient_aborts(self):
-        params = {"x": np.array([0.0])}
+        params = Parameters({"x": np.array([0.0])})
         with pytest.raises(ValueError, match="non-finite"):
-            neural.sgd_step(params, {"x": np.array([np.nan])}, AdamState())
+            neural.sgd_step(params, {"x": np.array([np.nan])}, AdamState(params))
+
+    def test_in_place_steps_equal_rebinding_adam(self):
+        """The flat in-place update is bit-identical to Adam on separate arrays."""
+        rng = np.random.default_rng(11)
+        shapes = {"emb": (7, 3), "W": (4, 5), "b": (4,), "A": (2, 2)}
+        start = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+        params = Parameters(start)
+        state = AdamState(params)
+        ref = {name: arr.copy() for name, arr in start.items()}
+        ref_m = {name: np.zeros(shape) for name, shape in shapes.items()}
+        ref_v = {name: np.zeros(shape) for name, shape in shapes.items()}
+        lr, beta1, beta2, eps = 0.01, 0.9, 0.999, 1e-8
+        for t in range(1, 8):
+            grads = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+            grads["emb"][rng.integers(0, 7)] = 0.0
+            neural.sgd_step(params, grads, state, lr=lr)
+            for name, g in grads.items():
+                ref_m[name] = beta1 * ref_m[name] + (1.0 - beta1) * g
+                ref_v[name] = beta2 * ref_v[name] + (1.0 - beta2) * g * g
+                m_hat = ref_m[name] / (1.0 - beta1**t)
+                v_hat = ref_v[name] / (1.0 - beta2**t)
+                ref[name] = ref[name] - lr * m_hat / (np.sqrt(v_hat) + eps)
+            for name in shapes:
+                assert np.array_equal(params[name], ref[name]), name
+                assert np.array_equal(state.m[name], ref_m[name]), name
+                assert np.array_equal(state.v[name], ref_v[name]), name
+
+    def test_missing_gradient_rejected(self):
+        params = Parameters({"x": np.zeros(1), "y": np.zeros(2)})
+        with pytest.raises(ValueError, match="one gradient per parameter"):
+            neural.sgd_step(params, {"x": np.ones(1)}, AdamState(params))
+
+
+class TestParameters:
+    def test_views_share_one_buffer_in_given_order(self):
+        params = Parameters({"a": np.arange(6.0).reshape(2, 3), "b": np.array([7.0])})
+        assert list(params) == ["a", "b"]
+        assert np.array_equal(params.flat, [0, 1, 2, 3, 4, 5, 7])
+        params["b"][0] = 9.0
+        assert params.flat[-1] == 9.0
+
+    def test_copy_does_not_alias(self):
+        params = Parameters({"a": np.ones(3)})
+        snapshot = Parameters(params)
+        params["a"][...] = 0.0
+        assert np.array_equal(snapshot["a"], np.ones(3))
 
 
 def test_tensor_roundtrip():
@@ -187,6 +297,13 @@ def test_tensor_roundtrip():
     restored = neural.tensors_from_dict(neural.tensors_to_dict(params))
     assert set(restored) == set(params)
     assert all(np.array_equal(restored[k], params[k]) for k in params)
+
+
+def test_truncated_tensor_named():
+    rec = neural.tensors_to_dict({"proj.W": np.zeros((3, 2))})
+    rec["proj.W"]["data"].pop()
+    with pytest.raises(ValueError, match="'proj.W' has 5 values for shape"):
+        neural.tensors_from_dict(rec)
 
 
 class TestEmbeddingFile:

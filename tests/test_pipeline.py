@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from tabevent import ilp, neural, pipeline
+from tabevent import crf, ilp, neural, pipeline
 from tabevent.core import EventSchema, LabelSequence, ParsedSentence
 from tabevent.pipeline import (
     ExtractorModel,
@@ -290,8 +290,90 @@ class TestTraining:
         after = pipeline.extract_corpus(fixture_corpus, loaded, decoder="ilp")
         assert before == after
 
+    def test_save_writes_json_dumps_bytes(self, fixture_dataset, fixture_schemas, tmp_path):
+        records, _ = fixture_dataset
+        model, _ = train_pipeline(records, fixture_schemas, fast_settings(epochs=1))
+        path = tmp_path / "model.json"
+        model.save(str(path), meta={"seed": 0})
+        payload = {**model.to_dict(), "meta": {"seed": 0}}
+        assert path.read_text(encoding="utf-8") == json.dumps(payload) + "\n"
+
     def test_load_rejects_unknown_version(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"format_version": 99}')
         with pytest.raises(ValueError, match="version"):
             ExtractorModel.load(str(path))
+
+    def test_early_stopping_returns_best_dev_epoch(self):
+        """The best-epoch snapshot must not alias the buffer Adam keeps updating."""
+        labels1, _ = build_label_sets(make_schemas())
+        rng = np.random.default_rng(3)
+        vocab = {neural.UNK: 0, **{f"w{k}": k + 1 for k in range(8)}}
+        cfg = neural.ModelConfig(vocab=vocab, num_labels=len(labels1), embed_dim=6,
+                                 lstm_hidden=5, dropout_rate=0.0)
+        # Random gold labels: the tagger overfits, so dev NLL turns upwards.
+        instances = [
+            pipeline._Instance([int(v) for v in rng.integers(1, 9, size=5)],
+                               [int(v) for v in rng.integers(0, len(labels1), size=5)])
+            for _ in range(24)
+        ]
+        settings = fast_settings(epochs=40, lr=0.05, dev_fraction=0.25, patience=2)
+        model, history = pipeline._train_tagger(instances, cfg, labels1, settings, seed=5)
+        dev_curve = history["dev_nll"]
+        assert dev_curve.index(min(dev_curve)) < len(dev_curve) - 1
+        order = np.random.default_rng(5 + 1).permutation(len(instances))
+        dev = [instances[int(i)] for i in order[: len(instances) // 4]]
+        dev_nll = sum(
+            crf.nll_loss_and_grads(
+                neural.forward(inst.token_ids, model.params, cfg)[0],
+                model.params["crf.A"], inst.gold,
+            )[0]
+            for inst in dev
+        ) / len(dev)
+        assert dev_nll == min(dev_curve)
+
+
+class TestModelFileValidation:
+    @pytest.fixture(scope="class")
+    def model_path(self, fixture_dataset, fixture_schemas, tmp_path_factory):
+        records, _ = fixture_dataset
+        model, _ = train_pipeline(records, fixture_schemas, fast_settings(epochs=1))
+        path = tmp_path_factory.mktemp("model") / "model.json"
+        model.save(str(path))
+        return path
+
+    def edited(self, model_path, tmp_path, edit):
+        payload = json.loads(model_path.read_text())
+        edit(payload)
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(payload))
+        return str(path)
+
+    def test_loads_unedited(self, model_path):
+        model = ExtractorModel.load(str(model_path))
+        assert list(model.stage1.params) == [*neural.expected_shapes(model.stage1.cfg), "crf.A"]
+
+    def test_missing_tensor(self, model_path, tmp_path):
+        path = self.edited(model_path, tmp_path, lambda p: p["stage1"]["tensors"].pop("crf.A"))
+        with pytest.raises(ValueError, match="stage1: missing parameter 'crf.A'"):
+            ExtractorModel.load(path)
+
+    def test_truncated_tensor(self, model_path, tmp_path):
+        path = self.edited(
+            model_path, tmp_path, lambda p: p["stage2"]["tensors"]["proj.W"]["data"].pop()
+        )
+        with pytest.raises(ValueError, match="stage2: tensor 'proj.W' has"):
+            ExtractorModel.load(path)
+
+    def test_wrong_shape(self, model_path, tmp_path):
+        def edit(payload):
+            tensor = payload["stage1"]["tensors"]["proj.b"]
+            tensor["shape"] = [1, len(tensor["data"])]
+        with pytest.raises(ValueError, match=r"stage1: parameter 'proj.b' has shape \(1, \d+\)"):
+            ExtractorModel.load(self.edited(model_path, tmp_path, edit))
+
+    def test_unexpected_tensor(self, model_path, tmp_path):
+        def edit(payload):
+            payload["stage2"]["tensors"]["extra"] = {"shape": [1], "data": [0.0]}
+        with pytest.raises(ValueError, match="stage2: unexpected parameter 'extra'"):
+            ExtractorModel.load(self.edited(model_path, tmp_path, edit))

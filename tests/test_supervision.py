@@ -286,6 +286,16 @@ class TestLabelSentence:
         assert any("overlap" in d for d in inst.diagnostics)
 
 
+    def test_cyclic_parse_raises(self):
+        table = EventTable("t", ("a", "b"), (), (TableEntry("e", {"a": ("x",), "b": ("y",)}),))
+        s = stats_of({"t": 1}, {"a": 1, "b": 1}, {("t", "a"): 1, ("t", "b"): 1})
+        schema = select_key_args(table, s, Strategy.ALL)
+        assert schema.key_args == {"a", "b"}
+        sent = ParsedSentence.build("c", ["x", "y", "z"], [1, 0, -1])
+        with pytest.raises(ValueError, match="sentence c: cycle"):
+            label_sentence(sent, {"a": (0, 1), "b": (1, 2)}, schema, GenerationConfig())
+
+
 class TestGenerateDataset:
     def test_fixture_counts(self, fixture_dataset):
         records, report = fixture_dataset
