@@ -404,7 +404,6 @@ class Argument:
 class EventMention:
     event_type: str
     arguments: tuple[Argument, ...]
-    positive: bool = True
 
     def __post_init__(self) -> None:
         roles = [a.role for a in self.arguments]
@@ -434,7 +433,9 @@ def read_jsonl(path: str) -> Iterator[dict]:
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            if isinstance(rec, dict) and "_header" in rec:
+            if not isinstance(rec, dict):
+                raise ValueError(f"{path}:{lineno}: not a JSON object: {type(rec).__name__}")
+            if "_header" in rec:
                 continue
             yield rec
 
@@ -465,4 +466,7 @@ def read_tables(path: str) -> list[EventTable]:
             raise ValueError(f"{path}: invalid JSON: {exc}") from exc
     if isinstance(payload, dict):
         payload = [payload]
-    return [EventTable.from_dict(rec) for rec in payload]
+    try:
+        return [EventTable.from_dict(rec) for rec in payload]
+    except KeyError as exc:
+        raise ValueError(f"{path}: table record missing field {exc}") from None

@@ -12,6 +12,7 @@ Parameter names (all row-major when flattened to disk):
   lstm_{fwd,bwd}.b      4H            (gate order: input, forget, cell, output)
   proj.W                |L| x 2H
   proj.b                |L|
+  crf.A                 |L| x |L|       (CRF transitions; no network gradient)
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import numpy as np
 UNK = "<unk>"
 
 _INIT_SCALE = 0.08
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator floor
 
 
 @dataclass
@@ -86,20 +88,21 @@ def build_vocab(token_lists: Sequence[Sequence[str]]) -> dict[str, int]:
     return vocab
 
 
-def init_params(cfg: ModelConfig, rng: np.random.Generator) -> dict[str, np.ndarray]:
-    """Uniform [-0.08, 0.08] weights, zero biases except forget gates at 1."""
+def init_params(cfg: ModelConfig, rng: np.random.Generator) -> "Parameters":
+    """Uniform [-0.08, 0.08] weights; zero biases except forget gates at 1, and `crf.A` at zero."""
     H = cfg.lstm_hidden
-    params = {
-        name: np.zeros(shape) if name.endswith(".b")
+    params = Parameters({
+        name: np.zeros(shape) if name.endswith(".b") or name == "crf.A"
         else rng.uniform(-_INIT_SCALE, _INIT_SCALE, size=shape)
         for name, shape in expected_shapes(cfg).items()
-    }
+    })
     for direction in ("fwd", "bwd"):
         params[f"lstm_{direction}.b"][H:2 * H] = 1.0
     return params
 
 
 def expected_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """A tagger's tensors in buffer order: the network's, then the CRF transitions `crf.A`."""
     H = cfg.lstm_hidden
     shapes: dict[str, tuple[int, ...]] = {
         "embeddings": (len(cfg.vocab), cfg.embed_dim),
@@ -112,6 +115,7 @@ def expected_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
         shapes[f"lstm_{direction}.W"] = (4 * H, cfg.input_dim)
         shapes[f"lstm_{direction}.U"] = (4 * H, H)
         shapes[f"lstm_{direction}.b"] = (4 * H,)
+    shapes["crf.A"] = (cfg.num_labels, cfg.num_labels)
     return shapes
 
 
@@ -130,6 +134,7 @@ class Parameters(Mapping[str, np.ndarray]):
 
     def __init__(self, arrays: Mapping[str, np.ndarray]) -> None:
         self.flat = np.concatenate([np.ravel(a) for a in arrays.values()], dtype=np.float64)
+        self.layout = tuple((name, np.shape(arr)) for name, arr in arrays.items())
         self.step = 0  # sgd_step updates so far; backward() refuses a cache made before one
         self._views, offset = {}, 0
         for name, arr in arrays.items():
@@ -213,7 +218,7 @@ def _lstm_backward(
 
 def forward(
     token_ids: Sequence[int],
-    params: Mapping[str, np.ndarray],
+    params: Parameters,
     cfg: ModelConfig,
     keyarg_ids: Sequence[int] | None = None,
     train: bool = False,
@@ -270,23 +275,24 @@ def forward(
         "bwd": bwd,
         "h_dropped": h_dropped,
         "params": params,
-        "step": getattr(params, "step", 0),
+        "step": params.step,
         "consumed": False,
     }
     return P, cache
 
 
-def backward(cache: dict, dP: np.ndarray) -> dict[str, np.ndarray]:
-    """Exact gradients for every parameter given dLoss/dP.
+def backward(cache: dict, dP: np.ndarray, grads: Parameters) -> None:
+    """Write the exact gradient of every network parameter, given dLoss/dP, into `grads`.
 
-    Embedding gradients are full-size arrays with nonzero rows only for the
-    tokens that actually occurred.
+    `grads` is laid out like the parameters and may be reused across calls: each
+    embedding table is zeroed, then gets nonzero rows only for the ids that occurred.
+    `crf.A` is left to the caller.
     """
     if cache.get("consumed"):
         raise ValueError("stale cache: backward() was already run on it")
     cfg: ModelConfig = cache["cfg"]
-    params = cache["params"]
-    if getattr(params, "step", 0) != cache["step"]:
+    params: Parameters = cache["params"]
+    if params.step != cache["step"]:
         raise ValueError("stale cache: sgd_step() updated the parameters after forward()")
     cache["consumed"] = True
     n = len(cache["token_ids"])
@@ -295,24 +301,22 @@ def backward(cache: dict, dP: np.ndarray) -> dict[str, np.ndarray]:
         raise ValueError(f"dP shape {dP.shape} does not match ({n}, {cfg.num_labels})")
 
     H = cfg.lstm_hidden
-    grads: dict[str, np.ndarray] = {}
-    grads["proj.W"] = dP.T @ cache["h_dropped"]
-    grads["proj.b"] = dP.sum(axis=0)
+    grads["proj.W"][...] = dP.T @ cache["h_dropped"]
+    grads["proj.b"][...] = dP.sum(axis=0)
     dh = (dP @ params["proj.W"]) * cache["out_mask"]
 
     d_in = {}
     for direction, dh_dir in (("fwd", dh[:, :H]), ("bwd", dh[::-1, H:])):
         p = f"lstm_{direction}."
-        d_in[direction], grads[p + "W"], grads[p + "U"], grads[p + "b"] = _lstm_backward(
-            cache[direction], dh_dir, params[p + "W"], params[p + "U"]
+        d_in[direction], grads[p + "W"][...], grads[p + "U"][...], grads[p + "b"][...] = (
+            _lstm_backward(cache[direction], dh_dir, params[p + "W"], params[p + "U"])
         )
     dx = (d_in["fwd"] + d_in["bwd"][::-1]) * cache["in_mask"]
-    grads["embeddings"] = np.zeros_like(params["embeddings"])
+    grads["embeddings"].fill(0.0)
     np.add.at(grads["embeddings"], cache["token_ids"], dx[:, :cfg.embed_dim])
     if cfg.uses_keyargs:
-        grads["keyarg_embeddings"] = np.zeros_like(params["keyarg_embeddings"])
+        grads["keyarg_embeddings"].fill(0.0)
         np.add.at(grads["keyarg_embeddings"], cache["keyarg_ids"], dx[:, cfg.embed_dim:])
-    return grads
 
 
 # ---------------------------------------------------------------------------
@@ -320,49 +324,39 @@ def backward(cache: dict, dP: np.ndarray) -> dict[str, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 class AdamState:
-    """Step count, moments, gradient and scratch buffers laid out like the parameters."""
+    """Step count, moments and a scratch buffer laid out like the parameters."""
 
     def __init__(self, params: Parameters) -> None:
         self.t = 0
-        self.m, self.v, self.grad = (params.zeros_like() for _ in range(3))
+        self.m, self.v = params.zeros_like(), params.zeros_like()
         self.scratch = np.empty_like(params.flat)
 
 
-def sgd_step(
-    params: Parameters,
-    grads: Mapping[str, np.ndarray],
-    state: AdamState,
-    lr: float = 1e-3,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> None:
+def sgd_step(params: Parameters, grads: Parameters, state: AdamState, lr: float = 1e-3) -> None:
     """One Adam update of the whole buffer, in place; embeddings update like any parameter.
 
     The operations and their order are those of m = beta1*m + (1-beta1)*g, v = beta2*v +
     (1-beta2)*g*g, p = p - lr*m_hat/(sqrt(v_hat)+eps) on separate arrays: bit-identical.
+    `grads` is spent: it holds scratch values afterwards.
     """
-    if grads.keys() != params.keys() or state.grad.keys() != params.keys():
+    if grads.layout != params.layout or state.m.layout != params.layout:
         raise ValueError("sgd_step needs one gradient per parameter and a state made for them")
-    for name, g in grads.items():
-        if params[name].shape != g.shape:
-            raise ValueError(f"gradient shape mismatch for {name!r}")
-        if not np.all(np.isfinite(g)):
-            raise ValueError(f"non-finite gradient for parameter {name!r}")
-        state.grad[name][...] = g
+    g, m, v, a = grads.flat, state.m.flat, state.v.flat, state.scratch
+    if not np.isfinite(g).all():
+        bad = next(name for name, arr in grads.items() if not np.isfinite(arr).all())
+        raise ValueError(f"non-finite gradient for parameter {bad!r}")
     state.t += 1
-    g, m, v, a = state.grad.flat, state.m.flat, state.v.flat, state.scratch
-    m *= beta1
-    m += np.multiply(g, 1.0 - beta1, out=a)
-    v *= beta2
-    np.multiply(g, 1.0 - beta2, out=a)
+    m *= _BETA1
+    m += np.multiply(g, 1.0 - _BETA1, out=a)
+    v *= _BETA2
+    np.multiply(g, 1.0 - _BETA2, out=a)
     v += np.multiply(a, g, out=a)
     # The gradient is spent: g now holds lr * m_hat and a the denominator.
-    np.divide(m, 1.0 - beta1**state.t, out=g)
+    np.divide(m, 1.0 - _BETA1**state.t, out=g)
     g *= lr
-    np.divide(v, 1.0 - beta2**state.t, out=a)
+    np.divide(v, 1.0 - _BETA2**state.t, out=a)
     np.sqrt(a, out=a)
-    a += eps
+    a += _EPS
     params.flat -= np.divide(g, a, out=g)
     params.step += 1
 
@@ -378,15 +372,25 @@ def tensors_to_dict(params: Mapping[str, np.ndarray]) -> dict:
     }
 
 
-def tensors_from_dict(rec: Mapping) -> dict[str, np.ndarray]:
-    """Named arrays; a tensor whose data does not fill its shape is an error naming it."""
-    params = {}
+def tensors_from_dict(rec: Mapping, cfg: ModelConfig) -> Parameters:
+    """The tensors `cfg` implies, read from a stage's `tensors` record.
+
+    A missing, unexpected or misshapen tensor, or one whose data does not fill its
+    shape, is an error naming it.
+    """
+    arrays = {}
     for name, entry in rec.items():
+        if not isinstance(entry, Mapping) or not {"shape", "data"} <= entry.keys():
+            raise ValueError(f"tensor {name!r} needs a 'shape' and 'data'")
         shape, data = tuple(int(d) for d in entry["shape"]), entry["data"]
         if len(data) != math.prod(shape):
             raise ValueError(f"tensor {name!r} has {len(data)} values for shape {shape}")
-        params[name] = np.asarray(data, dtype=np.float64).reshape(shape)
-    return params
+        arrays[name] = np.asarray(data, dtype=np.float64).reshape(shape)
+    shapes = expected_shapes(cfg)
+    _check_param_shapes(arrays, shapes)
+    for name in sorted(arrays.keys() - shapes.keys()):
+        raise ValueError(f"unexpected parameter {name!r}")
+    return Parameters({name: arrays[name] for name in shapes})
 
 
 def load_embeddings(

@@ -206,7 +206,7 @@ def check_crf_gradients(seeds: int = 10, abs_tol: float = 1e-5) -> OracleReport:
 
 
 def check_blstm_gradients(seeds: int = 10, rel_tol: float = 1e-3) -> OracleReport:
-    """All network parameter gradients vs central finite differences.
+    """All parameter gradients, `crf.A`'s zero one included, vs central finite differences.
 
     The loss is sum(P * R) for a fixed random R, which makes dLoss/dP = R
     and exercises backward() in isolation. Dropout is off so the loss is a
@@ -235,7 +235,8 @@ def check_blstm_gradients(seeds: int = 10, rel_tol: float = 1e-3) -> OracleRepor
         R = rng.normal(size=(4, cfg.num_labels))
 
         P, cache = neural.forward(token_ids, params, cfg, keyarg_ids=keyarg_ids)
-        grads = neural.backward(cache, R)
+        grads = params.zeros_like()
+        neural.backward(cache, R, grads)
 
         def loss() -> float:
             out, _ = neural.forward(token_ids, params, cfg, keyarg_ids=keyarg_ids)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Collection, Mapping, Sequence
 
 import numpy as np
 
@@ -46,14 +46,8 @@ class TaggerModel:
 
     @classmethod
     def from_dict(cls, rec: Mapping) -> "TaggerModel":
-        """A tagger whose tensors are exactly the network's, then the CRF's `crf.A`."""
         cfg = neural.ModelConfig.from_dict(rec["config"])
-        tensors = neural.tensors_from_dict(rec["tensors"])
-        shapes = {**neural.expected_shapes(cfg), "crf.A": (cfg.num_labels, cfg.num_labels)}
-        neural._check_param_shapes(tensors, shapes)
-        for name in sorted(tensors.keys() - shapes.keys()):
-            raise ValueError(f"unexpected parameter {name!r}")
-        params = neural.Parameters({name: tensors[name] for name in shapes})
+        params = neural.tensors_from_dict(rec["tensors"], cfg)
         return cls(cfg, params, LabelSet.from_dict(rec["label_set"]))
 
     def emissions(
@@ -94,18 +88,22 @@ class ExtractorModel:
     def load(cls, path: str) -> "ExtractorModel":
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
-        version = payload.get("format_version")
+        version = payload.get("format_version") if isinstance(payload, dict) else None
         if version != 1:
             raise ValueError(f"{path}: unsupported model format version {version!r}")
-        schemas = {
-            rec["event_type"]: EventSchema.from_dict(rec) for rec in payload["schemas"]
-        }
-        stages = {}
-        for stage in ("stage1", "stage2"):
-            try:
+        where, stages = path, {}
+        try:
+            for stage in ("stage1", "stage2"):
+                where = f"{path}: {stage}"
                 stages[stage] = TaggerModel.from_dict(payload[stage])
-            except ValueError as exc:
-                raise ValueError(f"{path}: {stage}: {exc}") from None
+            where = path
+            schemas = {
+                rec["event_type"]: EventSchema.from_dict(rec) for rec in payload["schemas"]
+            }
+        except KeyError as exc:
+            raise ValueError(f"{where}: missing field {exc}") from None
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
         return cls(**stages, schemas=schemas)
 
 
@@ -133,9 +131,12 @@ def build_label_sets(schemas: Mapping[str, EventSchema]) -> tuple[LabelSet, Labe
     return LabelSet(key_roles, groups), LabelSet(nonkey_roles)
 
 
-def project_tags(tags: Sequence[str], target: LabelSet) -> list[str]:
-    """Map tags onto a smaller label set; foreign roles become O."""
-    return [tag if tag in target else OUTSIDE for tag in tags]
+def project_tags(tags: Sequence[str], labels: LabelSet, roles: Collection[str]) -> list[int]:
+    """Each tag's index on `labels`, taking O for a tag off `labels` or of a role not in `roles`."""
+    return [
+        labels.index(tag if tag in labels and LabelSet.role_of(tag) in roles else OUTSIDE)
+        for tag in tags
+    ]
 
 
 def stage1(
@@ -178,17 +179,6 @@ def stage1(
     return list(detections.items())
 
 
-def _keyarg_feature_ids(
-    tags: Sequence[str], event_type: str, schema: EventSchema, labels1: LabelSet
-) -> list[int]:
-    """Stage-1 tag ids restricted to this event type's key roles."""
-    key_roles = {role_label(event_type, p) for p in schema.key_args}
-    return [
-        labels1.index(tag if LabelSet.role_of(tag) in key_roles and tag in labels1 else OUTSIDE)
-        for tag in tags
-    ]
-
-
 def stage2(
     sentence: ParsedSentence,
     model: TaggerModel,
@@ -212,7 +202,8 @@ def stage2(
     mentions: list[EventMention] = []
     for event_type, seq in detections:
         schema = schemas[event_type]
-        feature_ids = _keyarg_feature_ids(seq.tags, event_type, schema, labels1)
+        key_roles = {role_label(event_type, p) for p in schema.key_args}
+        feature_ids = project_tags(seq.tags, labels1, key_roles)
         P = model.emissions(sentence, keyarg_ids=feature_ids)
         path, _ = crf.viterbi(P, model.transitions)
         tags2 = [model.label_set.labels[i] for i in path]
@@ -314,12 +305,11 @@ def _train_tagger(
 ) -> tuple[TaggerModel, dict]:
     """Instance-at-a-time training with early stopping on dev NLL; no instances, no updates."""
     init_rng = np.random.default_rng(seed)
-    arrays = neural.init_params(cfg, init_rng)
+    params = neural.init_params(cfg, init_rng)
     if settings.embeddings_path:
-        arrays["embeddings"] = neural.load_embeddings(
+        params["embeddings"][...] = neural.load_embeddings(
             settings.embeddings_path, cfg.vocab, cfg.embed_dim, init_rng
         )
-    params = neural.Parameters({**arrays, "crf.A": np.zeros((cfg.num_labels, cfg.num_labels))})
 
     shuffle_rng = np.random.default_rng(seed + 1)
     dropout_rng = np.random.default_rng(seed + 2)
@@ -331,29 +321,28 @@ def _train_tagger(
         train_idx, dev_idx = dev_idx, []
 
     state = neural.AdamState(params)
+    grads = params.zeros_like()
     history: dict[str, list[float]] = {"train_nll": [], "dev_nll": []}
     best_dev = float("inf")
     best_params = None
     bad_epochs = 0
 
-    def nll(inst: _Instance, train: bool) -> float | tuple:
+    def nll(inst: _Instance, train: bool) -> float:
+        """The instance's loss; in training, its gradients are left in `grads`."""
         P, cache = neural.forward(
             inst.token_ids, params, cfg, keyarg_ids=inst.keyarg_ids, train=train,
             rng=dropout_rng if train else None,
         )
         loss, dP, dA = crf.nll_loss_and_grads(P, params["crf.A"], inst.gold)
-        if not train:
-            return loss
-        grads = neural.backward(cache, dP)
-        grads["crf.A"] = dA
-        return loss, grads
+        if train:
+            neural.backward(cache, dP, grads)
+            grads["crf.A"][...] = dA
+        return loss
 
     for epoch in range(settings.epochs if train_idx else 0):
         epoch_loss = 0.0
         for i in shuffle_rng.permutation(len(train_idx)):
-            inst = instances[train_idx[int(i)]]
-            loss, grads = nll(inst, train=True)
-            epoch_loss += loss
+            epoch_loss += nll(instances[train_idx[int(i)]], train=True)
             neural.sgd_step(params, grads, state, lr=settings.lr)
         history["train_nll"].append(epoch_loss / len(train_idx))
         if dev_idx:
@@ -404,20 +393,17 @@ def train_pipeline(
     for rec in records:
         token_ids = [cfg1.token_id(normalize_surface(t)) for t in rec["tokens"]]
         tags = list(rec["labels"])
-        gold1 = [labels1.index(t) for t in project_tags(tags, labels1)]
-        stage1_instances.append(_Instance(token_ids, gold1))
+        stage1_instances.append(_Instance(token_ids, project_tags(tags, labels1, labels1.roles)))
         if rec.get("polarity") != "positive":
             continue
         for event_type in sorted(rec.get("event_types", [])):
             if event_type not in schemas:
                 raise ValueError(f"record {rec.get('sentence_id')}: unknown event type {event_type!r}")
             schema = schemas[event_type]
-            feature_ids = _keyarg_feature_ids(tags, event_type, schema, labels1)
-            nonkey = {role_label(event_type, p) for p in schema.nonkey_args}
-            gold2 = [
-                labels2.index(t if LabelSet.role_of(t) in nonkey and t in labels2 else OUTSIDE)
-                for t in tags
-            ]
+            key_roles = {role_label(event_type, p) for p in schema.key_args}
+            nonkey_roles = {role_label(event_type, p) for p in schema.nonkey_args}
+            gold2 = project_tags(tags, labels2, nonkey_roles)
+            feature_ids = project_tags(tags, labels1, key_roles)
             stage2_instances.append(_Instance(token_ids, gold2, keyarg_ids=feature_ids))
 
     model1, hist1 = _train_tagger(stage1_instances, cfg1, labels1, settings, settings.seed)

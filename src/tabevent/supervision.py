@@ -426,7 +426,6 @@ def generate_dataset(
     cfg: GenerationConfig,
     strategy: Strategy = Strategy.IMP_TIME,
     seed: int = 0,
-    stats: ImportanceStats | None = None,
 ) -> tuple[list[dict], dict]:
     """Run matching and labeling over every sentence x entry pair.
 
@@ -441,8 +440,7 @@ def generate_dataset(
             raise ValueError(f"repeated sentence id {sentence.id!r}")
         seen.add(sentence.id)
         _check_parse(sentence)
-    if stats is None:
-        stats = collect_stats(tables)
+    stats = collect_stats(tables)
     schemas = {
         table.event_type: select_key_args(table, stats, strategy) for table in tables
     }
@@ -582,7 +580,12 @@ def dataset_report(records: Sequence[Mapping], name: str = "dataset") -> dict:
 
 
 def read_dataset(path: str) -> list[dict]:
-    return list(read_jsonl(path))
+    records = list(read_jsonl(path))
+    for rec in records:
+        for field in ("tokens", "labels"):
+            if field not in rec:
+                raise ValueError(f"{path}: record {rec.get('sentence_id')!r} lacks {field!r}")
+    return records
 
 
 def write_dataset(path: str, records: Sequence[Mapping], header: Mapping | None = None) -> None:

@@ -270,6 +270,47 @@ class TestPipelineCommands:
         assert err.startswith("error: ")
         assert f"{stage}: {named}" in err
 
+    @pytest.mark.parametrize(
+        "kind, edit, named",
+        [
+            ("model", lambda m: m["stage1"].pop("config"), "stage1: missing field 'config'"),
+            ("model", lambda m: m.pop("schemas"), ": missing field 'schemas'"),
+            ("model", lambda m: m["stage2"]["tensors"]["proj.W"].pop("shape"),
+             "stage2: tensor 'proj.W' needs a 'shape'"),
+            ("tables", lambda t: t[1].pop("entries"), "table record missing field 'entries'"),
+            ("corpus", lambda lines: lines.append([1, 2]), ":7: not a JSON object: list"),
+            ("dataset", lambda lines: lines[2].pop("labels"), "lacks 'labels'"),
+        ],
+        ids=["model-config", "model-schemas", "tensor-shape", "table-entries", "corpus-list",
+             "dataset-labels"],
+    )
+    def test_malformed_input_named(
+        self, trained, fixture_paths, tmp_path, capsys, kind, edit, named
+    ):
+        _, dataset, model = trained
+        bad = tmp_path / f"bad-{kind}"
+        if kind in ("model", "tables"):
+            payload = read_json(model if kind == "model" else fixture_paths["tables"])
+            edit(payload)
+            bad.write_text(json.dumps(payload))
+        else:
+            source = dataset if kind == "dataset" else fixture_paths["corpus"]
+            with open(source, "r", encoding="utf-8") as fh:
+                lines = [json.loads(line) for line in fh]
+            edit(lines)
+            bad.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        tables, corpus, out = fixture_paths["tables"], fixture_paths["corpus"], tmp_path / "out"
+        argv = {
+            "model": ["extract", "--model", str(bad), "--corpus", corpus],
+            "tables": ["gen", "--tables", str(bad), "--corpus", corpus],
+            "corpus": ["gen", "--tables", tables, "--corpus", str(bad)],
+            "dataset": ["train", "--dataset", str(bad), "--tables", tables, "--epochs", "1"],
+        }[kind]
+        assert run([*argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}")
+        assert named in err
+
     def test_report(self, trained):
         base, dataset, _ = trained
         out = base / "report.json"

@@ -40,7 +40,7 @@ class TestForward:
         cfg = tiny_cfg()
         params = neural.init_params(cfg, np.random.default_rng(0))
         for name in params:
-            params[name] = np.zeros_like(params[name])
+            params[name][...] = 0.0
         P, _ = neural.forward([1, 2, 3], params, cfg)
         assert P.shape == (3, 3)
         assert np.all(P == 0.0)
@@ -85,8 +85,9 @@ class TestForward:
 
     def test_shape_mismatch_names_parameter(self):
         cfg = tiny_cfg()
-        params = neural.init_params(cfg, np.random.default_rng(5))
-        params["lstm_fwd.U"] = np.zeros((2, 2))
+        params = Parameters(
+            {**neural.init_params(cfg, np.random.default_rng(5)), "lstm_fwd.U": np.zeros((2, 2))}
+        )
         with pytest.raises(ValueError, match="lstm_fwd.U"):
             neural.forward([1], params, cfg)
 
@@ -184,65 +185,89 @@ class TestBackward:
         cfg = tiny_cfg()
         params = neural.init_params(cfg, np.random.default_rng(7))
         P, cache = neural.forward([1, 2], params, cfg)
-        grads = neural.backward(cache, np.zeros_like(P))
+        grads = params.zeros_like()
+        neural.backward(cache, np.zeros_like(P), grads)
         assert all(np.all(g == 0.0) for g in grads.values())
 
     def test_unused_vocab_rows_zero(self):
         cfg = tiny_cfg()
         params = neural.init_params(cfg, np.random.default_rng(8))
         P, cache = neural.forward([1, 1], params, cfg)
-        grads = neural.backward(cache, np.ones_like(P))
+        grads = params.zeros_like()
+        neural.backward(cache, np.ones_like(P), grads)
         assert np.all(grads["embeddings"][0] == 0.0)
         assert np.all(grads["embeddings"][2] == 0.0)
         assert np.any(grads["embeddings"][1] != 0.0)
+
+    def test_reused_buffer_equals_fresh_buffer(self):
+        """Each table is zeroed before its scatter: an earlier instance's rows do not linger."""
+        cfg = tiny_cfg(keyarg_embed_dim=2, num_keyarg_labels=4)
+        params = neural.init_params(cfg, np.random.default_rng(12))
+        reused, fresh = params.zeros_like(), params.zeros_like()
+        for ids, grads in (([1, 2], reused), ([3], reused), ([3], fresh)):
+            P, cache = neural.forward(ids, params, cfg, keyarg_ids=ids)
+            neural.backward(cache, np.ones_like(P), grads)
+        for name in params:
+            assert np.array_equal(reused[name], fresh[name]), name
 
     def test_stale_cache(self):
         cfg = tiny_cfg()
         params = neural.init_params(cfg, np.random.default_rng(9))
         P, cache = neural.forward([1], params, cfg)
-        neural.backward(cache, np.zeros_like(P))
+        neural.backward(cache, np.zeros_like(P), params.zeros_like())
         with pytest.raises(ValueError, match="stale"):
-            neural.backward(cache, np.zeros_like(P))
+            neural.backward(cache, np.zeros_like(P), params.zeros_like())
 
     def test_cache_made_before_a_step_is_stale(self):
         cfg = tiny_cfg()
-        params = Parameters(neural.init_params(cfg, np.random.default_rng(9)))
+        params = neural.init_params(cfg, np.random.default_rng(9))
+        grads = params.zeros_like()
         P, old_cache = neural.forward([1, 2], params, cfg)
         _, cache = neural.forward([1, 2], params, cfg)
-        neural.sgd_step(params, neural.backward(cache, np.ones_like(P)), AdamState(params))
+        neural.backward(cache, np.ones_like(P), grads)
+        neural.sgd_step(params, grads, AdamState(params))
         with pytest.raises(ValueError, match="stale"):
-            neural.backward(old_cache, np.ones_like(P))
+            neural.backward(old_cache, np.ones_like(P), grads)
 
 
 class TestSgdStep:
+    def test_non_finite_gradient_named(self):
+        params = Parameters({"x": np.zeros(1), "y": np.zeros(2)})
+        grads = Parameters({"x": np.zeros(1), "y": np.array([0.0, np.inf])})
+        with pytest.raises(ValueError, match="non-finite gradient for parameter 'y'"):
+            neural.sgd_step(params, grads, AdamState(params))
+
+
     def test_zero_gradients_keep_params(self):
         params = Parameters({"w": np.array([1.0, 2.0])})
-        neural.sgd_step(params, {"w": np.zeros(2)}, AdamState(params), lr=0.1)
+        neural.sgd_step(params, params.zeros_like(), AdamState(params), lr=0.1)
         assert np.array_equal(params["w"], [1.0, 2.0])
 
     def test_quadratic_probe_descends(self):
         params = Parameters({"x": np.array([0.0])})
-        state = AdamState(params)
+        state, grads = AdamState(params), params.zeros_like()
         loss = lambda: float((params["x"][0] - 3.0) ** 2)
         start = loss()
         for _ in range(100):
-            g = 2.0 * (params["x"] - 3.0)
-            neural.sgd_step(params, {"x": g}, state, lr=0.1)
+            grads["x"][...] = 2.0 * (params["x"] - 3.0)
+            neural.sgd_step(params, grads, state, lr=0.1)
         assert loss() < start * 0.05
 
     def test_moments_decay_after_gradients_stop(self):
         params = Parameters({"x": np.array([0.0])})
-        state = AdamState(params)
-        neural.sgd_step(params, {"x": np.array([1.0])}, state, lr=0.01)
+        state, grads = AdamState(params), params.zeros_like()
+        grads["x"][...] = 1.0
+        neural.sgd_step(params, grads, state, lr=0.01)
         peak = abs(state.m["x"][0])
         for _ in range(50):
-            neural.sgd_step(params, {"x": np.array([0.0])}, state, lr=0.01)
+            grads["x"][...] = 0.0
+            neural.sgd_step(params, grads, state, lr=0.01)
         assert abs(state.m["x"][0]) < peak * 1e-2
 
     def test_nan_gradient_aborts(self):
         params = Parameters({"x": np.array([0.0])})
         with pytest.raises(ValueError, match="non-finite"):
-            neural.sgd_step(params, {"x": np.array([np.nan])}, AdamState(params))
+            neural.sgd_step(params, Parameters({"x": np.array([np.nan])}), AdamState(params))
 
     def test_in_place_steps_equal_rebinding_adam(self):
         """The flat in-place update is bit-identical to Adam on separate arrays."""
@@ -250,7 +275,7 @@ class TestSgdStep:
         shapes = {"emb": (7, 3), "W": (4, 5), "b": (4,), "A": (2, 2)}
         start = {name: rng.normal(size=shape) for name, shape in shapes.items()}
         params = Parameters(start)
-        state = AdamState(params)
+        state, buffer = AdamState(params), params.zeros_like()
         ref = {name: arr.copy() for name, arr in start.items()}
         ref_m = {name: np.zeros(shape) for name, shape in shapes.items()}
         ref_v = {name: np.zeros(shape) for name, shape in shapes.items()}
@@ -258,7 +283,9 @@ class TestSgdStep:
         for t in range(1, 8):
             grads = {name: rng.normal(size=shape) for name, shape in shapes.items()}
             grads["emb"][rng.integers(0, 7)] = 0.0
-            neural.sgd_step(params, grads, state, lr=lr)
+            for name, g in grads.items():
+                buffer[name][...] = g
+            neural.sgd_step(params, buffer, state, lr=lr)
             for name, g in grads.items():
                 ref_m[name] = beta1 * ref_m[name] + (1.0 - beta1) * g
                 ref_v[name] = beta2 * ref_v[name] + (1.0 - beta2) * g * g
@@ -273,7 +300,19 @@ class TestSgdStep:
     def test_missing_gradient_rejected(self):
         params = Parameters({"x": np.zeros(1), "y": np.zeros(2)})
         with pytest.raises(ValueError, match="one gradient per parameter"):
-            neural.sgd_step(params, {"x": np.ones(1)}, AdamState(params))
+            neural.sgd_step(params, Parameters({"x": np.ones(1)}), AdamState(params))
+
+
+def test_init_lays_out_crf_transitions_last_without_drawing():
+    cfg = tiny_cfg()
+    rng, ref = np.random.default_rng(14), np.random.default_rng(14)
+    params = neural.init_params(cfg, rng)
+    assert list(params) == list(neural.expected_shapes(cfg)) and list(params)[-1] == "crf.A"
+    assert np.all(params["crf.A"] == 0.0)
+    for name, shape in neural.expected_shapes(cfg).items():
+        if not name.endswith(".b") and name != "crf.A":
+            assert np.array_equal(params[name], ref.uniform(-0.08, 0.08, size=shape)), name
+    assert rng.random() == ref.random()
 
 
 class TestParameters:
@@ -294,16 +333,17 @@ class TestParameters:
 def test_tensor_roundtrip():
     cfg = tiny_cfg()
     params = neural.init_params(cfg, np.random.default_rng(10))
-    restored = neural.tensors_from_dict(neural.tensors_to_dict(params))
+    restored = neural.tensors_from_dict(neural.tensors_to_dict(params), cfg)
     assert set(restored) == set(params)
     assert all(np.array_equal(restored[k], params[k]) for k in params)
 
 
 def test_truncated_tensor_named():
-    rec = neural.tensors_to_dict({"proj.W": np.zeros((3, 2))})
+    cfg = tiny_cfg(lstm_hidden=1)
+    rec = neural.tensors_to_dict(neural.init_params(cfg, np.random.default_rng(0)))
     rec["proj.W"]["data"].pop()
     with pytest.raises(ValueError, match="'proj.W' has 5 values for shape"):
-        neural.tensors_from_dict(rec)
+        neural.tensors_from_dict(rec, cfg)
 
 
 class TestEmbeddingFile:
