@@ -148,6 +148,13 @@ def validate_sentence(s: ParsedSentence) -> list[str]:
     return violations
 
 
+def _json_list(value, what: str) -> list:
+    """`value` if it is a list, else an error naming `what`: a string is not a list of forms."""
+    if not isinstance(value, list):
+        raise ValueError(f"{what} needs a list, got {type(value).__name__}")
+    return value
+
+
 @dataclass(frozen=True)
 class TableEntry:
     """One row of an event table: property name -> surface forms."""
@@ -160,7 +167,14 @@ class TableEntry:
 
     @classmethod
     def from_dict(cls, rec: Mapping) -> "TableEntry":
-        values = {str(p): tuple(str(x) for x in v) for p, v in rec["values"].items()}
+        if not isinstance(rec, Mapping):
+            raise ValueError(f"table entry is not an object: {type(rec).__name__}")
+        if not isinstance(rec["values"], Mapping):
+            raise ValueError(f"entry {rec['id']}: 'values' is not an object")
+        values = {
+            str(p): tuple(map(str, _json_list(v, f"entry {rec['id']}: property {p!r}")))
+            for p, v in rec["values"].items()
+        }
         return cls(id=str(rec["id"]), values=values)
 
 
@@ -204,11 +218,17 @@ class EventTable:
 
     @classmethod
     def from_dict(cls, rec: Mapping) -> "EventTable":
+        if not isinstance(rec, Mapping):
+            raise ValueError(f"table record is not an object: {type(rec).__name__}")
+        where = f"table {rec['event_type']}"
+        properties = _json_list(rec["properties"], f"{where}: 'properties'")
+        time_properties = _json_list(rec.get("time_properties", []), f"{where}: 'time_properties'")
+        entries = _json_list(rec["entries"], f"{where}: 'entries'")
         return cls(
             event_type=str(rec["event_type"]),
-            properties=tuple(str(p) for p in rec["properties"]),
-            time_properties=tuple(str(p) for p in rec.get("time_properties", [])),
-            entries=tuple(TableEntry.from_dict(e) for e in rec["entries"]),
+            properties=tuple(map(str, properties)),
+            time_properties=tuple(map(str, time_properties)),
+            entries=tuple(map(TableEntry.from_dict, entries)),
         )
 
 
@@ -467,6 +487,8 @@ def read_tables(path: str) -> list[EventTable]:
     if isinstance(payload, dict):
         payload = [payload]
     try:
-        return [EventTable.from_dict(rec) for rec in payload]
+        return [EventTable.from_dict(rec) for rec in _json_list(payload, "a tables file")]
     except KeyError as exc:
         raise ValueError(f"{path}: table record missing field {exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -17,6 +17,7 @@ Parameter names (all row-major when flattened to disk):
 
 from __future__ import annotations
 
+import base64
 import math
 from dataclasses import asdict, dataclass
 from typing import Mapping, Sequence
@@ -362,35 +363,73 @@ def sgd_step(params: Parameters, grads: Parameters, state: AdamState, lr: float 
 
 
 # ---------------------------------------------------------------------------
-# Disk format helpers: named, row-major flattened tensors.
+# Disk format: named row-major tensors. Model format version 2 stores each
+# tensor's little-endian float64 bytes as base64; version 1 stored a float list.
 # ---------------------------------------------------------------------------
 
+_DTYPE = "<f8"
+_TENSOR_FIELDS = {1: ("shape", "data"), 2: ("shape", "dtype", "data_b64")}
+
+
 def tensors_to_dict(params: Mapping[str, np.ndarray]) -> dict:
+    """Version-2 tensor records, in name order."""
     return {
-        name: {"shape": list(arr.shape), "data": arr.ravel().tolist()}
+        name: {
+            "shape": list(arr.shape),
+            "dtype": _DTYPE,
+            "data_b64": base64.b64encode(arr.astype(_DTYPE, copy=False).tobytes()).decode(),
+        }
         for name, arr in sorted(params.items())
     }
 
 
-def tensors_from_dict(rec: Mapping, cfg: ModelConfig) -> Parameters:
-    """The tensors `cfg` implies, read from a stage's `tensors` record.
+def tensors_from_dict(rec: Mapping, cfg: ModelConfig, format_version: int = 2) -> Parameters:
+    """The tensors `cfg` implies, read from a stage's `tensors` record of `format_version`.
 
-    A missing, unexpected or misshapen tensor, or one whose data does not fill its
-    shape, is an error naming it.
+    A missing, unexpected or misshapen tensor, one not in the version's form, or one
+    whose data does not fill its shape, is an error naming it; so is a version-2
+    tensor whose dtype is not `<f8` or whose data is not base64.
     """
-    arrays = {}
-    for name, entry in rec.items():
-        if not isinstance(entry, Mapping) or not {"shape", "data"} <= entry.keys():
-            raise ValueError(f"tensor {name!r} needs a 'shape' and 'data'")
-        shape, data = tuple(int(d) for d in entry["shape"]), entry["data"]
-        if len(data) != math.prod(shape):
-            raise ValueError(f"tensor {name!r} has {len(data)} values for shape {shape}")
-        arrays[name] = np.asarray(data, dtype=np.float64).reshape(shape)
+    if not isinstance(rec, Mapping):
+        raise ValueError("'tensors' is not an object")
     shapes = expected_shapes(cfg)
-    _check_param_shapes(arrays, shapes)
-    for name in sorted(arrays.keys() - shapes.keys()):
+    for name in sorted(rec.keys() - shapes.keys()):
         raise ValueError(f"unexpected parameter {name!r}")
-    return Parameters({name: arrays[name] for name in shapes})
+    fields = _TENSOR_FIELDS[format_version]
+    arrays = {}
+    for name, shape in shapes.items():
+        if name not in rec:
+            raise ValueError(f"missing parameter {name!r}")
+        entry = rec[name]
+        if not isinstance(entry, Mapping) or not set(fields) <= entry.keys():
+            raise ValueError(f"tensor {name!r} needs a {', '.join(map(repr, fields))} "
+                             f"in format version {format_version}")
+        got = tuple(entry["shape"]) if isinstance(entry["shape"], list) else entry["shape"]
+        if got != shape:
+            raise ValueError(f"parameter {name!r} has shape {got}, expected {shape}")
+        arrays[name] = _tensor_data(name, entry, shape, format_version)
+    return Parameters(arrays)
+
+
+def _tensor_data(name: str, entry: Mapping, shape: tuple, format_version: int) -> np.ndarray:
+    """The values of one tensor record whose shape has been checked."""
+    if format_version == 1:
+        data = entry["data"]
+        n = len(data) if isinstance(data, list) else type(data).__name__
+        if n != math.prod(shape):
+            raise ValueError(f"tensor {name!r} has {n} values for shape {shape}")
+        return np.asarray(data, dtype=np.float64).reshape(shape)
+    if entry["dtype"] != _DTYPE:
+        raise ValueError(f"tensor {name!r} has dtype {entry['dtype']!r}, expected {_DTYPE!r}")
+    try:
+        raw = base64.b64decode(entry["data_b64"], validate=True)
+    except (ValueError, TypeError):  # binascii.Error is a ValueError
+        raise ValueError(f"tensor {name!r} data_b64 is not base64") from None
+    nbytes = 8 * math.prod(shape)
+    if len(raw) != nbytes:
+        raise ValueError(f"tensor {name!r} has {len(raw) / 8:.15g} values for shape {shape} "
+                         f"({len(raw)} bytes, expected {nbytes})")
+    return np.frombuffer(raw, dtype=_DTYPE).reshape(shape)
 
 
 def load_embeddings(

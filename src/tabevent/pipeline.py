@@ -45,9 +45,9 @@ class TaggerModel:
         }
 
     @classmethod
-    def from_dict(cls, rec: Mapping) -> "TaggerModel":
+    def from_dict(cls, rec: Mapping, format_version: int = 2) -> "TaggerModel":
         cfg = neural.ModelConfig.from_dict(rec["config"])
-        params = neural.tensors_from_dict(rec["tensors"], cfg)
+        params = neural.tensors_from_dict(rec["tensors"], cfg, format_version)
         return cls(cfg, params, LabelSet.from_dict(rec["label_set"]))
 
     def emissions(
@@ -70,7 +70,7 @@ class ExtractorModel:
 
     def to_dict(self) -> dict:
         return {
-            "format_version": 1,
+            "format_version": 2,
             "stage1": self.stage1.to_dict(),
             "stage2": self.stage2.to_dict(),
             "schemas": [self.schemas[t].to_dict() for t in sorted(self.schemas)],
@@ -81,21 +81,21 @@ class ExtractorModel:
         if meta is not None:
             payload["meta"] = dict(meta)
         with open(path, "w", encoding="utf-8") as fh:
-            _write_json(fh, payload)
-            fh.write("\n")
+            fh.write(json.dumps(payload) + "\n")
 
     @classmethod
     def load(cls, path: str) -> "ExtractorModel":
+        """Read a model of format version 2 or 1; each version's tensor form is required."""
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
         version = payload.get("format_version") if isinstance(payload, dict) else None
-        if version != 1:
+        if version not in (1, 2):
             raise ValueError(f"{path}: unsupported model format version {version!r}")
         where, stages = path, {}
         try:
             for stage in ("stage1", "stage2"):
                 where = f"{path}: {stage}"
-                stages[stage] = TaggerModel.from_dict(payload[stage])
+                stages[stage] = TaggerModel.from_dict(payload[stage], version)
             where = path
             schemas = {
                 rec["event_type"]: EventSchema.from_dict(rec) for rec in payload["schemas"]
@@ -105,17 +105,6 @@ class ExtractorModel:
         except ValueError as exc:
             raise ValueError(f"{where}: {exc}") from None
         return cls(**stages, schemas=schemas)
-
-
-def _write_json(fh, obj) -> None:
-    """json.dumps(obj), written one dict value at a time to hold one value's text at most."""
-    if isinstance(obj, dict) and obj:
-        for i, (key, value) in enumerate(obj.items()):
-            fh.write(("{" if i == 0 else ", ") + json.dumps(key) + ": ")
-            _write_json(fh, value)
-        fh.write("}")
-    else:
-        fh.write(json.dumps(obj))
 
 
 def build_label_sets(schemas: Mapping[str, EventSchema]) -> tuple[LabelSet, LabelSet]:

@@ -1,9 +1,18 @@
+import base64
 import json
+import pathlib
 
 import pytest
 
 from tabevent import cli
 from tabevent.core import read_jsonl
+from tabevent.pipeline import ExtractorModel
+
+# A version-1 model (embed/hidden1/hidden2/keyarg dims 4/4/4/2, 5 epochs at lr 0.05, seed 0, on
+# the README's gen output for fixtures/), and what `extract --decoder ilp --multi` wrote from
+# it on fixtures/s1s4_corpus.jsonl when version 1 was the format `train` wrote.
+DATA = pathlib.Path(__file__).resolve().parent / "data"
+V1_MODEL, V1_PRED = DATA / "model_v1.json", DATA / "model_v1_pred_multi.jsonl"
 
 
 def run(argv):
@@ -13,6 +22,10 @@ def run(argv):
 def read_json(path):
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def drop_last_value(tensor):
+    tensor["data_b64"] = base64.b64encode(base64.b64decode(tensor["data_b64"])[:-8]).decode()
 
 
 @pytest.fixture
@@ -183,7 +196,7 @@ class TestPipelineCommands:
     def test_train_writes_versioned_model(self, trained):
         _, _, model = trained
         payload = read_json(model)
-        assert payload["format_version"] == 1
+        assert payload["format_version"] == 2
         assert payload["meta"]["seed"] == 0
         assert "tensors" in payload["stage1"]
 
@@ -247,7 +260,7 @@ class TestPipelineCommands:
         "stage, edit, named",
         [
             ("stage1", lambda tensors: tensors.pop("crf.A"), "missing parameter 'crf.A'"),
-            ("stage2", lambda tensors: tensors["proj.W"]["data"].pop(), "tensor 'proj.W' has"),
+            ("stage2", lambda tensors: drop_last_value(tensors["proj.W"]), "tensor 'proj.W' has"),
         ],
         ids=["missing", "truncated"],
     )
@@ -278,10 +291,15 @@ class TestPipelineCommands:
             ("model", lambda m: m["stage2"]["tensors"]["proj.W"].pop("shape"),
              "stage2: tensor 'proj.W' needs a 'shape'"),
             ("tables", lambda t: t[1].pop("entries"), "table record missing field 'entries'"),
+            ("tables", lambda t: t[0]["entries"][0]["values"].update(date="2004"),
+             "entry m.07bh4j7: property 'date' needs a list, got str"),
+            ("tables", lambda t: t.append(1), "table record is not an object: int"),
+            ("tables", lambda t: t[0]["entries"].append(1), "table entry is not an object: int"),
             ("corpus", lambda lines: lines.append([1, 2]), ":7: not a JSON object: list"),
             ("dataset", lambda lines: lines[2].pop("labels"), "lacks 'labels'"),
         ],
-        ids=["model-config", "model-schemas", "tensor-shape", "table-entries", "corpus-list",
+        ids=["model-config", "model-schemas", "tensor-shape", "table-entries",
+             "tables-string-values", "tables-non-object", "tables-non-object-entry", "corpus-list",
              "dataset-labels"],
     )
     def test_malformed_input_named(
@@ -317,6 +335,45 @@ class TestPipelineCommands:
         assert run(["report", "--dataset", str(dataset), "--out", str(out)]) == 0
         payload = read_json(out)
         assert payload["datasets"][0]["positives"] == 2
+
+
+class TestModelFormatV1:
+    def extract(self, model, corpus, out, *flags):
+        assert run(["extract", "--model", str(model), "--corpus", corpus, "--out", str(out),
+                    *flags]) == 0
+        return out.read_bytes()
+
+    def test_loads(self):
+        payload = read_json(V1_MODEL)
+        assert payload["format_version"] == 1
+        model = ExtractorModel.load(str(V1_MODEL))
+        for stage in ("stage1", "stage2"):
+            params = getattr(model, stage).params
+            for name, tensor in payload[stage]["tensors"].items():
+                assert params[name].ravel().tolist() == tensor["data"]
+
+    def test_extract_matches_committed_output(self, fixture_paths, tmp_path):
+        pred = self.extract(V1_MODEL, fixture_paths["corpus"], tmp_path / "pred.jsonl",
+                            "--decoder", "ilp", "--multi")
+        assert pred == V1_PRED.read_bytes()
+
+    def test_resaved_as_v2(self, fixture_paths, tmp_path):
+        v1, meta = ExtractorModel.load(str(V1_MODEL)), read_json(V1_MODEL)["meta"]
+        path, again = tmp_path / "v2.json", tmp_path / "v2_again.json"
+        v1.save(str(path), meta=meta)
+        assert read_json(path)["format_version"] == 2
+        v2 = ExtractorModel.load(str(path))
+        for stage in ("stage1", "stage2"):
+            old, new = getattr(v1, stage).params, getattr(v2, stage).params
+            assert new.layout == old.layout and new.flat.tobytes() == old.flat.tobytes()
+        assert v2.to_dict() == v1.to_dict()
+        v2.save(str(again), meta=meta)
+        assert again.read_bytes() == path.read_bytes()
+        corpus = fixture_paths["corpus"]
+        for flags in (["--decoder", "viterbi"], ["--decoder", "ilp"], ["--multi"]):
+            from_v1 = self.extract(V1_MODEL, corpus, tmp_path / "v1.jsonl", *flags)
+            assert self.extract(path, corpus, tmp_path / "v2.jsonl", *flags) == from_v1
+        assert from_v1 == V1_PRED.read_bytes()
 
 
 class TestOracleCommand:

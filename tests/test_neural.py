@@ -1,3 +1,5 @@
+import base64
+
 import numpy as np
 import pytest
 
@@ -338,11 +340,44 @@ def test_tensor_roundtrip():
     assert all(np.array_equal(restored[k], params[k]) for k in params)
 
 
+def test_tensor_record_is_base64_float64():
+    cfg = tiny_cfg()
+    params = neural.init_params(cfg, np.random.default_rng(10))
+    rec = neural.tensors_to_dict(params)
+    assert list(rec) == sorted(params)
+    entry = rec["proj.W"]
+    assert entry.keys() == {"shape", "dtype", "data_b64"} and entry["dtype"] == "<f8"
+    assert base64.b64decode(entry["data_b64"]) == params["proj.W"].astype("<f8").tobytes()
+
+
+def drop_last_value(entry):
+    entry["data_b64"] = base64.b64encode(base64.b64decode(entry["data_b64"])[:-8]).decode()
+
+
 def test_truncated_tensor_named():
     cfg = tiny_cfg(lstm_hidden=1)
     rec = neural.tensors_to_dict(neural.init_params(cfg, np.random.default_rng(0)))
-    rec["proj.W"]["data"].pop()
+    drop_last_value(rec["proj.W"])
     with pytest.raises(ValueError, match="'proj.W' has 5 values for shape"):
+        neural.tensors_from_dict(rec, cfg)
+
+
+@pytest.mark.parametrize(
+    "edit, named",
+    [
+        (lambda e: e.update(data_b64="not base64!"), "tensor 'proj.W' data_b64 is not base64"),
+        (lambda e: e.update(data_b64=[0.0] * 6), "tensor 'proj.W' data_b64 is not base64"),
+        (lambda e: e.update(dtype="<f4"), "tensor 'proj.W' has dtype '<f4', expected '<f8'"),
+        (lambda e: e.update(data_b64=base64.b64encode(bytes(52)).decode()),
+         r"tensor 'proj.W' has 6.5 values for shape \(3, 2\) \(52 bytes, expected 48\)"),
+    ],
+    ids=["not-base64", "not-a-string", "dtype", "byte-length"],
+)
+def test_bad_v2_tensor_named(edit, named):
+    cfg = tiny_cfg(lstm_hidden=1)
+    rec = neural.tensors_to_dict(neural.init_params(cfg, np.random.default_rng(0)))
+    edit(rec["proj.W"])
+    with pytest.raises(ValueError, match=named):
         neural.tensors_from_dict(rec, cfg)
 
 

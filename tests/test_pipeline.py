@@ -1,4 +1,6 @@
+import base64
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -15,6 +17,9 @@ from tabevent.pipeline import (
     stage2,
     train_pipeline,
 )
+
+V1_MODEL = pathlib.Path(__file__).resolve().parent / "data" / "model_v1.json"
+
 
 def make_schemas():
     return {
@@ -362,8 +367,15 @@ class TestModelFileValidation:
             ExtractorModel.load(path)
 
     def test_truncated_tensor(self, model_path, tmp_path):
+        def edit(payload):
+            tensor = payload["stage2"]["tensors"]["proj.W"]
+            tensor["data_b64"] = base64.b64encode(base64.b64decode(tensor["data_b64"])[:-8]).decode()
+        with pytest.raises(ValueError, match="stage2: tensor 'proj.W' has"):
+            ExtractorModel.load(self.edited(model_path, tmp_path, edit))
+
+    def test_truncated_v1_tensor(self, tmp_path):
         path = self.edited(
-            model_path, tmp_path, lambda p: p["stage2"]["tensors"]["proj.W"]["data"].pop()
+            V1_MODEL, tmp_path, lambda p: p["stage2"]["tensors"]["proj.W"]["data"].pop()
         )
         with pytest.raises(ValueError, match="stage2: tensor 'proj.W' has"):
             ExtractorModel.load(path)
@@ -371,9 +383,27 @@ class TestModelFileValidation:
     def test_wrong_shape(self, model_path, tmp_path):
         def edit(payload):
             tensor = payload["stage1"]["tensors"]["proj.b"]
-            tensor["shape"] = [1, len(tensor["data"])]
+            tensor["shape"] = [1, *tensor["shape"]]
         with pytest.raises(ValueError, match=r"stage1: parameter 'proj.b' has shape \(1, \d+\)"):
             ExtractorModel.load(self.edited(model_path, tmp_path, edit))
+
+    def test_float_list_in_v2_file(self, model_path, tmp_path):
+        def edit(payload):
+            tensor = payload["stage1"]["tensors"]["proj.b"]
+            tensor["data"] = [0.0] * tensor["shape"][0]
+            del tensor["dtype"], tensor["data_b64"]
+        with pytest.raises(ValueError, match="stage1: tensor 'proj.b' needs .* format version 2"):
+            ExtractorModel.load(self.edited(model_path, tmp_path, edit))
+
+    def test_base64_in_v1_file(self, model_path, tmp_path):
+        path = self.edited(model_path, tmp_path, lambda p: p.update(format_version=1))
+        with pytest.raises(ValueError, match="stage1: tensor 'embeddings' needs .* format version 1"):
+            ExtractorModel.load(path)
+
+    def test_unknown_version(self, model_path, tmp_path):
+        path = self.edited(model_path, tmp_path, lambda p: p.update(format_version=3))
+        with pytest.raises(ValueError, match="unsupported model format version 3"):
+            ExtractorModel.load(path)
 
     def test_unexpected_tensor(self, model_path, tmp_path):
         def edit(payload):
