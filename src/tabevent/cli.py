@@ -13,8 +13,9 @@ import configparser
 import json
 import sys
 import time
+from dataclasses import asdict
 
-from . import __version__, evaluation, oracle, pipeline, supervision
+from . import __version__, evaluation, ilp, oracle, pipeline, supervision
 from .core import read_corpus, read_jsonl, read_tables, write_jsonl
 from .supervision import GenerationConfig, Strategy
 
@@ -50,54 +51,39 @@ def _write_manifest(
 
 
 def _apply_config(args: argparse.Namespace, parser_defaults: dict) -> argparse.Namespace:
-    """Fill unset flags from the [command] section of the INI config file."""
-    if not getattr(args, "config", None):
-        for key, default in parser_defaults.items():
-            if getattr(args, key, None) is None:
-                setattr(args, key, default)
-        return args
-    ini = configparser.ConfigParser()
-    read = ini.read(args.config)
-    if not read:
-        raise ValueError(f"config file not found: {args.config}")
-    section = args.command if ini.has_section(args.command) else None
+    """Fill unset flags from the [command] section of the INI config file, else the defaults."""
+    section = {}
+    if getattr(args, "config", None):
+        ini = configparser.ConfigParser()
+        if not ini.read(args.config):
+            raise ValueError(f"config file not found: {args.config}")
+        if ini.has_section(args.command):
+            section = ini[args.command]
     for key, default in parser_defaults.items():
-        if getattr(args, key, None) is not None:
-            continue
-        if section and ini.has_option(section, key):
-            raw = ini.get(section, key)
-            setattr(args, key, type(default)(raw) if default is not None else raw)
-        else:
-            setattr(args, key, default)
+        if getattr(args, key, None) is None:
+            setattr(args, key, type(default)(section[key]) if key in section else default)
     return args
 
 
+# Each subcommand's defaults are the library's own.
+_GEN = GenerationConfig()
+_STRATEGY = {"strategy": Strategy.IMP_TIME.value}
+_TRAIN = {k: v for k, v in asdict(pipeline.TrainSettings()).items() if k != "embeddings_path"}
+
 GEN_DEFAULTS = {
     "seed": 0,
-    "max_dist": 2,
-    "strategy": "imp_time",
-    "partial_ratio": 1.0,
-    "violation_ratio": 1.0,
+    "max_dist": _GEN.max_dep_distance,
+    **_STRATEGY,
+    "partial_ratio": _GEN.partial_negative_ratio,
+    "violation_ratio": _GEN.violation_negative_ratio,
 }
 
-TRAIN_DEFAULTS = {
-    "seed": 0,
-    "strategy": "imp_time",
-    "epochs": 50,
-    "lr": 1e-3,
-    "embed_dim": 200,
-    "hidden1": 100,
-    "hidden2": 150,
-    "keyarg_dim": 50,
-    "dropout": 0.5,
-    "dev_fraction": 0.1,
-    "patience": 5,
-}
+TRAIN_DEFAULTS = {**_STRATEGY, **_TRAIN}
 
 EXTRACT_DEFAULTS = {
     "decoder": "ilp",
-    "lambda_factor": 0.5,
-    "max_solutions": 10,
+    "lambda_factor": ilp.LAMBDA_FACTOR,
+    "max_solutions": ilp.MAX_SOLUTIONS,
 }
 
 
@@ -129,31 +115,16 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _schemas_from_tables(tables_path: str, strategy: str) -> dict:
-    tables = read_tables(tables_path)
-    stats = supervision.collect_stats(tables)
-    return {
-        t.event_type: supervision.select_key_args(t, stats, Strategy(strategy))
-        for t in tables
-    }
+def _schemas(args: argparse.Namespace) -> dict:
+    return supervision.select_schemas(read_tables(args.tables), Strategy(args.strategy))
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
     t0 = time.monotonic()
     records = supervision.read_dataset(args.dataset)
-    schemas = _schemas_from_tables(args.tables, args.strategy)
+    schemas = _schemas(args)
     settings = pipeline.TrainSettings(
-        epochs=args.epochs,
-        lr=args.lr,
-        seed=args.seed,
-        dev_fraction=args.dev_fraction,
-        patience=args.patience,
-        embed_dim=args.embed_dim,
-        hidden1=args.hidden1,
-        hidden2=args.hidden2,
-        keyarg_dim=args.keyarg_dim,
-        dropout=args.dropout,
-        embeddings_path=args.embeddings,
+        embeddings_path=args.embeddings, **{name: getattr(args, name) for name in _TRAIN}
     )
     model, history = pipeline.train_pipeline(records, schemas, settings)
     model.save(args.out, meta=_header(args.seed, "train"))
@@ -173,13 +144,10 @@ def _cmd_extract(args: argparse.Namespace) -> int:
     model = pipeline.ExtractorModel.load(args.model)
     corpus = read_corpus(args.corpus)
     decoder = "ilp_multi" if args.multi else args.decoder
-    records = pipeline.extract_corpus(
-        corpus,
-        model,
-        decoder=decoder,
-        lambda_factor=args.lambda_factor,
-        max_solutions=args.max_solutions,
-    )
+    records = [
+        pipeline.extract_sentence(s, model, decoder, args.lambda_factor, args.max_solutions)
+        for s in corpus
+    ]
     write_jsonl(args.out, records, header=_header(None, "extract"))
     inputs = {"model": args.model, "corpus": args.corpus, "decoder": decoder}
     _write_manifest(args.out, "extract", inputs, [args.out], None, t0)
@@ -193,7 +161,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     if args.model:
         schemas = pipeline.ExtractorModel.load(args.model).schemas
     elif args.tables:
-        schemas = _schemas_from_tables(args.tables, args.strategy)
+        schemas = _schemas(args)
     else:
         raise ValueError("eval needs --model or --tables to know the key arguments")
     pred = list(read_jsonl(args.pred))
@@ -303,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", help="model file supplying the event schemas")
     p.add_argument("--tables", help="tables file to derive schemas instead")
     p.add_argument("--strategy", choices=[s.value for s in Strategy])
-    p.set_defaults(func=_cmd_eval, defaults={"strategy": "imp_time"})
+    p.set_defaults(func=_cmd_eval, defaults=_STRATEGY)
 
     p = sub.add_parser("oracle", help="run brute-force verification suites")
     p.add_argument("--check", choices=sorted(oracle.CHECKS) + ["all"], default="all")

@@ -76,12 +76,17 @@ class ParsedSentence:
 
     @classmethod
     def from_dict(cls, rec: Mapping) -> "ParsedSentence":
-        return cls.build(
-            str(rec["id"]),
-            rec["tokens"],
-            rec["dep_head"],
-            rec.get("dep_label"),
-        )
+        sentence_id = str(rec["id"])
+        tokens = _json_list(rec["tokens"], "'tokens'")
+        heads = _json_list(rec["dep_head"], "'dep_head'")
+        labels = rec.get("dep_label")
+        if not all(isinstance(t, str) for t in tokens):
+            raise ValueError("'tokens' needs a list of strings")
+        if not all(type(h) is int for h in heads):
+            raise ValueError("'dep_head' needs a list of integers")
+        if labels is not None:
+            _json_list(labels, "'dep_label'")
+        return cls.build(sentence_id, tokens, heads, labels)
 
 
 def validate_sentence(s: ParsedSentence) -> list[str]:
@@ -152,6 +157,13 @@ def _json_list(value, what: str) -> list:
     """`value` if it is a list, else an error naming `what`: a string is not a list of forms."""
     if not isinstance(value, list):
         raise ValueError(f"{what} needs a list, got {type(value).__name__}")
+    return value
+
+
+def _json_object(value, what: str) -> Mapping:
+    """`value` if it is a JSON object, else an error naming `what`."""
+    if not isinstance(value, Mapping):
+        raise ValueError(f"{what} needs an object, got {type(value).__name__}")
     return value
 
 
@@ -263,14 +275,15 @@ class EventSchema:
 
     @classmethod
     def from_dict(cls, rec: Mapping) -> "EventSchema":
+        rec = _json_object(rec, "schema record")
         imp = {
             str(p): (float("-inf") if v is None else float(v))
-            for p, v in rec.get("importance", {}).items()
+            for p, v in _json_object(rec.get("importance", {}), "'importance'").items()
         }
         return cls(
             event_type=str(rec["event_type"]),
-            key_args=frozenset(rec["key_args"]),
-            nonkey_args=frozenset(rec.get("nonkey_args", [])),
+            key_args=frozenset(_json_list(rec["key_args"], "'key_args'")),
+            nonkey_args=frozenset(_json_list(rec.get("nonkey_args", []), "'nonkey_args'")),
             importance=imp,
         )
 
@@ -340,7 +353,11 @@ class LabelSet:
 
     @classmethod
     def from_dict(cls, rec: Mapping) -> "LabelSet":
-        return cls(rec["roles"], rec.get("groups", {}))
+        groups = _json_object(rec.get("groups", {}), "'groups'")
+        return cls(
+            _json_list(rec["roles"], "'roles'"),
+            {t: _json_list(rs, f"group {t!r}") for t, rs in groups.items()},
+        )
 
 
 @dataclass(frozen=True)
@@ -475,6 +492,8 @@ def read_corpus(path: str) -> list[ParsedSentence]:
             sentences.append(ParsedSentence.from_dict(rec))
         except KeyError as exc:
             raise ValueError(f"{path}: corpus record missing field {exc}") from exc
+        except ValueError as exc:
+            raise ValueError(f"{path}: sentence {rec['id']!r}: {exc}") from None
     return sentences
 
 

@@ -33,6 +33,11 @@ _EPS = 1e-9
 
 _BRUTE_FORCE_LIMIT = 10**7
 
+# Decode settings: the k-best list keeps sequences within LAMBDA_FACTOR x
+# sentence length of the optimum, at most MAX_SOLUTIONS of them.
+LAMBDA_FACTOR = 0.5
+MAX_SOLUTIONS = 10
+
 
 @dataclass
 class DecodeProblem:
@@ -41,8 +46,8 @@ class DecodeProblem:
     emissions: np.ndarray
     transitions: np.ndarray
     labels: LabelSet
-    lambda_factor: float = 0.5
-    max_solutions: int = 10
+    lambda_factor: float = LAMBDA_FACTOR
+    max_solutions: int = MAX_SOLUTIONS
 
     def __post_init__(self) -> None:
         self.emissions = np.asarray(self.emissions, dtype=np.float64)

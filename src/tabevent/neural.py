@@ -24,6 +24,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .core import _json_object
+
 UNK = "<unk>"
 
 _INIT_SCALE = 0.08
@@ -69,7 +71,7 @@ class ModelConfig:
     @classmethod
     def from_dict(cls, rec: Mapping) -> "ModelConfig":
         return cls(
-            vocab={str(k): int(v) for k, v in rec["vocab"].items()},
+            vocab={str(k): int(v) for k, v in _json_object(rec["vocab"], "'vocab'").items()},
             num_labels=int(rec["num_labels"]),
             embed_dim=int(rec["embed_dim"]),
             lstm_hidden=int(rec["lstm_hidden"]),
@@ -333,7 +335,7 @@ class AdamState:
         self.scratch = np.empty_like(params.flat)
 
 
-def sgd_step(params: Parameters, grads: Parameters, state: AdamState, lr: float = 1e-3) -> None:
+def sgd_step(params: Parameters, grads: Parameters, state: AdamState, lr: float) -> None:
     """One Adam update of the whole buffer, in place; embeddings update like any parameter.
 
     The operations and their order are those of m = beta1*m + (1-beta1)*g, v = beta2*v +

@@ -23,6 +23,8 @@ from .core import (
     LabelSequence,
     LabelSet,
     ParsedSentence,
+    _json_list,
+    _json_object,
     normalize_surface,
     spans_from_tags,
 )
@@ -46,9 +48,10 @@ class TaggerModel:
 
     @classmethod
     def from_dict(cls, rec: Mapping, format_version: int = 2) -> "TaggerModel":
-        cfg = neural.ModelConfig.from_dict(rec["config"])
+        rec = _json_object(rec, "stage record")
+        cfg = neural.ModelConfig.from_dict(_json_object(rec["config"], "'config'"))
         params = neural.tensors_from_dict(rec["tensors"], cfg, format_version)
-        return cls(cfg, params, LabelSet.from_dict(rec["label_set"]))
+        return cls(cfg, params, LabelSet.from_dict(_json_object(rec["label_set"], "'label_set'")))
 
     def emissions(
         self, sentence: ParsedSentence, keyarg_ids: Sequence[int] | None = None
@@ -98,7 +101,8 @@ class ExtractorModel:
                 stages[stage] = TaggerModel.from_dict(payload[stage], version)
             where = path
             schemas = {
-                rec["event_type"]: EventSchema.from_dict(rec) for rec in payload["schemas"]
+                schema.event_type: schema
+                for schema in map(EventSchema.from_dict, _json_list(payload["schemas"], "'schemas'"))
             }
         except KeyError as exc:
             raise ValueError(f"{where}: missing field {exc}") from None
@@ -131,9 +135,9 @@ def project_tags(tags: Sequence[str], labels: LabelSet, roles: Collection[str]) 
 def stage1(
     sentence: ParsedSentence,
     model: TaggerModel,
-    decoder: str = "ilp_multi",
-    lambda_factor: float = 0.5,
-    max_solutions: int = 10,
+    decoder: str,
+    lambda_factor: float = ilp.LAMBDA_FACTOR,
+    max_solutions: int = ilp.MAX_SOLUTIONS,
 ) -> list[tuple[str, LabelSequence]]:
     """Decode key arguments and detect event types.
 
@@ -220,18 +224,12 @@ def stage2(
 def extract_sentence(
     sentence: ParsedSentence,
     model: ExtractorModel,
-    decoder: str = "ilp_multi",
-    lambda_factor: float = 0.5,
-    max_solutions: int = 10,
+    decoder: str,
+    lambda_factor: float = ilp.LAMBDA_FACTOR,
+    max_solutions: int = ilp.MAX_SOLUTIONS,
 ) -> dict:
     """Full two-stage extraction of one sentence into an output record."""
-    detections = stage1(
-        sentence,
-        model.stage1,
-        decoder=decoder,
-        lambda_factor=lambda_factor,
-        max_solutions=max_solutions,
-    )
+    detections = stage1(sentence, model.stage1, decoder, lambda_factor, max_solutions)
     mentions = stage2(
         sentence, model.stage2, model.stage1.label_set, detections, model.schemas
     )
@@ -244,19 +242,6 @@ def extract_sentence(
         for m in sorted(mentions, key=lambda m: m.event_type)
     ]
     return {"sentence_id": sentence.id, "events": events}
-
-
-def extract_corpus(
-    sentences: Sequence[ParsedSentence],
-    model: ExtractorModel,
-    decoder: str = "ilp_multi",
-    lambda_factor: float = 0.5,
-    max_solutions: int = 10,
-) -> list[dict]:
-    return [
-        extract_sentence(s, model, decoder, lambda_factor, max_solutions)
-        for s in sentences
-    ]
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from .core import (
     ParsedSentence,
     TableEntry,
     Token,
+    _json_list,
     normalize_surface,
     read_jsonl,
     tags_from_spans,
@@ -133,6 +134,12 @@ def select_key_args(
         nonkey_args=frozenset(set(table.properties) - key),
         importance=importance,
     )
+
+
+def select_schemas(tables: Sequence[EventTable], strategy: Strategy) -> dict[str, EventSchema]:
+    """Each table's event schema, keyed by event type; gen, train and eval all use this rule."""
+    stats = collect_stats(tables)
+    return {table.event_type: select_key_args(table, stats, strategy) for table in tables}
 
 
 @dataclass
@@ -440,10 +447,7 @@ def generate_dataset(
             raise ValueError(f"repeated sentence id {sentence.id!r}")
         seen.add(sentence.id)
         _check_parse(sentence)
-    stats = collect_stats(tables)
-    schemas = {
-        table.event_type: select_key_args(table, stats, strategy) for table in tables
-    }
+    schemas = select_schemas(tables, strategy)
     # Parallel to table.entries: entry ids need not be unique.
     surfaces = [
         [entry_surfaces(entry, cfg.alias_map) for entry in table.entries] for table in tables
@@ -580,11 +584,18 @@ def dataset_report(records: Sequence[Mapping], name: str = "dataset") -> dict:
 
 
 def read_dataset(path: str) -> list[dict]:
+    """Dataset records; `tokens` and `labels` are lists of strings of one length."""
     records = list(read_jsonl(path))
     for rec in records:
+        where = f"{path}: record {rec.get('sentence_id')!r}"
         for field in ("tokens", "labels"):
             if field not in rec:
-                raise ValueError(f"{path}: record {rec.get('sentence_id')!r} lacks {field!r}")
+                raise ValueError(f"{where} lacks {field!r}")
+            if not all(isinstance(x, str) for x in _json_list(rec[field], f"{where}: {field!r}")):
+                raise ValueError(f"{where}: {field!r} needs a list of strings")
+        if len(rec["labels"]) != len(rec["tokens"]):
+            raise ValueError(f"{where}: {len(rec['labels'])} labels for {len(rec['tokens'])} tokens")
+        _json_list(rec.get("event_types", []), f"{where}: 'event_types'")
     return records
 
 

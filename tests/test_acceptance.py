@@ -48,10 +48,10 @@ def test_03_partition_correctness():
 
 
 def test_04_gradient_checks():
-    crf_rep = oracle.check_crf_gradients(seeds=10, abs_tol=1e-5)
-    net_rep = oracle.check_blstm_gradients(seeds=10, rel_tol=1e-3)
+    crf_rep = oracle.check_crf_gradients(trials=10, abs_tol=1e-5)
+    net_rep = oracle.check_blstm_gradients(trials=10, rel_tol=1e-3)
     ok = crf_rep.ok and net_rep.ok
-    report(4, "gradient-checks", ok, "crf abs 1e-5, blstm rel 1e-3, 10 seeds each")
+    report(4, "gradient-checks", ok, "crf abs 1e-5, blstm rel 1e-3, 10 trials each")
 
 
 def test_05_constraint_soundness():
@@ -183,13 +183,13 @@ def learned():
 
     gold_train = [evaluation.mentions_from_record(r, schemas) for r in train_recs]
     train_used = [s for s in train_sents if s.id in {r["sentence_id"] for r in train_recs}]
-    pred_train = pipeline.extract_corpus(train_used, model, decoder="ilp")
+    pred_train = [pipeline.extract_sentence(s, model, decoder="ilp") for s in train_used]
 
     held_used_ids = {r["sentence_id"] for r in held_recs}
     held_used = [s for s in held_sents if s.id in held_used_ids]
     gold_held = [evaluation.mentions_from_record(r, schemas) for r in held_recs]
-    pred_held_viterbi = pipeline.extract_corpus(held_used, model, decoder="viterbi")
-    pred_held_ilp = pipeline.extract_corpus(held_used, model, decoder="ilp")
+    pred_held_viterbi = [pipeline.extract_sentence(s, model, decoder="viterbi") for s in held_used]
+    pred_held_ilp = [pipeline.extract_sentence(s, model, decoder="ilp") for s in held_used]
     return {
         "schemas": schemas,
         "train_time": train_time,

@@ -295,12 +295,34 @@ class TestPipelineCommands:
              "entry m.07bh4j7: property 'date' needs a list, got str"),
             ("tables", lambda t: t.append(1), "table record is not an object: int"),
             ("tables", lambda t: t[0]["entries"].append(1), "table entry is not an object: int"),
+            ("model", lambda m: m.update(stage1=5), "stage1: stage record needs an object, got int"),
+            ("model", lambda m: m.update(schemas=[1]), ": schema record needs an object, got int"),
+            ("model", lambda m: m["stage1"].update(label_set=3),
+             "stage1: 'label_set' needs an object, got int"),
+            ("model", lambda m: m["stage1"]["config"].update(vocab=["<unk>"]),
+             "stage1: 'vocab' needs an object, got list"),
             ("corpus", lambda lines: lines.append([1, 2]), ":7: not a JSON object: list"),
+            ("corpus", lambda lines: lines[0].update(tokens=5),
+             "sentence 'S1': 'tokens' needs a list, got int"),
+            ("corpus", lambda lines: lines[0].update(tokens="Remedy"),
+             "sentence 'S1': 'tokens' needs a list, got str"),
+            ("corpus", lambda lines: lines[0].update(dep_head=3),
+             "sentence 'S1': 'dep_head' needs a list, got int"),
+            ("corpus", lambda lines: lines[0]["dep_head"].__setitem__(0, "x"),
+             "sentence 'S1': 'dep_head' needs a list of integers"),
             ("dataset", lambda lines: lines[2].pop("labels"), "lacks 'labels'"),
+            ("dataset", lambda lines: lines[2].update(tokens="ab", labels="OO"),
+             "record 'S2': 'tokens' needs a list, got str"),
+            ("dataset", lambda lines: lines[2].update(event_types="film"),
+             "record 'S2': 'event_types' needs a list, got str"),
+            ("dataset", lambda lines: lines[2]["labels"].pop(), "record 'S2': 13 labels for 14 tokens"),
         ],
         ids=["model-config", "model-schemas", "tensor-shape", "table-entries",
-             "tables-string-values", "tables-non-object", "tables-non-object-entry", "corpus-list",
-             "dataset-labels"],
+             "tables-string-values", "tables-non-object", "tables-non-object-entry",
+             "model-stage-int", "model-schema-int", "model-label-set-int", "model-vocab-list",
+             "corpus-list", "corpus-int-tokens", "corpus-string-tokens", "corpus-int-heads",
+             "corpus-string-head", "dataset-labels", "dataset-string-tokens",
+             "dataset-string-types", "dataset-short-labels"],
     )
     def test_malformed_input_named(
         self, trained, fixture_paths, tmp_path, capsys, kind, edit, named
@@ -383,3 +405,10 @@ class TestOracleCommand:
 
     def test_ilp_check_passes(self):
         assert run(["oracle", "--check", "ilp", "--trials", "15"]) == 0
+
+    def test_gradient_checks_take_seed_and_trials(self, capsys):
+        for check in ("crf-gradients", "blstm-gradients"):
+            assert run(["oracle", "--check", check, "--seed", "3", "--trials", "2"]) == 0
+        out = capsys.readouterr().out
+        assert "crf-gradients: 2 trials, ok" in out
+        assert "blstm-gradients: 2 trials, ok" in out

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from tabevent import crf
+from tabevent import crf, oracle
 
 
 def random_instance(rng, n=None, L=None):
@@ -164,3 +164,25 @@ class TestViterbi:
             P, A = random_instance(rng)
             _, score = crf.viterbi(P, A)
             assert score <= crf.log_partition(P, A) + 1e-12
+
+
+def test_gradient_check_seed_picks_instances(monkeypatch):
+    """Seed 0 draws what default_rng(1000 + trial) draws; another seed draws anew."""
+    seen = []
+    real = crf.nll_loss_and_grads
+
+    def record(P, A, gold):
+        seen.append(P.copy())
+        return real(P, A, gold)
+
+    monkeypatch.setattr(crf, "nll_loss_and_grads", record)
+
+    def first_instance(seed):
+        seen.clear()
+        assert oracle.check_crf_gradients(trials=1, seed=seed).ok
+        return seen[0]
+
+    today = np.random.default_rng(1000).normal(size=(4, 3))
+    assert np.array_equal(first_instance(0), today)
+    assert not np.array_equal(first_instance(1), today)
+    assert not np.array_equal(first_instance(1), first_instance(2))

@@ -180,7 +180,7 @@ def test_backward_direction_is_reversed_forward():
 
 class TestBackward:
     def test_gradient_check(self):
-        report = oracle.check_blstm_gradients(seeds=3)
+        report = oracle.check_blstm_gradients(trials=3)
         assert report.ok, report.failures
 
     def test_zero_upstream_zero_grads(self):
@@ -227,7 +227,7 @@ class TestBackward:
         P, old_cache = neural.forward([1, 2], params, cfg)
         _, cache = neural.forward([1, 2], params, cfg)
         neural.backward(cache, np.ones_like(P), grads)
-        neural.sgd_step(params, grads, AdamState(params))
+        neural.sgd_step(params, grads, AdamState(params), lr=1e-3)
         with pytest.raises(ValueError, match="stale"):
             neural.backward(old_cache, np.ones_like(P), grads)
 
@@ -237,7 +237,7 @@ class TestSgdStep:
         params = Parameters({"x": np.zeros(1), "y": np.zeros(2)})
         grads = Parameters({"x": np.zeros(1), "y": np.array([0.0, np.inf])})
         with pytest.raises(ValueError, match="non-finite gradient for parameter 'y'"):
-            neural.sgd_step(params, grads, AdamState(params))
+            neural.sgd_step(params, grads, AdamState(params), lr=1e-3)
 
 
     def test_zero_gradients_keep_params(self):
@@ -269,7 +269,7 @@ class TestSgdStep:
     def test_nan_gradient_aborts(self):
         params = Parameters({"x": np.array([0.0])})
         with pytest.raises(ValueError, match="non-finite"):
-            neural.sgd_step(params, Parameters({"x": np.array([np.nan])}), AdamState(params))
+            neural.sgd_step(params, Parameters({"x": np.array([np.nan])}), AdamState(params), lr=1e-3)
 
     def test_in_place_steps_equal_rebinding_adam(self):
         """The flat in-place update is bit-identical to Adam on separate arrays."""
@@ -302,7 +302,7 @@ class TestSgdStep:
     def test_missing_gradient_rejected(self):
         params = Parameters({"x": np.zeros(1), "y": np.zeros(2)})
         with pytest.raises(ValueError, match="one gradient per parameter"):
-            neural.sgd_step(params, Parameters({"x": np.ones(1)}), AdamState(params))
+            neural.sgd_step(params, Parameters({"x": np.ones(1)}), AdamState(params), lr=1e-3)
 
 
 def test_init_lays_out_crf_transitions_last_without_drawing():

@@ -294,8 +294,8 @@ class TestTraining:
         path = tmp_path / "model.json"
         model.save(str(path), meta={"seed": 0})
         loaded = ExtractorModel.load(str(path))
-        before = pipeline.extract_corpus(fixture_corpus, model, decoder="ilp")
-        after = pipeline.extract_corpus(fixture_corpus, loaded, decoder="ilp")
+        before = [pipeline.extract_sentence(s, model, decoder="ilp") for s in fixture_corpus]
+        after = [pipeline.extract_sentence(s, loaded, decoder="ilp") for s in fixture_corpus]
         assert before == after
 
     def test_save_writes_json_dumps_bytes(self, fixture_dataset, fixture_schemas, tmp_path):
