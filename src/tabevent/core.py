@@ -82,6 +82,8 @@ class ParsedSentence:
         labels = rec.get("dep_label")
         if not all(isinstance(t, str) for t in tokens):
             raise ValueError("'tokens' needs a list of strings")
+        if not tokens:
+            raise ValueError("'tokens' is empty")
         if not all(type(h) is int for h in heads):
             raise ValueError("'dep_head' needs a list of integers")
         if labels is not None:
@@ -165,6 +167,20 @@ def _json_object(value, what: str) -> Mapping:
     if not isinstance(value, Mapping):
         raise ValueError(f"{what} needs an object, got {type(value).__name__}")
     return value
+
+
+def _json_int(value, what: str) -> int:
+    """`value` if it is a JSON integer, else an error naming `what`."""
+    if type(value) is not int:
+        raise ValueError(f"{what} needs an integer, got {type(value).__name__}")
+    return value
+
+
+def _json_float(value, what: str) -> float:
+    """`value` as a float if it is a JSON number, else an error naming `what`."""
+    if type(value) not in (int, float):
+        raise ValueError(f"{what} needs a number, got {type(value).__name__}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -277,7 +293,7 @@ class EventSchema:
     def from_dict(cls, rec: Mapping) -> "EventSchema":
         rec = _json_object(rec, "schema record")
         imp = {
-            str(p): (float("-inf") if v is None else float(v))
+            str(p): (float("-inf") if v is None else _json_float(v, f"importance of {p!r}"))
             for p, v in _json_object(rec.get("importance", {}), "'importance'").items()
         }
         return cls(

@@ -24,7 +24,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import _json_object
+from .core import _json_float, _json_int, _json_object
 
 UNK = "<unk>"
 
@@ -70,14 +70,15 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, rec: Mapping) -> "ModelConfig":
+        vocab = _json_object(rec["vocab"], "'vocab'")
         return cls(
-            vocab={str(k): int(v) for k, v in _json_object(rec["vocab"], "'vocab'").items()},
-            num_labels=int(rec["num_labels"]),
-            embed_dim=int(rec["embed_dim"]),
-            lstm_hidden=int(rec["lstm_hidden"]),
-            keyarg_embed_dim=int(rec.get("keyarg_embed_dim", 0)),
-            num_keyarg_labels=int(rec.get("num_keyarg_labels", 0)),
-            dropout_rate=float(rec.get("dropout_rate", 0.5)),
+            vocab={str(k): _json_int(v, f"vocab entry {k!r}") for k, v in vocab.items()},
+            num_labels=_json_int(rec["num_labels"], "'num_labels'"),
+            embed_dim=_json_int(rec["embed_dim"], "'embed_dim'"),
+            lstm_hidden=_json_int(rec["lstm_hidden"], "'lstm_hidden'"),
+            keyarg_embed_dim=_json_int(rec.get("keyarg_embed_dim", 0), "'keyarg_embed_dim'"),
+            num_keyarg_labels=_json_int(rec.get("num_keyarg_labels", 0), "'num_keyarg_labels'"),
+            dropout_rate=_json_float(rec.get("dropout_rate", 0.5), "'dropout_rate'"),
         )
 
 
@@ -136,13 +137,21 @@ class Parameters(Mapping[str, np.ndarray]):
     """Copies of the given arrays, in order, as named views into one float64 buffer `flat`."""
 
     def __init__(self, arrays: Mapping[str, np.ndarray]) -> None:
-        self.flat = np.concatenate([np.ravel(a) for a in arrays.values()], dtype=np.float64)
-        self.layout = tuple((name, np.shape(arr)) for name, arr in arrays.items())
-        self.step = 0  # sgd_step updates so far; backward() refuses a cache made before one
+        flat = np.concatenate([np.ravel(a) for a in arrays.values()], dtype=np.float64)
+        self._bind(flat, tuple((name, np.shape(arr)) for name, arr in arrays.items()), step=0)
+
+    def _bind(self, flat: np.ndarray, layout: tuple, step: int) -> None:
+        self.flat, self.layout = flat, layout
+        self.step = step  # sgd_step updates so far; backward() refuses a cache made before one
         self._views, offset = {}, 0
-        for name, arr in arrays.items():
-            self._views[name] = self.flat[offset:offset + np.size(arr)].reshape(np.shape(arr))
-            offset += np.size(arr)
+        for name, shape in layout:
+            size = math.prod(shape)
+            self._views[name] = flat[offset:offset + size].reshape(shape)
+            offset += size
+
+    def __reduce__(self):
+        # pickle and copy.deepcopy carry `flat` once and rebuild the views into it.
+        return _parameters_from_flat, (self.flat, self.layout, self.step)
 
     def zeros_like(self) -> "Parameters":
         return Parameters({name: np.zeros(arr.shape) for name, arr in self.items()})
@@ -155,6 +164,12 @@ class Parameters(Mapping[str, np.ndarray]):
 
     def __len__(self) -> int:
         return len(self._views)
+
+
+def _parameters_from_flat(flat: np.ndarray, layout: tuple, step: int) -> Parameters:
+    params = Parameters.__new__(Parameters)
+    params._bind(flat, layout, step)
+    return params
 
 
 def lstm_forward(

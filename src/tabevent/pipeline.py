@@ -9,8 +9,11 @@ it never overwrites a stage-1 key span.
 from __future__ import annotations
 
 import json
+import os
+import pickle
+import signal
 from dataclasses import dataclass
-from typing import Collection, Mapping, Sequence
+from typing import Collection, Mapping, NoReturn, Sequence
 
 import numpy as np
 
@@ -335,6 +338,24 @@ def _train_tagger(
     return TaggerModel(cfg=cfg, params=params, label_set=label_set), history
 
 
+def _train_in_child(write_end: int, args: tuple) -> NoReturn:
+    """Forked child of `train_pipeline`: pickle ("ok", (model, history)) or ("error", exc)
+    of `_train_tagger(*args)` to `write_end`, then exit without running the parent's
+    exit handlers or flushing its buffers. An unpicklable result exits with status 1."""
+    code = 1
+    try:
+        try:
+            result = ("ok", _train_tagger(*args))
+        except BaseException as exc:
+            result = ("error", exc)
+        payload = pickle.dumps(result, pickle.HIGHEST_PROTOCOL)
+        with os.fdopen(write_end, "wb") as writer:
+            writer.write(payload)
+        code = 0
+    finally:
+        os._exit(code)
+
+
 def train_pipeline(
     records: Sequence[Mapping],
     schemas: Mapping[str, EventSchema],
@@ -344,7 +365,10 @@ def train_pipeline(
 
     Stage 1 learns key-role projections of the gold labels over all records;
     stage 2 learns non-key roles per (positive record, event type) with the
-    gold key labels as teacher-forced input features.
+    gold key labels as teacher-forced input features. Stage 2 trains in a
+    forked child process, where `os.fork` exists, while stage 1 trains here;
+    the models are those of training one after the other, and no child
+    outlives the call.
     """
     settings = settings or TrainSettings()
     records = list(records)
@@ -380,8 +404,40 @@ def train_pipeline(
             feature_ids = project_tags(tags, labels1, key_roles)
             stage2_instances.append(_Instance(token_ids, gold2, keyarg_ids=feature_ids))
 
-    model1, hist1 = _train_tagger(stage1_instances, cfg1, labels1, settings, settings.seed)
+    # Stage 2 trains on the gold key labels, not on stage 1's output, so the two
+    # trainings share nothing and stage 2 runs in a forked child meanwhile.
     # Without positive instances stage 2 stays untrained, so extraction still runs.
-    model2, hist2 = _train_tagger(stage2_instances, cfg2, labels2, settings, settings.seed + 1000)
+    stage2_args = (stage2_instances, cfg2, labels2, settings, settings.seed + 1000)
+    if not hasattr(os, "fork"):
+        model1, hist1 = _train_tagger(stage1_instances, cfg1, labels1, settings, settings.seed)
+        model2, hist2 = _train_tagger(*stage2_args)
+    else:
+        read_end, write_end = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(read_end)
+            os.close(write_end)
+            raise
+        if pid == 0:
+            os.close(read_end)
+            _train_in_child(write_end, stage2_args)
+        os.close(write_end)
+        try:
+            with os.fdopen(read_end, "rb") as reader:
+                model1, hist1 = _train_tagger(stage1_instances, cfg1, labels1, settings, settings.seed)
+                payload = reader.read()
+        except BaseException:
+            os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        if code != 0 or not payload:
+            how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+            raise RuntimeError(f"stage-2 training process {how} without a result")
+        kind, value = pickle.loads(payload)
+        if kind == "error":
+            raise value
+        model2, hist2 = value
     model = ExtractorModel(stage1=model1, stage2=model2, schemas=dict(schemas))
     return model, {"stage1": hist1, "stage2": hist2}

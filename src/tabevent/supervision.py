@@ -593,6 +593,8 @@ def read_dataset(path: str) -> list[dict]:
                 raise ValueError(f"{where} lacks {field!r}")
             if not all(isinstance(x, str) for x in _json_list(rec[field], f"{where}: {field!r}")):
                 raise ValueError(f"{where}: {field!r} needs a list of strings")
+        if not rec["tokens"]:
+            raise ValueError(f"{where}: 'tokens' is empty")
         if len(rec["labels"]) != len(rec["tokens"]):
             raise ValueError(f"{where}: {len(rec['labels'])} labels for {len(rec['tokens'])} tokens")
         _json_list(rec.get("event_types", []), f"{where}: 'event_types'")

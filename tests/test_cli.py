@@ -316,13 +316,22 @@ class TestPipelineCommands:
             ("dataset", lambda lines: lines[2].update(event_types="film"),
              "record 'S2': 'event_types' needs a list, got str"),
             ("dataset", lambda lines: lines[2]["labels"].pop(), "record 'S2': 13 labels for 14 tokens"),
+            ("model", lambda m: m["stage1"]["config"].update(num_labels=None),
+             "stage1: 'num_labels' needs an integer, got NoneType"),
+            ("model", lambda m: m["schemas"][0]["importance"].update(date=[1]),
+             ": importance of 'date' needs a number, got list"),
+            ("corpus", lambda lines: lines.append({"id": "EMPTY", "tokens": [], "dep_head": []}),
+             "sentence 'EMPTY': 'tokens' is empty"),
+            ("dataset", lambda lines: lines[2].update(tokens=[], labels=[]),
+             "record 'S2': 'tokens' is empty"),
         ],
         ids=["model-config", "model-schemas", "tensor-shape", "table-entries",
              "tables-string-values", "tables-non-object", "tables-non-object-entry",
              "model-stage-int", "model-schema-int", "model-label-set-int", "model-vocab-list",
              "corpus-list", "corpus-int-tokens", "corpus-string-tokens", "corpus-int-heads",
              "corpus-string-head", "dataset-labels", "dataset-string-tokens",
-             "dataset-string-types", "dataset-short-labels"],
+             "dataset-string-types", "dataset-short-labels", "model-null-num-labels",
+             "model-list-importance", "corpus-empty-sentence", "dataset-empty-record"],
     )
     def test_malformed_input_named(
         self, trained, fixture_paths, tmp_path, capsys, kind, edit, named

@@ -1,4 +1,6 @@
 import base64
+import copy
+import pickle
 
 import numpy as np
 import pytest
@@ -330,6 +332,24 @@ class TestParameters:
         snapshot = Parameters(params)
         params["a"][...] = 0.0
         assert np.array_equal(snapshot["a"], np.ones(3))
+
+    @pytest.mark.parametrize("copy_of", [
+        lambda p: pickle.loads(pickle.dumps(p)),
+        lambda p: pickle.loads(pickle.dumps(p, pickle.HIGHEST_PROTOCOL)),
+        copy.deepcopy,
+    ], ids=["pickle", "pickle-highest", "deepcopy"])
+    def test_copy_keeps_views_into_flat(self, copy_of):
+        params = neural.init_params(tiny_cfg(), np.random.default_rng(4))
+        params.step = 3
+        copied = copy_of(params)
+        assert copied.layout == params.layout and copied.step == 3
+        assert copied.flat.tobytes() == params.flat.tobytes()
+        assert not np.shares_memory(copied.flat, params.flat)
+        for name in params:
+            assert np.shares_memory(copied[name], copied.flat), name
+            assert copied[name].tobytes() == params[name].tobytes(), name
+        copied.flat[:] = 0.0
+        assert all(not copied[name].any() for name in copied)
 
 
 def test_tensor_roundtrip():

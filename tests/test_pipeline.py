@@ -1,6 +1,9 @@
 import base64
 import json
+import os
 import pathlib
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -339,6 +342,71 @@ class TestTraining:
             for inst in dev
         ) / len(dev)
         assert dev_nll == min(dev_curve)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="stage 2 trains inline without os.fork")
+class TestStage2InChild:
+    """train_pipeline trains stage 2 in a forked child while it trains stage 1."""
+
+    def stage2_fails(self, monkeypatch, fail):
+        """Make `_train_tagger` call `fail()` for stage 2; the fork inherits the patch."""
+        train_tagger = pipeline._train_tagger
+
+        def patched(instances, cfg, label_set, settings, seed):
+            if seed == settings.seed + 1000:
+                fail()
+            return train_tagger(instances, cfg, label_set, settings, seed)
+
+        monkeypatch.setattr(pipeline, "_train_tagger", patched)
+
+    def test_same_parameters_and_histories_as_inline(self, fixture_dataset, fixture_schemas, monkeypatch):
+        records, _ = fixture_dataset
+        settings = fast_settings(epochs=40, dropout=0.3, dev_fraction=0.34, patience=3)
+        forked_model, forked_history = train_pipeline(records, fixture_schemas, settings)
+        assert_no_child_left()
+        monkeypatch.delattr(os, "fork")
+        inline_model, inline_history = train_pipeline(records, fixture_schemas, settings)
+        assert forked_history == inline_history
+        assert len(forked_history["stage1"]["dev_nll"]) < settings.epochs  # stopped early
+        for stage in ("stage1", "stage2"):
+            forked, inline = getattr(forked_model, stage), getattr(inline_model, stage)
+            assert forked.params.layout == inline.params.layout
+            assert forked.params.flat.tobytes() == inline.params.flat.tobytes()
+            assert forked.cfg == inline.cfg and forked.label_set == inline.label_set
+
+    def test_stage2_error_raised_in_parent(self, fixture_dataset, fixture_schemas, monkeypatch):
+        def fail():
+            raise ValueError("stage-2 data is bad")
+
+        self.stage2_fails(monkeypatch, fail)
+        records, _ = fixture_dataset
+        with pytest.raises(ValueError, match="stage-2 data is bad"):
+            train_pipeline(records, fixture_schemas, fast_settings(epochs=2))
+        assert_no_child_left()
+
+    def test_child_killed_without_result(self, fixture_dataset, fixture_schemas, monkeypatch):
+        self.stage2_fails(monkeypatch, lambda: os.kill(os.getpid(), signal.SIGKILL))
+        records, _ = fixture_dataset
+        with pytest.raises(RuntimeError, match="killed by signal 9 without a result"):
+            train_pipeline(records, fixture_schemas, fast_settings(epochs=2))
+        assert_no_child_left()
+
+    def test_stage1_error_kills_child(self, fixture_dataset, fixture_schemas, monkeypatch, tmp_path):
+        self.stage2_fails(monkeypatch, lambda: time.sleep(60))
+        embeddings = tmp_path / "vectors.txt"
+        embeddings.write_text("the 0.1 0.2\n")
+        records, _ = fixture_dataset
+        settings = fast_settings(epochs=2, embeddings_path=str(embeddings))
+        t0 = time.monotonic()
+        with pytest.raises(ValueError, match="expected 12 values, got 2"):
+            train_pipeline(records, fixture_schemas, settings)
+        assert time.monotonic() - t0 < 30
+        assert_no_child_left()
 
 
 class TestModelFileValidation:
