@@ -15,6 +15,11 @@ unconstrained suffix Viterbi scores. The same best-first pass yields
 near-optimal solutions in order: a finished path is released once no open
 node can still reach its score, so one search returns the k best
 sequences within a score gap of the optimum.
+
+The lattice tables are built once per LabelSet and cached on it. A search
+reads its scores as Python floats and expands each node over the allowed
+successors only; a per-decode memo of the roles still missing per begun
+set prunes paths that can no longer complete a group.
 """
 
 from __future__ import annotations
@@ -65,8 +70,18 @@ class DecodeProblem:
                 f"transitions shape {self.transitions.shape} does not match "
                 f"{n_labels} labels"
             )
+        # A NaN score defeats every bound and prune, so the search would
+        # expand the whole lattice.
+        if not (np.isfinite(self.emissions).all() and np.isfinite(self.transitions).all()):
+            raise ValueError("emissions and transitions must be finite")
         if not (np.isfinite(self.lambda_factor) and self.lambda_factor >= 0):
             raise ValueError("lambda_factor must be non-negative and finite")
+        if isinstance(self.max_solutions, bool) or not isinstance(
+            self.max_solutions, (int, np.integer)
+        ):
+            raise ValueError(
+                f"max_solutions must be an integer, got {type(self.max_solutions).__name__}"
+            )
         if self.max_solutions < 1:
             raise ValueError("max_solutions must be at least 1")
 
@@ -146,16 +161,72 @@ def _group_masks(labels: LabelSet) -> tuple[np.ndarray, list[int]]:
     return label_bits, group_masks
 
 
-def _groups_can_finish(begun: int, group_masks: list[int], remaining: int) -> bool:
-    # Every missing role of a started group still needs one position for its
-    # B- tag, and distinct roles need distinct positions.
+@dataclass(frozen=True)
+class _DecodeTables:
+    """Per-LabelSet lattice tables for `_search`, built once and read-only.
+
+    succ[l] lists, ascending, the labels allowed right after label l;
+    label_bits[l] is the role bit a B- tag begins (0 otherwise), and
+    group_masks holds one role bitmask per event type.
+    """
+
+    start_ok: tuple[bool, ...]
+    allowed: np.ndarray
+    succ: tuple[tuple[int, ...], ...]
+    label_bits: tuple[int, ...]
+    group_masks: tuple[int, ...]
+
+
+def _decode_tables(labels: LabelSet) -> _DecodeTables:
+    """The label set's decode tables, cached on it at the first decode.
+
+    Built from the tags directly rather than from transition_lattice and
+    _group_masks, which the brute-force oracle keeps using, so the oracle
+    checks these tables too. A LabelSet is never changed after construction.
+    """
+    tables = vars(labels).get("_decode_tables")
+    if tables is not None:
+        return tables
+    tags = labels.labels
+    roles = [LabelSet.role_of(tag) for tag in tags]
+    inside = [tag.startswith("I-") for tag in tags]
+    # I-r may follow only B-r or I-r (both carry role r); anything else may
+    # follow any label.
+    succ = tuple(
+        tuple(j for j in range(len(tags)) if not inside[j] or roles[j] == roles[i])
+        for i in range(len(tags))
+    )
+    allowed = np.zeros((len(tags), len(tags)), dtype=bool)
+    for i, row in enumerate(succ):
+        allowed[i, list(row)] = True
+    allowed.flags.writeable = False
+    role_bit = {role: 1 << i for i, role in enumerate(labels.roles)}
+    tables = _DecodeTables(
+        start_ok=tuple(not x for x in inside),
+        allowed=allowed,
+        succ=succ,
+        label_bits=tuple(
+            role_bit[role] if tag.startswith("B-") else 0 for tag, role in zip(tags, roles)
+        ),
+        group_masks=tuple(
+            sum(role_bit[role] for role in group) for _, group in sorted(labels.groups.items())
+        ),
+    )
+    vars(labels)["_decode_tables"] = tables
+    return tables
+
+
+def _need(begun: int, group_masks: tuple[int, ...]) -> int:
+    """Most key roles still missing from any partly begun group.
+
+    Each missing role needs its own later position for its B- tag.
+    """
+    most = 0
     for mask in group_masks:
         part = begun & mask
         if part and part != mask:
-            missing = mask & ~part
-            if missing.bit_count() > remaining:
-                return False
-    return True
+            most = max(most, (mask & ~part).bit_count())
+    return most
 
 
 def _search(prob: DecodeProblem, gap: float, k: int) -> list[tuple[list[int], float]]:
@@ -165,19 +236,21 @@ def _search(prob: DecodeProblem, gap: float, k: int) -> list[tuple[list[int], fl
     optimum, by descending score. Ties resolve like Viterbi: smallest label
     index at the latest differing position.
     """
-    P, A = prob.emissions, prob.transitions
-    n, L = P.shape
-    start_ok, allowed = transition_lattice(prob.labels)
-    label_bits, group_masks = _group_masks(prob.labels)
+    n, L = prob.emissions.shape
+    tables = _decode_tables(prob.labels)
+    succ, label_bits, group_masks = tables.succ, tables.label_bits, tables.group_masks
 
     # suffix[t][l]: best achievable continuation score from position t+1..n-1
     # given label l at position t, ignoring C4 (admissible bound).
     neg_inf = float("-inf")
+    allowed_A = np.where(tables.allowed, prob.transitions, neg_inf)
     suffix = np.zeros((n, L))
     for t in range(n - 2, -1, -1):
-        cont = A + (P[t + 1] + suffix[t + 1])[None, :]
-        cont = np.where(allowed, cont, neg_inf)
-        suffix[t] = cont.max(axis=1)
+        np.max(allowed_A + (prob.emissions[t + 1] + suffix[t + 1]), axis=1, out=suffix[t])
+    # The search reads Python floats: the same sums as on numpy scalars,
+    # bit for bit, at a fraction of the cost per node.
+    P, A, S = prob.emissions.tolist(), prob.transitions.tolist(), suffix.tolist()
+    need: dict[int, int] = {}  # begun-role bitmask -> _need, for this decode
 
     # Open nodes are (-f, node id, position, label, g, begun-role bitmask);
     # nodes[id] = (label, parent id) rebuilds the path. g is the prefix score
@@ -185,12 +258,12 @@ def _search(prob: DecodeProblem, gap: float, k: int) -> list[tuple[list[int], fl
     nodes: list[tuple[int, int]] = []
     heap: list[tuple[float, int, int, int, float, int]] = []
     for l in range(L):
-        begun = int(label_bits[l])
-        if not start_ok[l] or not _groups_can_finish(begun, group_masks, n - 1):
+        begun = label_bits[l]
+        if not tables.start_ok[l] or _need(begun, group_masks) > n - 1:
             continue
-        g = float(P[0, l])
+        g = P[0][l]
         nodes.append((l, -1))
-        heapq.heappush(heap, (-(g + float(suffix[0, l])), len(nodes) - 1, 0, l, g, begun))
+        heapq.heappush(heap, (-(g + S[0][l]), len(nodes) - 1, 0, l, g, begun))
 
     # Finished paths wait as (-score, reversed path) until no open node can
     # still reach their score; then the smallest entry is the next result.
@@ -219,19 +292,22 @@ def _search(prob: DecodeProblem, gap: float, k: int) -> list[tuple[list[int], fl
                 reversed_path.append(label)
             heapq.heappush(done, (-g, tuple(reversed_path)))
             continue
-        remaining = n - t - 2  # positions strictly after t+1
-        for nl in range(L):
-            if not allowed[l, nl]:
-                continue
-            ng = g + float(A[l, nl]) + float(P[t + 1, nl])
-            nf = ng + float(suffix[t + 1, nl])
+        t += 1
+        remaining = n - t - 1  # positions strictly after the child's
+        A_l, P_t, S_t = A[l], P[t], S[t]
+        for nl in succ[l]:
+            ng = g + A_l[nl] + P_t[nl]
+            nf = ng + S_t[nl]
             if nf < floor:
                 continue
-            nbegun = begun | int(label_bits[nl])
-            if not _groups_can_finish(nbegun, group_masks, remaining):
+            nbegun = begun | label_bits[nl]
+            missing = need.get(nbegun)
+            if missing is None:
+                missing = need[nbegun] = _need(nbegun, group_masks)
+            if missing > remaining:
                 continue
             nodes.append((nl, nid))
-            heapq.heappush(heap, (-nf, len(nodes) - 1, t + 1, nl, ng, nbegun))
+            heapq.heappush(heap, (-nf, len(nodes) - 1, t, nl, ng, nbegun))
     return results
 
 

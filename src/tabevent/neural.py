@@ -403,9 +403,10 @@ def tensors_to_dict(params: Mapping[str, np.ndarray]) -> dict:
 def tensors_from_dict(rec: Mapping, cfg: ModelConfig, format_version: int = 2) -> Parameters:
     """The tensors `cfg` implies, read from a stage's `tensors` record of `format_version`.
 
-    A missing, unexpected or misshapen tensor, one not in the version's form, or one
-    whose data does not fill its shape, is an error naming it; so is a version-2
-    tensor whose dtype is not `<f8` or whose data is not base64.
+    A missing, unexpected or misshapen tensor, one not in the version's form, one
+    whose data does not fill its shape, or one holding a NaN or an infinity, is an
+    error naming it; so is a version-2 tensor whose dtype is not `<f8` or whose data
+    is not base64.
     """
     if not isinstance(rec, Mapping):
         raise ValueError("'tensors' is not an object")
@@ -425,7 +426,11 @@ def tensors_from_dict(rec: Mapping, cfg: ModelConfig, format_version: int = 2) -
         if got != shape:
             raise ValueError(f"parameter {name!r} has shape {got}, expected {shape}")
         arrays[name] = _tensor_data(name, entry, shape, format_version)
-    return Parameters(arrays)
+    params = Parameters(arrays)
+    if not np.isfinite(params.flat).all():
+        name = next(name for name, arr in params.items() if not np.isfinite(arr).all())
+        raise ValueError(f"tensor {name!r} has a non-finite value")
+    return params
 
 
 def _tensor_data(name: str, entry: Mapping, shape: tuple, format_version: int) -> np.ndarray:

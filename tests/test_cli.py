@@ -1,6 +1,7 @@
 import base64
 import json
 import pathlib
+import struct
 
 import pytest
 
@@ -26,6 +27,12 @@ def read_json(path):
 
 def drop_last_value(tensor):
     tensor["data_b64"] = base64.b64encode(base64.b64decode(tensor["data_b64"])[:-8]).decode()
+
+
+def nan_first_value(tensor):
+    raw = base64.b64decode(tensor["data_b64"])
+    nan = struct.pack("<d", float("nan"))
+    tensor["data_b64"] = base64.b64encode(nan + raw[8:]).decode()
 
 
 @pytest.fixture
@@ -324,6 +331,8 @@ class TestPipelineCommands:
              "sentence 'EMPTY': 'tokens' is empty"),
             ("dataset", lambda lines: lines[2].update(tokens=[], labels=[]),
              "record 'S2': 'tokens' is empty"),
+            ("model", lambda m: nan_first_value(m["stage1"]["tensors"]["proj.b"]),
+             "stage1: tensor 'proj.b' has a non-finite value"),
         ],
         ids=["model-config", "model-schemas", "tensor-shape", "table-entries",
              "tables-string-values", "tables-non-object", "tables-non-object-entry",
@@ -331,7 +340,8 @@ class TestPipelineCommands:
              "corpus-list", "corpus-int-tokens", "corpus-string-tokens", "corpus-int-heads",
              "corpus-string-head", "dataset-labels", "dataset-string-tokens",
              "dataset-string-types", "dataset-short-labels", "model-null-num-labels",
-             "model-list-importance", "corpus-empty-sentence", "dataset-empty-record"],
+             "model-list-importance", "corpus-empty-sentence", "dataset-empty-record",
+             "model-nan-tensor"],
     )
     def test_malformed_input_named(
         self, trained, fixture_paths, tmp_path, capsys, kind, edit, named

@@ -1,3 +1,8 @@
+import dataclasses
+import gc
+import hashlib
+import weakref
+
 import numpy as np
 import pytest
 
@@ -26,6 +31,27 @@ class TestProblemValidation:
     def test_zero_tokens(self):
         with pytest.raises(ValueError, match="at least one token"):
             simple_problem(np.zeros((0, 3)), ["a"])
+
+    def test_non_finite_emissions(self):
+        P = np.zeros((2, 3))
+        P[1, 2] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            simple_problem(P, ["a"])
+
+    def test_non_finite_transitions(self):
+        A = np.zeros((3, 3))
+        A[0, 1] = -np.inf
+        with pytest.raises(ValueError, match="finite"):
+            simple_problem(np.zeros((2, 3)), ["a"], A=A)
+
+    @pytest.mark.parametrize("bad", [2.5, True, "3"])
+    def test_max_solutions_not_integer(self, bad):
+        with pytest.raises(ValueError, match="max_solutions must be an integer"):
+            simple_problem(np.zeros((2, 3)), ["a"], max_solutions=bad)
+
+    def test_max_solutions_numpy_integer(self):
+        prob = simple_problem(np.zeros((2, 3)), ["a"], max_solutions=np.int64(2))
+        assert len(ilp.ilp_decode_multi(prob).sequences) == 2
 
 
 class TestChecker:
@@ -181,3 +207,120 @@ class TestMulti:
             assert scores[0] - scores[-1] <= prob.lambda_factor * prob.n
             for seq in res.sequences:
                 assert ilp.check_constraints(seq.tags, prob.labels) == []
+
+
+def _random_problems(rng, count, ties):
+    for _ in range(count):
+        prob = oracle.random_problem(rng, max_len=7, max_labels=7, n_groups=3)
+        P, A = prob.emissions, prob.transitions
+        if ties:
+            P, A = rng.integers(-1, 2, size=P.shape), rng.integers(-1, 2, size=A.shape)
+        yield DecodeProblem(
+            P,
+            A,
+            prob.labels,
+            lambda_factor=float(rng.choice([0.0, 0.5, 2.0])),
+            max_solutions=int(rng.integers(1, 12)),
+        )
+
+
+def _typed_problems(rng, count):
+    """Two or three event types of three key roles each, O favoured, as a tagger scores them."""
+    for _ in range(count):
+        types = int(rng.integers(2, 4))
+        roles = [f"t{i}:r{j}" for i in range(types) for j in range(3)]
+        labels = LabelSet(roles, {f"t{i}": roles[3 * i : 3 * i + 3] for i in range(types)})
+        n = int(rng.integers(4, 11))
+        P = rng.normal(scale=2.0, size=(n, len(labels)))
+        P[:, 0] += 2.0
+        A = rng.normal(scale=0.5, size=(len(labels), len(labels)))
+        yield DecodeProblem(P, A, labels)
+
+
+class TestBitIdentity:
+    """Pinned outputs: any change to a score bit, prune or tie order shows.
+
+    The digests were taken from the decoder that rebuilt its lattice with
+    numpy on every decode, before the per-label-set tables.
+    """
+
+    @pytest.mark.parametrize(
+        "problems, want",
+        [
+            (lambda: _random_problems(np.random.default_rng(1), 2000, ties=False),
+             "9dfb76a9ccb71781ac22a51ae1b554ea4debf092734918f203f744e637c564eb"),
+            (lambda: _random_problems(np.random.default_rng(2), 600, ties=True),
+             "d8fa926a9b30d2c7f73c60d8b1e6bcc582d079da2cf809048d5fa0fec00d48ac"),
+            (lambda: _typed_problems(np.random.default_rng(3), 40),
+             "e8ee7740215f10f53e49d3b07df0da4343f9fa87069bae4239962669a49fee4d"),
+        ],
+        ids=["random", "integer-ties", "typed"],
+    )
+    def test_pinned_digest(self, problems, want):
+        digest = hashlib.sha256()
+        for prob in problems():
+            best = ilp.ilp_decode(prob)
+            multi = ilp.ilp_decode_multi(prob)
+            record = (
+                best.tags,
+                best.score.hex(),
+                [(s.tags, s.score.hex()) for s in multi.sequences],
+                multi.truncated,
+            )
+            digest.update(repr(record).encode())
+        assert digest.hexdigest() == want
+
+
+class TestDecodeTables:
+    def test_built_once_per_label_set(self):
+        labels = LabelSet(["a", "b"], {"t": {"a", "b"}})
+        assert ilp._decode_tables(labels) is ilp._decode_tables(labels)
+        assert ilp._decode_tables(LabelSet(["a", "b"])) is not ilp._decode_tables(labels)
+
+    def test_match_lattice_and_masks(self):
+        rng = np.random.default_rng(4)
+        for _ in range(50):
+            labels = oracle.random_label_set(rng, max_labels=9, n_groups=3)
+            tables = ilp._decode_tables(labels)
+            start_ok, allowed = ilp.transition_lattice(labels)
+            label_bits, group_masks = ilp._group_masks(labels)
+            assert tables.start_ok == tuple(start_ok.tolist())
+            assert np.array_equal(tables.allowed, allowed)
+            assert tables.succ == tuple(tuple(np.flatnonzero(row).tolist()) for row in allowed)
+            assert tables.label_bits == tuple(label_bits.tolist())
+            assert tables.group_masks == tuple(group_masks)
+
+    def test_read_only(self):
+        tables = ilp._decode_tables(LabelSet(["a", "b"], {"t": {"a", "b"}}))
+        with pytest.raises(ValueError):
+            tables.allowed[0, 2] = True
+        with pytest.raises(TypeError):
+            tables.succ[0] = ()
+        with pytest.raises(TypeError):
+            tables.label_bits[1] = 0
+        with pytest.raises(TypeError):
+            tables.group_masks[0] = 0
+        with pytest.raises(TypeError):
+            tables.start_ok[2] = True
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            tables.succ = ()
+
+    def test_no_module_level_growth(self):
+        def module_sizes():
+            return {
+                name: len(value)
+                for name, value in vars(ilp).items()
+                if isinstance(value, (dict, list, set))
+            }
+
+        before = module_sizes()
+        rng = np.random.default_rng(5)
+        refs = []
+        for _ in range(1000):
+            prob = oracle.random_problem(rng, max_len=3, max_labels=9, n_groups=3)
+            ilp.ilp_decode_multi(prob)
+            refs.append(weakref.ref(prob.labels))
+            del prob
+        assert module_sizes() == before
+        gc.collect()
+        assert not any(ref() is not None for ref in refs)
