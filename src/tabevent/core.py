@@ -522,8 +522,15 @@ def read_tables(path: str) -> list[EventTable]:
     if isinstance(payload, dict):
         payload = [payload]
     try:
-        return [EventTable.from_dict(rec) for rec in _json_list(payload, "a tables file")]
+        tables = [EventTable.from_dict(rec) for rec in _json_list(payload, "a tables file")]
     except KeyError as exc:
         raise ValueError(f"{path}: table record missing field {exc}") from None
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
+    # Schemas are keyed by event type, so a second table of a type would be lost.
+    seen: set[str] = set()
+    for table in tables:
+        if table.event_type in seen:
+            raise ValueError(f"{path}: repeated event type {table.event_type!r}")
+        seen.add(table.event_type)
+    return tables

@@ -4,7 +4,9 @@ Key-argument selection scores each table property, keeps the top half plus
 the best time-related property, and a sentence becomes a positive instance
 of an entry when every key argument value (or alias) appears as a token
 span and all key spans sit within a bounded dependency distance of each
-other. Everything else feeds seeded negative sampling pools.
+other. Everything else feeds seeded negative sampling pools. A first-token
+index over every entry's patterns names the entries a sentence may express,
+so matching costs what the corpus's tokens hit, not |corpus| x |entries|.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .core import (
     OUTSIDE,
@@ -191,38 +193,60 @@ def read_alias_map(path: str) -> dict[str, str]:
     return aliases
 
 
+def _redirects(alias_map: Mapping[str, str]) -> dict[str, list[str]]:
+    """Canonical form -> the surfaces that redirect to it; one pass over the map."""
+    inverse: dict[str, list[str]] = {}
+    for surface, canonical in alias_map.items():
+        inverse.setdefault(canonical, []).append(surface)
+    return inverse
+
+
 def entry_surfaces(
     entry: TableEntry, alias_map: Mapping[str, str]
 ) -> dict[str, list[list[str]]]:
     """Normalized token patterns that match each property of an entry.
 
     A value matches as itself, as its canonical form and as every surface
-    that redirects to it; the rule is not transitive. Scans the alias map
-    once, so callers build the patterns once per entry, not per sentence.
+    that redirects to it; the rule is not transitive.
     """
-    norms = {
-        prop: {normalize_surface(v) for v in values}
-        for prop, values in sorted(entry.values.items())
-    }
-    surfaces = {p: ns | {alias_map[n] for n in ns if n in alias_map} for p, ns in norms.items()}
-    for surface, canonical in alias_map.items():
-        for prop, ns in norms.items():
-            if canonical in ns:
-                surfaces[prop].add(surface)
+    return _entry_surfaces(entry, alias_map, _redirects(alias_map))
+
+
+def _entry_surfaces(
+    entry: TableEntry, alias_map: Mapping[str, str], redirects: Mapping[str, list[str]]
+) -> dict[str, list[list[str]]]:
+    """entry_surfaces with the alias map already inverted, so a run inverts it once."""
+    surfaces = {}
+    for prop, values in sorted(entry.values.items()):
+        ns = {normalize_surface(v) for v in values}
+        surfaces[prop] = ns | {alias_map[n] for n in ns if n in alias_map} | {
+            s for n in ns for s in redirects.get(n, ())
+        }
     return {prop: [s.split() for s in sorted(ss) if s.split()] for prop, ss in surfaces.items()}
 
 
 def find_role_spans(
     sentence: ParsedSentence, surfaces: Mapping[str, Sequence[list[str]]]
 ) -> dict[str, tuple[int, int]]:
-    """Each property's longest, then leftmost, pattern occurrence in the sentence."""
+    """Each property's longest, then leftmost, pattern occurrence in the sentence.
+
+    A pattern is tried only where its first token occurs, left to right;
+    an empty pattern matches nothing.
+    """
     norm = sentence.normalized
     spans: dict[str, tuple[int, int]] = {}
     for prop, patterns in surfaces.items():
         best: tuple[int, int] | None = None
         for pattern in patterns:
             width = len(pattern)
-            for start in range(0, len(norm) - width + 1):
+            if not 0 < width <= len(norm):
+                continue
+            stop, start = len(norm) - width + 1, -1  # stop: one past the last start that fits
+            while True:
+                try:
+                    start = norm.index(pattern[0], start + 1, stop)
+                except ValueError:
+                    break
                 if norm[start:start + width] == pattern:
                     if best is None or width > best[1] - best[0] or (
                         width == best[1] - best[0] and start < best[0]
@@ -349,6 +373,8 @@ def label_sentence(
     within max_dep_distance hops; otherwise a negative with the reason
     recorded. Overlapping spans keep the higher-importance role.
     """
+    if not matches:  # most candidate entries: nothing to claim, nothing to log
+        return LabeledInstance(sentence.id, schema.event_type, "", False, "trivial")
     kept_spans, dropped = _claim_free_spans(
         (p, *matches[p]) for p in _by_importance(schema.importance, matches)
     )
@@ -427,6 +453,40 @@ def _merge_positive_instances(
     }
 
 
+def _indexed_matcher(
+    tables: Sequence[EventTable], cfg: GenerationConfig
+) -> Callable[[ParsedSentence], list[tuple[EventTable, TableEntry, dict[str, tuple[int, int]]]]]:
+    """A run's matcher: a sentence's matched spans for each entry it may express.
+
+    Builds every entry's patterns, inverting the alias map once, and a
+    first-token index from each pattern's first token to the entries
+    (by position, since entry ids need not be unique) with such a pattern.
+    A sentence's candidates are the entries its tokens hit, in (table,
+    entry) order. An entry with no hit matches nothing, so skipping it
+    skips only a `trivial` negative without diagnostics.
+    """
+    redirects = _redirects(cfg.alias_map)
+    entries: list[tuple[EventTable, TableEntry, dict[str, list[list[str]]]]] = []
+    index: dict[str, list[int]] = {}
+    for table in tables:
+        for entry in table.entries:
+            patterns = _entry_surfaces(entry, cfg.alias_map, redirects)
+            for token in {p[0] for ps in patterns.values() for p in ps}:
+                index.setdefault(token, []).append(len(entries))
+            entries.append((table, entry, patterns))
+
+    def match(sentence: ParsedSentence) -> list:
+        hits: set[int] = set()
+        for token in set(sentence.normalized):
+            hits.update(index.get(token, ()))
+        return [
+            (table, entry, find_role_spans(sentence, patterns))
+            for table, entry, patterns in (entries[k] for k in sorted(hits))
+        ]
+
+    return match
+
+
 def generate_dataset(
     tables: Sequence[EventTable],
     corpus: Sequence[ParsedSentence],
@@ -434,7 +494,7 @@ def generate_dataset(
     strategy: Strategy = Strategy.IMP_TIME,
     seed: int = 0,
 ) -> tuple[list[dict], dict]:
-    """Run matching and labeling over every sentence x entry pair.
+    """Match and label every sentence against the entries its tokens hit.
 
     Emits every positive record plus negatives: all trivial negatives and
     seeded samples from the partial-match and distance-violation pools,
@@ -448,10 +508,7 @@ def generate_dataset(
         seen.add(sentence.id)
         _check_parse(sentence)
     schemas = select_schemas(tables, strategy)
-    # Parallel to table.entries: entry ids need not be unique.
-    surfaces = [
-        [entry_surfaces(entry, cfg.alias_map) for entry in table.entries] for table in tables
-    ]
+    match = _indexed_matcher(tables, cfg)
 
     diagnostics: list[str] = []
     positive_records: dict[str, dict] = {}
@@ -463,23 +520,21 @@ def generate_dataset(
     for sentence in corpus:
         instances: list[LabeledInstance] = []
         best_reason: tuple[str, int | None] | None = None
-        for table, table_surfaces in zip(tables, surfaces):
+        for table, entry, spans in match(sentence):
             schema = schemas[table.event_type]
-            for entry, entry_patterns in zip(table.entries, table_surfaces):
-                spans = find_role_spans(sentence, entry_patterns)
-                inst = label_sentence(sentence, spans, schema, cfg)
-                inst.entry_id = entry.id
-                diagnostics.extend(inst.diagnostics)
-                if inst.positive:
-                    instances.append(inst)
-                    key_spans = [inst.spans[p] for p in sorted(schema.key_args)]
-                    token = trigger_candidate(sentence, key_spans)
-                    per_type = trigger_counts.setdefault(table.event_type, {})
-                    per_type[token.normalized] = per_type.get(token.normalized, 0) + 1
-                else:
-                    cand = (inst.reason or "trivial", inst.max_key_distance)
-                    if best_reason is None or reason_rank[cand[0]] < reason_rank[best_reason[0]]:
-                        best_reason = cand
+            inst = label_sentence(sentence, spans, schema, cfg)
+            inst.entry_id = entry.id
+            diagnostics.extend(inst.diagnostics)
+            if inst.positive:
+                instances.append(inst)
+                key_spans = [inst.spans[p] for p in sorted(schema.key_args)]
+                token = trigger_candidate(sentence, key_spans)
+                per_type = trigger_counts.setdefault(table.event_type, {})
+                per_type[token.normalized] = per_type.get(token.normalized, 0) + 1
+            else:
+                cand = (inst.reason or "trivial", inst.max_key_distance)
+                if best_reason is None or reason_rank[cand[0]] < reason_rank[best_reason[0]]:
+                    best_reason = cand
         if instances:
             positive_instances += len(instances)
             positive_records[sentence.id] = _merge_positive_instances(

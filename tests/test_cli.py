@@ -333,6 +333,10 @@ class TestPipelineCommands:
              "record 'S2': 'tokens' is empty"),
             ("model", lambda m: nan_first_value(m["stage1"]["tensors"]["proj.b"]),
              "stage1: tensor 'proj.b' has a non-finite value"),
+            ("tables", lambda t: t.append({
+                "event_type": "business.acquisition", "properties": ["x", "y"],
+                "entries": [{"id": "m.x", "values": {"x": ["Remedy"], "y": ["BMC"]}}]}),
+             ": repeated event type 'business.acquisition'"),
         ],
         ids=["model-config", "model-schemas", "tensor-shape", "table-entries",
              "tables-string-values", "tables-non-object", "tables-non-object-entry",
@@ -341,7 +345,7 @@ class TestPipelineCommands:
              "corpus-string-head", "dataset-labels", "dataset-string-tokens",
              "dataset-string-types", "dataset-short-labels", "model-null-num-labels",
              "model-list-importance", "corpus-empty-sentence", "dataset-empty-record",
-             "model-nan-tensor"],
+             "model-nan-tensor", "tables-repeated-type"],
     )
     def test_malformed_input_named(
         self, trained, fixture_paths, tmp_path, capsys, kind, edit, named

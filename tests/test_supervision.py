@@ -1,8 +1,12 @@
+import collections
+import hashlib
 import json
 import math
+import random
 
 import numpy as np
 import pytest
+from corpusgen import build_synth_corpus
 
 from tabevent import supervision
 from tabevent.core import (
@@ -11,6 +15,7 @@ from tabevent.core import (
     ParsedSentence,
     TableEntry,
     bio_wellformed,
+    normalize_surface,
 )
 from tabevent.supervision import (
     GenerationConfig,
@@ -429,3 +434,189 @@ def test_read_alias_map(tmp_path, fixture_paths):
     bad.write_text("one-column-only\n")
     with pytest.raises(ValueError, match="surface<TAB>canonical"):
         supervision.read_alias_map(str(bad))
+
+
+# The all-pairs matcher generate_dataset used before its first-token index:
+# every entry's patterns, from one alias-map scan per entry, tried at every
+# start position of every sentence.
+def reference_entry_surfaces(entry, alias_map):
+    norms = {
+        prop: {normalize_surface(v) for v in values}
+        for prop, values in sorted(entry.values.items())
+    }
+    surfaces = {p: ns | {alias_map[n] for n in ns if n in alias_map} for p, ns in norms.items()}
+    for surface, canonical in alias_map.items():
+        for prop, ns in norms.items():
+            if canonical in ns:
+                surfaces[prop].add(surface)
+    return {prop: [s.split() for s in sorted(ss) if s.split()] for prop, ss in surfaces.items()}
+
+
+def reference_find_role_spans(sentence, surfaces):
+    norm = sentence.normalized
+    spans = {}
+    for prop, patterns in surfaces.items():
+        best = None
+        for pattern in patterns:
+            width = len(pattern)
+            for start in range(0, len(norm) - width + 1):
+                if norm[start:start + width] == pattern:
+                    if best is None or width > best[1] - best[0] or (
+                        width == best[1] - best[0] and start < best[0]
+                    ):
+                        best = (start, start + width)
+                    break
+        if best is not None:
+            spans[prop] = best
+    return spans
+
+
+def all_pairs_matcher(tables, cfg):
+    pairs = [
+        (table, entry, reference_entry_surfaces(entry, cfg.alias_map))
+        for table in tables
+        for entry in table.entries
+    ]
+    return lambda sentence: [
+        (table, entry, reference_find_role_spans(sentence, patterns))
+        for table, entry, patterns in pairs
+    ]
+
+
+# Month names start many values; "new", "new york", "new york city" are
+# prefixes of one another; "" and "  " normalize to nothing.
+DRAW_VALUES = [
+    "March", "March 2012", "March 2013", "May", "May 2012", "new", "New York",
+    "new  york city", "York", "Acme", "Acme Corp", "Bob", "Ann", "Bob Ann", "", "  ",
+]
+DRAW_FILLER = ["the", "in", "of", "met", "2012", "march", "city", "corp"]
+
+
+def random_draw(seed):
+    """Small tables, aliases and corpus that stress the first-token index."""
+    rng = random.Random(seed)
+    tables = []
+    for t in range(rng.randint(1, 3)):
+        props = ("a", "b", "date")[: rng.randint(1, 3) if t else 3]
+        entries = []
+        for e in range(rng.randint(1, 6)):
+            # entry 0 has every property, so each one has an importance score
+            kept = props if e == 0 else [p for p in props if rng.random() < 0.8]
+            entries.append(TableEntry(
+                f"e{rng.randint(0, 2)}",  # entry ids repeat
+                {p: tuple(rng.sample(DRAW_VALUES, rng.randint(1, 2))) for p in kept},
+            ))
+        tables.append(EventTable(f"t{t}", props, (), tuple(entries)))
+    norms = sorted({normalize_surface(v) for v in DRAW_VALUES} - {""})
+    aliases = {}
+    for _ in range(rng.randint(0, 4)):
+        kind = rng.random()
+        if kind < 0.25:
+            surface = rng.choice(norms)
+            aliases[surface] = surface  # a surface that is its own canonical form
+        elif kind < 0.5:
+            a, b, c = rng.sample(norms, 3)
+            aliases[a], aliases[b] = b, c  # a chain: a matches b, not c
+        else:
+            aliases[rng.choice(["ms", "big blue", "nyc", "march"])] = rng.choice(norms)
+    corpus = []
+    for i in range(rng.randint(1, 8)):
+        tokens = []
+        while len(tokens) < rng.randint(2, 12):
+            if rng.random() < 0.5:
+                tokens.extend(rng.choice(DRAW_VALUES + list(aliases)).split())
+            else:
+                tokens.append(rng.choice(DRAW_FILLER))
+        tokens = [rng.choice([str.lower, str.upper, str.title])(w) for w in tokens] or ["x"]
+        order = list(range(len(tokens)))
+        rng.shuffle(order)
+        heads = [0] * len(tokens)
+        heads[order[0]] = -1
+        for k in range(1, len(order)):
+            heads[order[k]] = order[rng.randrange(max(0, k - 2), k)]  # deep trees
+        corpus.append(ParsedSentence.build(f"s{i}", tokens, heads))
+    cfg = GenerationConfig(
+        max_dep_distance=rng.choice([None, 1, 1, 2]),
+        partial_negative_ratio=rng.choice([0.0, 0.5, 1.0, 2.0]),
+        violation_negative_ratio=rng.choice([0.0, 1.0, 3.0]),
+        alias_map=aliases,
+    )
+    return tables, corpus, cfg, rng.choice(list(Strategy)), rng.randrange(100)
+
+
+class TestIndexedMatching:
+    def test_equals_all_pairs_on_random_draws(self, monkeypatch):
+        reasons = collections.Counter()
+        pairs = candidates = 0
+        for seed in range(250):
+            tables, corpus, cfg, strategy, gen_seed = random_draw(seed)
+            for table in tables:
+                for entry in table.entries:
+                    patterns = entry_surfaces(entry, cfg.alias_map)
+                    assert patterns == reference_entry_surfaces(entry, cfg.alias_map)
+                    for sentence in corpus:
+                        assert find_role_spans(sentence, patterns) == reference_find_role_spans(
+                            sentence, patterns
+                        )
+            got = generate_dataset(tables, corpus, cfg, strategy, gen_seed)
+            with monkeypatch.context() as m:
+                m.setattr(supervision, "_indexed_matcher", all_pairs_matcher)
+                want = generate_dataset(tables, corpus, cfg, strategy, gen_seed)
+            assert got == want, f"draw {seed}"
+            match = supervision._indexed_matcher(tables, cfg)
+            pairs += len(corpus) * sum(len(t.entries) for t in tables)
+            candidates += sum(len(match(s)) for s in corpus)
+            reasons.update(got[1]["negatives"]["pool_sizes"], positive=got[1]["positives"])
+        # the draws reach every outcome, and the index skips pairs
+        assert min(reasons.values()) >= 20, reasons
+        assert candidates < pairs
+
+    def test_pattern_tried_only_where_first_token_occurs(self):
+        s = ParsedSentence.build("x", ["new", "new", "york", "new"], [-1, 0, 1, 0])
+        assert find_role_spans(s, {"p": [["new", "york"], ["york", "new"]]}) == {"p": (1, 3)}
+        assert find_role_spans(s, {"p": [["new", "york", "new", "new", "york"]]}) == {}
+        assert find_role_spans(s, {"p": [[]]}) == {}
+
+
+class TestBitIdentity:
+    """sha256 of the written dataset.jsonl plus the JSON report, pinned from the all-pairs matcher."""
+
+    SETTINGS = [(Strategy.ALL, None), (Strategy.IMP_TIME, 2), (Strategy.IMP, 2), (Strategy.IMP, None)]
+    FIXTURES = [
+        "bea1ea7a01b9abeb56e347bf9e2acc6ff61b027fe8d9f531040eab58bf8c1ba3",
+        "1cae7c942055fddea1fe97729ca9f69a1764a11fb350a8d6139e6d2722ef8d7b",
+        "e04e5be7b788b7aeb2feb75f803bcde432842e48b130679616667cda22f9e2f6",
+        "cea072c0544bc9f98b0ff1de18e02eed43fc8f5d94eaf0cccd5ec3bec532ad15",
+    ]
+    SYNTH = [
+        "0b7127ee1a0f401e3b33fa596d7e5c3c6adb473bf3fd74e69e2a9f34bcf47b66",
+        "d650c9e5f367db597a9d9e6be850a06e252ad078078d5c3fbaff633908797fad",
+        "04dd7efd18937b419c52e22c2b448908ccf235400bae618eb28c5f58628d2c33",
+        "a40f5cf12209c459baab3c506f4d67c10daa3958589e2d7f4dd030c9006bb757",
+    ]
+
+    @staticmethod
+    def digest(tmp_path, tables, corpus, strategy, max_dist, alias_map):
+        cfg = GenerationConfig(max_dep_distance=max_dist, alias_map=alias_map)
+        records, report = generate_dataset(tables, corpus, cfg, strategy=strategy, seed=0)
+        path = tmp_path / "dataset.jsonl"
+        supervision.write_dataset(str(path), records)
+        h = hashlib.sha256(path.read_bytes())
+        h.update(json.dumps(report).encode())
+        return h.hexdigest()
+
+    def test_fixtures_with_aliases(self, tmp_path, fixture_tables, fixture_corpus, fixture_paths):
+        aliases = supervision.read_alias_map(fixture_paths["aliases"])
+        got = [
+            self.digest(tmp_path, fixture_tables, fixture_corpus, strategy, dist, aliases)
+            for strategy, dist in self.SETTINGS
+        ]
+        assert got == self.FIXTURES
+
+    def test_strategy_ordering_corpus(self, tmp_path):
+        corpus = build_synth_corpus(seed=0)
+        got = [
+            self.digest(tmp_path, corpus.tables, corpus.sentences, strategy, dist, {})
+            for strategy, dist in self.SETTINGS
+        ]
+        assert got == self.SYNTH
