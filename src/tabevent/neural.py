@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import base64
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -66,7 +66,8 @@ class ModelConfig:
         return self.vocab.get(surface_normalized, self.vocab[UNK])
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The fields by name; the record shares `vocab` with the config instead of copying it."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, rec: Mapping) -> "ModelConfig":

@@ -12,8 +12,9 @@ import json
 import os
 import pickle
 import signal
+import uuid
 from dataclasses import dataclass
-from typing import Collection, Mapping, NoReturn, Sequence
+from typing import Collection, Iterator, Mapping, NoReturn, Sequence
 
 import numpy as np
 
@@ -49,6 +50,18 @@ class TaggerModel:
             "tensors": neural.tensors_to_dict(self.params),
         }
 
+    def _json_pieces(self) -> Iterator[str]:
+        """`json.dumps(self.to_dict())` in pieces, each tensor's base64 data a piece of
+        its own that the JSON encoder never scans: base64 holds nothing JSON escapes."""
+        yield (f'{{"config": {json.dumps(self.cfg.to_dict())}, '
+               f'"label_set": {json.dumps(self.label_set.to_dict())}, "tensors": {{')
+        for i, (name, rec) in enumerate(neural.tensors_to_dict(self.params).items()):
+            data = rec.pop("data_b64")  # the record's last field
+            yield f'{", " if i else ""}{json.dumps(name)}: {json.dumps(rec)[:-1]}, "data_b64": "'
+            yield data
+            yield '"}'
+        yield "}}"
+
     @classmethod
     def from_dict(cls, rec: Mapping, format_version: int = 2) -> "TaggerModel":
         rec = _json_object(rec, "stage record")
@@ -83,11 +96,33 @@ class ExtractorModel:
         }
 
     def save(self, path: str, meta: Mapping | None = None) -> None:
-        payload = self.to_dict()
+        """Write the bytes of `json.dumps(payload) + "\n"`, payload being `to_dict()` plus
+        `meta`, one stage's tensor data in memory at a time.
+
+        The file is written beside `path` and then renamed onto it, so an error or an
+        interrupt leaves any previous file at `path` as it was, and no partial file.
+        """
+        tmp = f"{path}.{uuid.uuid4().hex}.tmp"
+        fh = open(tmp, "xb")
+        try:
+            with fh:
+                for piece in self._json_pieces(meta):
+                    fh.write(piece.encode("ascii"))
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+
+    def _json_pieces(self, meta: Mapping | None) -> Iterator[str]:
+        """The pieces of `save`'s file, in the key order of `to_dict`."""
+        yield '{"format_version": 2, "stage1": '
+        yield from self.stage1._json_pieces()
+        yield ', "stage2": '
+        yield from self.stage2._json_pieces()
+        yield f', "schemas": {json.dumps([self.schemas[t].to_dict() for t in sorted(self.schemas)])}'
         if meta is not None:
-            payload["meta"] = dict(meta)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(payload) + "\n")
+            yield f', "meta": {json.dumps(dict(meta))}'
+        yield "}\n"
 
     @classmethod
     def load(cls, path: str) -> "ExtractorModel":

@@ -139,9 +139,17 @@ def select_key_args(
 
 
 def select_schemas(tables: Sequence[EventTable], strategy: Strategy) -> dict[str, EventSchema]:
-    """Each table's event schema, keyed by event type; gen, train and eval all use this rule."""
+    """Each table's event schema, keyed by event type; gen, train and eval all use this rule.
+
+    Two tables of one event type are an error, since one of them would be dropped.
+    """
     stats = collect_stats(tables)
-    return {table.event_type: select_key_args(table, stats, strategy) for table in tables}
+    schemas: dict[str, EventSchema] = {}
+    for table in tables:
+        if table.event_type in schemas:
+            raise ValueError(f"repeated event type {table.event_type!r}")
+        schemas[table.event_type] = select_key_args(table, stats, strategy)
+    return schemas
 
 
 @dataclass
@@ -233,7 +241,13 @@ def find_role_spans(
     A pattern is tried only where its first token occurs, left to right;
     an empty pattern matches nothing.
     """
-    norm = sentence.normalized
+    return _role_spans(sentence.normalized, surfaces)
+
+
+def _role_spans(
+    norm: list[str], surfaces: Mapping[str, Sequence[list[str]]]
+) -> dict[str, tuple[int, int]]:
+    """find_role_spans over the sentence's normalized tokens, so a caller normalizes once."""
     spans: dict[str, tuple[int, int]] = {}
     for prop, patterns in surfaces.items():
         best: tuple[int, int] | None = None
@@ -476,11 +490,12 @@ def _indexed_matcher(
             entries.append((table, entry, patterns))
 
     def match(sentence: ParsedSentence) -> list:
+        norm = sentence.normalized
         hits: set[int] = set()
-        for token in set(sentence.normalized):
+        for token in set(norm):
             hits.update(index.get(token, ()))
         return [
-            (table, entry, find_role_spans(sentence, patterns))
+            (table, entry, _role_spans(norm, patterns))
             for table, entry, patterns in (entries[k] for k in sorted(hits))
         ]
 

@@ -4,6 +4,7 @@ import os
 import pathlib
 import signal
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -54,6 +55,22 @@ class FixedTagger(TaggerModel):
 
     def emissions(self, sentence, keyarg_ids=None):
         return self._P
+
+
+def untrained_model(tokens, embed_dim=6, hidden=5) -> ExtractorModel:
+    """A randomly initialized two-stage model over `make_schemas()` with the given vocabulary."""
+    labels1, labels2 = build_label_sets(make_schemas())
+    vocab = {neural.UNK: 0, **{t: k + 1 for k, t in enumerate(tokens)}}
+    rng = np.random.default_rng(0)
+    cfg1 = neural.ModelConfig(vocab=vocab, num_labels=len(labels1), embed_dim=embed_dim,
+                              lstm_hidden=hidden)
+    cfg2 = neural.ModelConfig(vocab=vocab, num_labels=len(labels2), embed_dim=embed_dim,
+                              lstm_hidden=hidden, keyarg_embed_dim=3, num_keyarg_labels=len(labels1))
+    return ExtractorModel(
+        TaggerModel(cfg1, neural.init_params(cfg1, rng), labels1),
+        TaggerModel(cfg2, neural.init_params(cfg2, rng), labels2),
+        make_schemas(),
+    )
 
 
 def force_emissions(label_set, tag_lists):
@@ -301,13 +318,65 @@ class TestTraining:
         after = [pipeline.extract_sentence(s, loaded, decoder="ilp") for s in fixture_corpus]
         assert before == after
 
-    def test_save_writes_json_dumps_bytes(self, fixture_dataset, fixture_schemas, tmp_path):
-        records, _ = fixture_dataset
-        model, _ = train_pipeline(records, fixture_schemas, fast_settings(epochs=1))
+    @pytest.mark.parametrize("tokens, meta", [
+        (None, {"seed": 0}),
+        (None, None),
+        (None, {"seed": 0, "note": "Zürich → 東京 😀", "runs": [{"lr": 0.02, "ok": True}, None],
+                "data_b64": '", "data_b64": "', "dtype": {"shape": [], "tensors": {}}}),
+        (["data_b64", "dtype", "shape", "tensors", "café", "東京", '", "data_b64": "', "}}"],
+         {"seed": 0}),
+    ], ids=["trained-meta", "trained-no-meta", "nested-non-ascii-meta", "field-names-in-vocab"])
+    def test_save_writes_json_dumps_bytes(self, tokens, meta, fixture_dataset, fixture_schemas,
+                                          tmp_path):
+        if tokens is None:
+            records, _ = fixture_dataset
+            model, _ = train_pipeline(records, fixture_schemas, fast_settings(epochs=1))
+        else:
+            model = untrained_model(tokens)
         path = tmp_path / "model.json"
-        model.save(str(path), meta={"seed": 0})
-        payload = {**model.to_dict(), "meta": {"seed": 0}}
-        assert path.read_text(encoding="utf-8") == json.dumps(payload) + "\n"
+        model.save(str(path), meta=meta)
+        payload = model.to_dict() if meta is None else {**model.to_dict(), "meta": meta}
+        assert path.read_bytes() == (json.dumps(payload) + "\n").encode("utf-8")
+        assert os.listdir(tmp_path) == ["model.json"]
+
+    @pytest.mark.parametrize("failure", ["meta-not-json", "interrupt-in-stage2-tensors"])
+    def test_failed_save_keeps_previous_file(self, failure, monkeypatch, tmp_path):
+        """An error or an interrupt while encoding leaves the old file and no temporary one."""
+        path = tmp_path / "model.json"
+        untrained_model(["old"]).save(str(path))
+        before = path.read_bytes()
+        meta = {"seed": 0}
+        if failure == "meta-not-json":
+            meta["bad"] = object()
+            expected = TypeError
+        else:
+            encode, calls = neural.tensors_to_dict, []
+
+            def interrupted(params):
+                calls.append(params)
+                if len(calls) == 2:
+                    raise KeyboardInterrupt
+                return encode(params)
+
+            monkeypatch.setattr(neural, "tensors_to_dict", interrupted)
+            expected = KeyboardInterrupt
+        with pytest.raises(expected):
+            untrained_model(["new"]).save(str(path), meta=meta)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["model.json"]
+
+    def test_save_peak_memory_below_one_and_a_half_files(self, tmp_path):
+        """Tensor data is encoded one stage at a time and written piece by piece, never
+        joined into one string, so a save holds less than the file it writes."""
+        model = untrained_model([f"w{k}" for k in range(500)], embed_dim=200, hidden=100)
+        path = tmp_path / "model.json"
+        tracemalloc.start()
+        try:
+            model.save(str(path))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * path.stat().st_size
 
     def test_load_rejects_unknown_version(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -392,6 +392,16 @@ class TestGenerateDataset:
         assert records[1]["labels"] == ["B-t:who", "O", "B-t:what"]
         assert report["positive_instances"] == 2
 
+    def test_repeated_event_type_rejected(self):
+        """Schemas are keyed by event type, so a second table of a type would drop the first."""
+        tables = [
+            EventTable("ev", ("who",), (), (TableEntry(name, {"who": (name,)}),))
+            for name in ("Alice", "Bob")
+        ]
+        corpus = [ParsedSentence.build("a", ["Alice", "won"], [1, -1])]
+        with pytest.raises(ValueError, match="repeated event type 'ev'"):
+            generate_dataset(tables, corpus, GenerationConfig(), Strategy.ALL)
+
     def test_multi_type_record(self):
         # two types sharing the actor span in one sentence
         film = EventTable(
