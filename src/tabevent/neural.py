@@ -20,11 +20,11 @@ from __future__ import annotations
 import base64
 import math
 from dataclasses import dataclass, fields
-from typing import Mapping, Sequence
+from typing import BinaryIO, Mapping, Sequence
 
 import numpy as np
 
-from .core import _json_float, _json_int, _json_object
+from .core import _json_float, _json_int, _json_list, _json_object
 
 UNK = "<unk>"
 
@@ -72,8 +72,12 @@ class ModelConfig:
     @classmethod
     def from_dict(cls, rec: Mapping) -> "ModelConfig":
         vocab = _json_object(rec["vocab"], "'vocab'")
+        for k, v in vocab.items():
+            if type(v) is not int or not 0 <= v < len(vocab):
+                _json_int(v, f"vocab entry {k!r}")
+                raise ValueError(f"vocab entry {k!r} has id {v}, outside [0, {len(vocab)})")
         return cls(
-            vocab={str(k): _json_int(v, f"vocab entry {k!r}") for k, v in vocab.items()},
+            vocab={str(k): v for k, v in vocab.items()},
             num_labels=_json_int(rec["num_labels"], "'num_labels'"),
             embed_dim=_json_int(rec["embed_dim"], "'embed_dim'"),
             lstm_hidden=_json_int(rec["lstm_hidden"], "'lstm_hidden'"),
@@ -381,24 +385,65 @@ def sgd_step(params: Parameters, grads: Parameters, state: AdamState, lr: float)
 
 
 # ---------------------------------------------------------------------------
-# Disk format: named row-major tensors. Model format version 2 stores each
-# tensor's little-endian float64 bytes as base64; version 1 stored a float list.
+# Disk format: named row-major tensors of little-endian float64. Model format
+# version 3 stores a stage's whole buffer `flat` as raw bytes after a header that
+# gives its layout; version 2 stored each tensor's bytes as base64 and version 1
+# as a float list, both in per-tensor records.
 # ---------------------------------------------------------------------------
 
 _DTYPE = "<f8"
 _TENSOR_FIELDS = {1: ("shape", "data"), 2: ("shape", "dtype", "data_b64")}
 
 
-def tensors_to_dict(params: Mapping[str, np.ndarray]) -> dict:
-    """Version-2 tensor records, in name order."""
-    return {
-        name: {
-            "shape": list(arr.shape),
-            "dtype": _DTYPE,
-            "data_b64": base64.b64encode(arr.astype(_DTYPE, copy=False).tobytes()).decode(),
-        }
-        for name, arr in sorted(params.items())
-    }
+def write_flat(fh: BinaryIO, params: Parameters) -> None:
+    """Write `params.flat` as little-endian float64 bytes, from the buffer itself on a
+    little-endian host."""
+    fh.write(memoryview(params.flat.astype(_DTYPE, copy=False)).cast("B"))
+
+
+def read_flat(fh: BinaryIO, layout, cfg: ModelConfig) -> Parameters:
+    """The tensors `cfg` implies, read from a version-3 stage: `layout`, the header's
+    `[[name, shape], ...]` in buffer order, and the next bytes of `fh`, which are read
+    into the new parameter buffer itself.
+
+    A layout whose names, shapes or order differ from `expected_shapes(cfg)`, data
+    that ends before the buffer is full, or a NaN or an infinity, is an error naming
+    the tensor.
+    """
+    shapes = expected_shapes(cfg)
+    for entry in _json_list(layout, "'layout'"):
+        if not (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str)
+                and isinstance(entry[1], list)):
+            raise ValueError(f"'layout' entry {entry!r} is not a [name, shape] pair")
+    got = {name: tuple(shape) for name, shape in layout}
+    for name in sorted(got.keys() - shapes.keys()):
+        raise ValueError(f"unexpected parameter {name!r}")
+    for name, shape in shapes.items():
+        if name not in got:
+            raise ValueError(f"missing parameter {name!r}")
+        if got[name] != shape:
+            raise ValueError(f"parameter {name!r} has shape {got[name]}, expected {shape}")
+    if [name for name, _ in layout] != list(shapes):
+        raise ValueError(f"the layout lists {[name for name, _ in layout]}, expected {list(shapes)}")
+    flat = np.empty(sum(map(math.prod, shapes.values())), dtype=_DTYPE)
+    view, done = memoryview(flat).cast("B"), 0
+    while done < len(view) and (n := fh.readinto(view[done:])):
+        done += n
+    params = _parameters_from_flat(flat.astype(np.float64, copy=False), tuple(shapes.items()), 0)
+    end = 0
+    for name, arr in params.items():
+        end += 8 * arr.size
+        if end > done:
+            raise ValueError(f"tensor {name!r} ends early: the data stops {end - done} bytes "
+                             f"short of its end")
+    _check_finite(params)
+    return params
+
+
+def _check_finite(params: Parameters) -> None:
+    if not np.isfinite(params.flat).all():
+        name = next(name for name, arr in params.items() if not np.isfinite(arr).all())
+        raise ValueError(f"tensor {name!r} has a non-finite value")
 
 
 def tensors_from_dict(rec: Mapping, cfg: ModelConfig, format_version: int = 2) -> Parameters:
@@ -428,9 +473,7 @@ def tensors_from_dict(rec: Mapping, cfg: ModelConfig, format_version: int = 2) -
             raise ValueError(f"parameter {name!r} has shape {got}, expected {shape}")
         arrays[name] = _tensor_data(name, entry, shape, format_version)
     params = Parameters(arrays)
-    if not np.isfinite(params.flat).all():
-        name = next(name for name, arr in params.items() if not np.isfinite(arr).all())
-        raise ValueError(f"tensor {name!r} has a non-finite value")
+    _check_finite(params)
     return params
 
 

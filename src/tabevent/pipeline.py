@@ -9,12 +9,13 @@ it never overwrites a stage-1 key span.
 from __future__ import annotations
 
 import json
+import mmap
 import os
 import pickle
 import signal
 import uuid
 from dataclasses import dataclass
-from typing import Collection, Iterator, Mapping, NoReturn, Sequence
+from typing import BinaryIO, Collection, Mapping, NoReturn, Sequence
 
 import numpy as np
 
@@ -43,30 +44,24 @@ class TaggerModel:
     params: neural.Parameters
     label_set: LabelSet
 
-    def to_dict(self) -> dict:
+    def _header(self) -> dict:
+        """The stage's part of a version-3 header: everything but the tensor data."""
         return {
             "config": self.cfg.to_dict(),
             "label_set": self.label_set.to_dict(),
-            "tensors": neural.tensors_to_dict(self.params),
+            "layout": self.params.layout,  # JSON writes its (name, shape) tuples as lists
         }
 
-    def _json_pieces(self) -> Iterator[str]:
-        """`json.dumps(self.to_dict())` in pieces, each tensor's base64 data a piece of
-        its own that the JSON encoder never scans: base64 holds nothing JSON escapes."""
-        yield (f'{{"config": {json.dumps(self.cfg.to_dict())}, '
-               f'"label_set": {json.dumps(self.label_set.to_dict())}, "tensors": {{')
-        for i, (name, rec) in enumerate(neural.tensors_to_dict(self.params).items()):
-            data = rec.pop("data_b64")  # the record's last field
-            yield f'{", " if i else ""}{json.dumps(name)}: {json.dumps(rec)[:-1]}, "data_b64": "'
-            yield data
-            yield '"}'
-        yield "}}"
-
     @classmethod
-    def from_dict(cls, rec: Mapping, format_version: int = 2) -> "TaggerModel":
+    def from_dict(cls, rec: Mapping, format_version: int = 2,
+                  data: BinaryIO | None = None) -> "TaggerModel":
+        """The stage of `rec`; in version 3 its tensors are the next bytes of `data`."""
         rec = _json_object(rec, "stage record")
         cfg = neural.ModelConfig.from_dict(_json_object(rec["config"], "'config'"))
-        params = neural.tensors_from_dict(rec["tensors"], cfg, format_version)
+        if format_version == 3:
+            params = neural.read_flat(data, rec["layout"], cfg)
+        else:
+            params = neural.tensors_from_dict(rec["tensors"], cfg, format_version)
         return cls(cfg, params, LabelSet.from_dict(_json_object(rec["label_set"], "'label_set'")))
 
     def emissions(
@@ -87,66 +82,94 @@ class ExtractorModel:
     stage2: TaggerModel
     schemas: dict[str, EventSchema]
 
-    def to_dict(self) -> dict:
-        return {
-            "format_version": 2,
-            "stage1": self.stage1.to_dict(),
-            "stage2": self.stage2.to_dict(),
-            "schemas": [self.schemas[t].to_dict() for t in sorted(self.schemas)],
-        }
-
     def save(self, path: str, meta: Mapping | None = None) -> None:
-        """Write the bytes of `json.dumps(payload) + "\n"`, payload being `to_dict()` plus
-        `meta`, one stage's tensor data in memory at a time.
+        """Write format version 3: the line `json.dumps(header) + "\n"`, the header being
+        every field but the tensor data (each stage's `config`, `label_set` and tensor
+        `layout`, then `schemas` and `meta`), and then each stage's `params.flat` as
+        little-endian float64 bytes, stage 1 first, written from the buffer itself.
 
         The file is written beside `path` and then renamed onto it, so an error or an
         interrupt leaves any previous file at `path` as it was, and no partial file.
         """
+        header = {
+            "format_version": 3,
+            "stage1": self.stage1._header(),
+            "stage2": self.stage2._header(),
+            "schemas": [self.schemas[t].to_dict() for t in sorted(self.schemas)],
+        }
+        if meta is not None:
+            header["meta"] = dict(meta)
+        line = (json.dumps(header) + "\n").encode("ascii")
         tmp = f"{path}.{uuid.uuid4().hex}.tmp"
         fh = open(tmp, "xb")
         try:
             with fh:
-                for piece in self._json_pieces(meta):
-                    fh.write(piece.encode("ascii"))
+                fh.write(line)
+                neural.write_flat(fh, self.stage1.params)
+                neural.write_flat(fh, self.stage2.params)
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)
             raise
 
-    def _json_pieces(self, meta: Mapping | None) -> Iterator[str]:
-        """The pieces of `save`'s file, in the key order of `to_dict`."""
-        yield '{"format_version": 2, "stage1": '
-        yield from self.stage1._json_pieces()
-        yield ', "stage2": '
-        yield from self.stage2._json_pieces()
-        yield f', "schemas": {json.dumps([self.schemas[t].to_dict() for t in sorted(self.schemas)])}'
-        if meta is not None:
-            yield f', "meta": {json.dumps(dict(meta))}'
-        yield "}\n"
-
     @classmethod
     def load(cls, path: str) -> "ExtractorModel":
-        """Read a model of format version 2 or 1; each version's tensor form is required."""
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-        version = payload.get("format_version") if isinstance(payload, dict) else None
-        if version not in (1, 2):
-            raise ValueError(f"{path}: unsupported model format version {version!r}")
-        where, stages = path, {}
-        try:
-            for stage in ("stage1", "stage2"):
-                where = f"{path}: {stage}"
-                stages[stage] = TaggerModel.from_dict(payload[stage], version)
-            where = path
-            schemas = {
-                schema.event_type: schema
-                for schema in map(EventSchema.from_dict, _json_list(payload["schemas"], "'schemas'"))
-            }
-        except KeyError as exc:
-            raise ValueError(f"{where}: missing field {exc}") from None
-        except ValueError as exc:
-            raise ValueError(f"{where}: {exc}") from None
+        """Read a model of format version 3, 2 or 1.
+
+        A version-3 file's tensor bytes are read into each stage's parameter buffer
+        itself, after its header line. Versions 1 and 2 are one JSON document, which
+        their writers put on one line, with each tensor in that version's form.
+        """
+        with open(path, "rb") as fh:
+            payload = _read_header(fh, path)
+            version = payload.get("format_version") if isinstance(payload, dict) else None
+            if type(version) is not int or version not in (1, 2, 3):
+                raise ValueError(f"{path}: unsupported model format version {version!r}")
+            where, stages = path, {}
+            try:
+                for stage in ("stage1", "stage2"):
+                    where = f"{path}: {stage}"
+                    stages[stage] = TaggerModel.from_dict(payload[stage], version, fh)
+                where = path
+                if version == 3 and fh.read(1):
+                    last = stages["stage2"].params.layout[-1][0]
+                    raise ValueError(f"stage2: data continues after tensor {last!r}")
+                if version != 3 and fh.read().strip():
+                    raise ValueError("data follows the JSON document")
+                schemas = {
+                    schema.event_type: schema
+                    for schema in map(EventSchema.from_dict, _json_list(payload["schemas"], "'schemas'"))
+                }
+                for event_type in sorted(stages["stage1"].label_set.groups.keys() - schemas.keys()):
+                    raise ValueError(f"stage1: event type {event_type!r} has no schema")
+            except KeyError as exc:
+                raise ValueError(f"{where}: missing field {exc}") from None
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
         return cls(**stages, schemas=schemas)
+
+
+def _read_header(fh: BinaryIO, path: str):
+    """The JSON value of the first line of the file `fh`, or of the whole file when that
+    line is not complete JSON; `fh` is left after that line.
+
+    The line is found in a memory map of the file and copied out in one piece, which
+    for a version-1 or -2 file is as fast as reading the whole file.
+    """
+    try:
+        if os.fstat(fh.fileno()).st_size == 0:
+            raise ValueError("the file is empty")
+        with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as mm:
+            end = mm.find(b"\n") + 1 or len(mm)
+            text = mm[:end]
+        fh.seek(end)
+        text = text.decode("utf-8")  # unmapped, then the bytes dropped: at most two copies
+        try:
+            return json.loads(text)
+        except ValueError:
+            return json.loads(text + fh.read().decode("utf-8"))
+    except ValueError as exc:
+        raise ValueError(f"{path}: the model header is not JSON: {exc}") from None
 
 
 def build_label_sets(schemas: Mapping[str, EventSchema]) -> tuple[LabelSet, LabelSet]:

@@ -11,9 +11,11 @@ from tabevent.pipeline import ExtractorModel
 
 # A version-1 model (embed/hidden1/hidden2/keyarg dims 4/4/4/2, 5 epochs at lr 0.05, seed 0, on
 # the README's gen output for fixtures/), and what `extract --decoder ilp --multi` wrote from
-# it on fixtures/s1s4_corpus.jsonl when version 1 was the format `train` wrote.
+# it on fixtures/s1s4_corpus.jsonl when version 1 was the format `train` wrote. The same model
+# as version 2 is what `save` wrote from it, with its `meta`, when version 2 was the format.
 DATA = pathlib.Path(__file__).resolve().parent / "data"
 V1_MODEL, V1_PRED = DATA / "model_v1.json", DATA / "model_v1_pred_multi.jsonl"
+V2_MODEL = DATA / "model_v2.json"
 
 
 def run(argv):
@@ -23,6 +25,12 @@ def run(argv):
 def read_json(path):
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def read_header(path):
+    """The header line of a version-3 model file."""
+    with open(path, "rb") as fh:
+        return json.loads(fh.readline())
 
 
 def drop_last_value(tensor):
@@ -202,10 +210,10 @@ def trained(tmp_path_factory, fixture_paths):
 class TestPipelineCommands:
     def test_train_writes_versioned_model(self, trained):
         _, _, model = trained
-        payload = read_json(model)
-        assert payload["format_version"] == 2
+        payload = read_header(model)
+        assert payload["format_version"] == 3
         assert payload["meta"]["seed"] == 0
-        assert "tensors" in payload["stage1"]
+        assert payload["stage1"]["layout"][-1][0] == "crf.A"
 
     def test_extract_and_eval(self, trained, fixture_paths):
         base, dataset, model = trained
@@ -272,8 +280,8 @@ class TestPipelineCommands:
         ids=["missing", "truncated"],
     )
     def test_extract_rejects_bad_tensor(self, trained, fixture_paths, capsys, stage, edit, named):
-        base, _, model = trained
-        payload = read_json(model)
+        base, _, _ = trained
+        payload = read_json(V2_MODEL)
         edit(payload[stage]["tensors"])
         bad = base / "bad_model.json"
         bad.write_text(json.dumps(payload))
@@ -289,6 +297,15 @@ class TestPipelineCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert f"{stage}: {named}" in err
+
+    def test_extract_rejects_truncated_model(self, trained, fixture_paths, tmp_path, capsys):
+        _, _, model = trained
+        bad = tmp_path / "bad_model.json"
+        bad.write_bytes(model.read_bytes()[:-8])
+        assert run(["extract", "--model", str(bad), "--corpus", fixture_paths["corpus"],
+                    "--out", str(tmp_path / "pred.jsonl")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: stage2: tensor 'crf.A' ends early")
 
     @pytest.mark.parametrize(
         "kind, edit, named",
@@ -337,6 +354,16 @@ class TestPipelineCommands:
                 "event_type": "business.acquisition", "properties": ["x", "y"],
                 "entries": [{"id": "m.x", "values": {"x": ["Remedy"], "y": ["BMC"]}}]}),
              ": repeated event type 'business.acquisition'"),
+            ("model", lambda m: m["stage1"]["config"]["vocab"].update(microsoft=10**6),
+             "stage1: vocab entry 'microsoft' has id 1000000, outside [0, "),
+            ("model", lambda m: m["stage2"]["config"]["vocab"].update(microsoft=-1),
+             "stage2: vocab entry 'microsoft' has id -1, outside [0, "),
+            ("model", lambda m: m["schemas"].pop(0),
+             "stage1: event type 'business.acquisition' has no schema"),
+            ("model", lambda m: m.update(format_version=True),
+             ": unsupported model format version True"),
+            ("model", lambda m: m.update(format_version=1.0),
+             ": unsupported model format version 1.0"),
         ],
         ids=["model-config", "model-schemas", "tensor-shape", "table-entries",
              "tables-string-values", "tables-non-object", "tables-non-object-entry",
@@ -345,15 +372,17 @@ class TestPipelineCommands:
              "corpus-string-head", "dataset-labels", "dataset-string-tokens",
              "dataset-string-types", "dataset-short-labels", "model-null-num-labels",
              "model-list-importance", "corpus-empty-sentence", "dataset-empty-record",
-             "model-nan-tensor", "tables-repeated-type"],
+             "model-nan-tensor", "tables-repeated-type", "model-vocab-id-large",
+             "model-vocab-id-negative", "model-type-without-schema", "model-version-bool",
+             "model-version-float"],
     )
     def test_malformed_input_named(
         self, trained, fixture_paths, tmp_path, capsys, kind, edit, named
     ):
-        _, dataset, model = trained
+        _, dataset, _ = trained
         bad = tmp_path / f"bad-{kind}"
         if kind in ("model", "tables"):
-            payload = read_json(model if kind == "model" else fixture_paths["tables"])
+            payload = read_json(V2_MODEL if kind == "model" else fixture_paths["tables"])
             edit(payload)
             bad.write_text(json.dumps(payload))
         else:
@@ -402,23 +431,60 @@ class TestModelFormatV1:
                             "--decoder", "ilp", "--multi")
         assert pred == V1_PRED.read_bytes()
 
-    def test_resaved_as_v2(self, fixture_paths, tmp_path):
+    def test_resaved_as_v3(self, fixture_paths, tmp_path):
         v1, meta = ExtractorModel.load(str(V1_MODEL)), read_json(V1_MODEL)["meta"]
-        path, again = tmp_path / "v2.json", tmp_path / "v2_again.json"
+        path, again = tmp_path / "v3.json", tmp_path / "v3_again.json"
         v1.save(str(path), meta=meta)
-        assert read_json(path)["format_version"] == 2
-        v2 = ExtractorModel.load(str(path))
+        assert read_header(path)["format_version"] == 3
+        assert read_header(path)["meta"] == meta
+        v3 = ExtractorModel.load(str(path))
         for stage in ("stage1", "stage2"):
-            old, new = getattr(v1, stage).params, getattr(v2, stage).params
-            assert new.layout == old.layout and new.flat.tobytes() == old.flat.tobytes()
-        assert v2.to_dict() == v1.to_dict()
-        v2.save(str(again), meta=meta)
+            old, new = getattr(v1, stage), getattr(v3, stage)
+            assert new.params.layout == old.params.layout
+            assert new.params.flat.tobytes() == old.params.flat.tobytes()
+            assert new.cfg == old.cfg and new.label_set == old.label_set
+        assert v3.schemas == v1.schemas
+        v3.save(str(again), meta=meta)
         assert again.read_bytes() == path.read_bytes()
         corpus = fixture_paths["corpus"]
         for flags in (["--decoder", "viterbi"], ["--decoder", "ilp"], ["--multi"]):
             from_v1 = self.extract(V1_MODEL, corpus, tmp_path / "v1.jsonl", *flags)
-            assert self.extract(path, corpus, tmp_path / "v2.jsonl", *flags) == from_v1
+            assert self.extract(path, corpus, tmp_path / "v3.jsonl", *flags) == from_v1
         assert from_v1 == V1_PRED.read_bytes()
+
+
+class TestModelFormatV2:
+    extract = TestModelFormatV1.extract
+
+    def test_loads_as_v1(self):
+        assert read_json(V2_MODEL)["format_version"] == 2
+        v1, v2 = ExtractorModel.load(str(V1_MODEL)), ExtractorModel.load(str(V2_MODEL))
+        for stage in ("stage1", "stage2"):
+            old, new = getattr(v1, stage), getattr(v2, stage)
+            assert new.params.layout == old.params.layout
+            assert new.params.flat.tobytes() == old.params.flat.tobytes()
+            assert new.cfg == old.cfg and new.label_set == old.label_set
+        assert v2.schemas == v1.schemas
+
+    def test_extract_matches_committed_output(self, fixture_paths, tmp_path):
+        pred = self.extract(V2_MODEL, fixture_paths["corpus"], tmp_path / "pred.jsonl",
+                            "--decoder", "ilp", "--multi")
+        assert pred == V1_PRED.read_bytes()
+
+    def test_converted_to_v3_bit_identical(self, fixture_paths, tmp_path):
+        v2, meta = ExtractorModel.load(str(V2_MODEL)), read_json(V2_MODEL)["meta"]
+        path = tmp_path / "v3.json"
+        v2.save(str(path), meta=meta)
+        header = read_header(path)
+        assert header["format_version"] == 3 and header["meta"] == meta
+        v3 = ExtractorModel.load(str(path))
+        for stage in ("stage1", "stage2"):
+            old, new = getattr(v2, stage).params, getattr(v3, stage).params
+            assert new.layout == old.layout
+            for name in old:
+                assert new[name].tobytes() == old[name].tobytes(), (stage, name)
+        pred = self.extract(path, fixture_paths["corpus"], tmp_path / "pred.jsonl", "--multi")
+        assert pred == V1_PRED.read_bytes()
 
 
 class TestOracleCommand:

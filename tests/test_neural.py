@@ -1,5 +1,8 @@
 import base64
 import copy
+import io
+import json
+import pathlib
 import pickle
 
 import numpy as np
@@ -7,6 +10,8 @@ import pytest
 
 from tabevent import neural, oracle
 from tabevent.neural import AdamState, ModelConfig, Parameters, UNK
+
+DATA = pathlib.Path(__file__).resolve().parent / "data"
 
 
 def tiny_cfg(**kwargs):
@@ -32,6 +37,14 @@ class TestConfig:
     def test_roundtrip(self):
         cfg = tiny_cfg(keyarg_embed_dim=2, num_keyarg_labels=5)
         assert ModelConfig.from_dict(cfg.to_dict()) == cfg
+
+    @pytest.mark.parametrize("token_id", [-1, 4, 10**6])
+    def test_vocab_id_out_of_range(self, token_id):
+        rec = tiny_cfg().to_dict()
+        rec["vocab"] = {**rec["vocab"], "x": token_id}
+        del rec["vocab"]["c"]
+        with pytest.raises(ValueError, match=rf"vocab entry 'x' has id {token_id}, outside \[0, 4\)"):
+            ModelConfig.from_dict(rec)
 
     def test_token_id_falls_back_to_unk(self):
         cfg = tiny_cfg()
@@ -352,22 +365,39 @@ class TestParameters:
         assert all(not copied[name].any() for name in copied)
 
 
+def v2_tensors(params):
+    """A stage's `tensors` record of model format version 2, as its writer wrote it."""
+    return {
+        name: {"shape": list(arr.shape), "dtype": "<f8",
+               "data_b64": base64.b64encode(arr.astype("<f8").tobytes()).decode()}
+        for name, arr in sorted(params.items())
+    }
+
+
 def test_tensor_roundtrip():
-    cfg = tiny_cfg()
+    cfg = tiny_cfg(keyarg_embed_dim=2, num_keyarg_labels=5)
     params = neural.init_params(cfg, np.random.default_rng(10))
-    restored = neural.tensors_from_dict(neural.tensors_to_dict(params), cfg)
-    assert set(restored) == set(params)
-    assert all(np.array_equal(restored[k], params[k]) for k in params)
+    fh = io.BytesIO()
+    neural.write_flat(fh, params)
+    assert fh.getvalue() == params.flat.astype("<f8").tobytes()
+    fh.seek(0)
+    layout = [[name, list(shape)] for name, shape in params.layout]
+    restored = neural.read_flat(fh, layout, cfg)
+    assert restored.layout == params.layout and restored.flat.tobytes() == params.flat.tobytes()
+    assert all(np.shares_memory(restored[name], restored.flat) for name in restored)
+    from_v2 = neural.tensors_from_dict(v2_tensors(params), cfg)
+    assert from_v2.layout == params.layout and from_v2.flat.tobytes() == params.flat.tobytes()
 
 
 def test_tensor_record_is_base64_float64():
-    cfg = tiny_cfg()
-    params = neural.init_params(cfg, np.random.default_rng(10))
-    rec = neural.tensors_to_dict(params)
-    assert list(rec) == sorted(params)
-    entry = rec["proj.W"]
-    assert entry.keys() == {"shape", "dtype", "data_b64"} and entry["dtype"] == "<f8"
-    assert base64.b64decode(entry["data_b64"]) == params["proj.W"].astype("<f8").tobytes()
+    """The committed version-2 model holds the version-1 model's values as `<f8` base64."""
+    v1, v2 = (json.loads((DATA / f"model_v{k}.json").read_text()) for k in (1, 2))
+    for stage in ("stage1", "stage2"):
+        assert list(v2[stage]["tensors"]) == sorted(v1[stage]["tensors"])
+        for name, entry in v2[stage]["tensors"].items():
+            assert entry.keys() == {"shape", "dtype", "data_b64"} and entry["dtype"] == "<f8"
+            data = v1[stage]["tensors"][name]["data"]
+            assert base64.b64decode(entry["data_b64"]) == np.asarray(data, "<f8").tobytes()
 
 
 def drop_last_value(entry):
@@ -376,7 +406,7 @@ def drop_last_value(entry):
 
 def test_truncated_tensor_named():
     cfg = tiny_cfg(lstm_hidden=1)
-    rec = neural.tensors_to_dict(neural.init_params(cfg, np.random.default_rng(0)))
+    rec = v2_tensors(neural.init_params(cfg, np.random.default_rng(0)))
     drop_last_value(rec["proj.W"])
     with pytest.raises(ValueError, match="'proj.W' has 5 values for shape"):
         neural.tensors_from_dict(rec, cfg)
@@ -395,7 +425,7 @@ def test_truncated_tensor_named():
 )
 def test_bad_v2_tensor_named(edit, named):
     cfg = tiny_cfg(lstm_hidden=1)
-    rec = neural.tensors_to_dict(neural.init_params(cfg, np.random.default_rng(0)))
+    rec = v2_tensors(neural.init_params(cfg, np.random.default_rng(0)))
     edit(rec["proj.W"])
     with pytest.raises(ValueError, match=named):
         neural.tensors_from_dict(rec, cfg)

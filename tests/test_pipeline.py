@@ -22,7 +22,8 @@ from tabevent.pipeline import (
     train_pipeline,
 )
 
-V1_MODEL = pathlib.Path(__file__).resolve().parent / "data" / "model_v1.json"
+DATA = pathlib.Path(__file__).resolve().parent / "data"
+V1_MODEL, V2_MODEL = DATA / "model_v1.json", DATA / "model_v2.json"
 
 
 def make_schemas():
@@ -286,12 +287,13 @@ class TestTraining:
         assert len(nll) == 6
         assert all(a > b for a, b in zip(nll, nll[1:]))
 
-    def test_training_is_deterministic(self, fixture_dataset, fixture_schemas):
+    def test_training_is_deterministic(self, fixture_dataset, fixture_schemas, tmp_path):
         records, _ = fixture_dataset
         blobs = []
-        for _ in range(2):
+        for k in range(2):
             model, _ = train_pipeline(records, fixture_schemas, fast_settings(epochs=3))
-            blobs.append(json.dumps(model.to_dict(), sort_keys=True))
+            model.save(str(tmp_path / f"{k}.json"))
+            blobs.append((tmp_path / f"{k}.json").read_bytes())
         assert blobs[0] == blobs[1]
 
     def test_overfit_reproduces_nonkey_annotation(self, fixture_dataset, fixture_schemas, fixture_corpus):
@@ -326,8 +328,9 @@ class TestTraining:
         (["data_b64", "dtype", "shape", "tensors", "café", "東京", '", "data_b64": "', "}}"],
          {"seed": 0}),
     ], ids=["trained-meta", "trained-no-meta", "nested-non-ascii-meta", "field-names-in-vocab"])
-    def test_save_writes_json_dumps_bytes(self, tokens, meta, fixture_dataset, fixture_schemas,
-                                          tmp_path):
+    def test_save_writes_header_then_buffers(self, tokens, meta, fixture_dataset, fixture_schemas,
+                                             tmp_path):
+        """A header line of everything but the tensor data, then exactly the two `flat` buffers."""
         if tokens is None:
             records, _ = fixture_dataset
             model, _ = train_pipeline(records, fixture_schemas, fast_settings(epochs=1))
@@ -335,8 +338,23 @@ class TestTraining:
             model = untrained_model(tokens)
         path = tmp_path / "model.json"
         model.save(str(path), meta=meta)
-        payload = model.to_dict() if meta is None else {**model.to_dict(), "meta": meta}
-        assert path.read_bytes() == (json.dumps(payload) + "\n").encode("utf-8")
+        header = {"format_version": 3}
+        for stage in ("stage1", "stage2"):
+            tagger = getattr(model, stage)
+            header[stage] = {
+                "config": tagger.cfg.to_dict(),
+                "label_set": tagger.label_set.to_dict(),
+                "layout": [[name, list(arr.shape)] for name, arr in tagger.params.items()],
+            }
+        header["schemas"] = [model.schemas[t].to_dict() for t in sorted(model.schemas)]
+        if meta is not None:
+            header["meta"] = meta
+        assert [name for name, _ in header["stage1"]["layout"]][-1] == "crf.A"
+        assert path.read_bytes() == (
+            (json.dumps(header) + "\n").encode("ascii")
+            + model.stage1.params.flat.astype("<f8").tobytes()
+            + model.stage2.params.flat.astype("<f8").tobytes()
+        )
         assert os.listdir(tmp_path) == ["model.json"]
 
     @pytest.mark.parametrize("failure", ["meta-not-json", "interrupt-in-stage2-tensors"])
@@ -350,15 +368,15 @@ class TestTraining:
             meta["bad"] = object()
             expected = TypeError
         else:
-            encode, calls = neural.tensors_to_dict, []
+            write, calls = neural.write_flat, []
 
-            def interrupted(params):
+            def interrupted(fh, params):
                 calls.append(params)
                 if len(calls) == 2:
                     raise KeyboardInterrupt
-                return encode(params)
+                write(fh, params)
 
-            monkeypatch.setattr(neural, "tensors_to_dict", interrupted)
+            monkeypatch.setattr(neural, "write_flat", interrupted)
             expected = KeyboardInterrupt
         with pytest.raises(expected):
             untrained_model(["new"]).save(str(path), meta=meta)
@@ -377,6 +395,21 @@ class TestTraining:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * path.stat().st_size
+
+    def test_load_peak_memory_below_one_and_a_quarter_files(self, tmp_path):
+        """Tensor bytes are read into the parameter buffers themselves, with no text,
+        base64 or bytes copy of them, so a load holds little more than the file."""
+        model = untrained_model([f"w{k}" for k in range(500)], embed_dim=200, hidden=100)
+        path = tmp_path / "model.json"
+        model.save(str(path))
+        tracemalloc.start()
+        try:
+            loaded = ExtractorModel.load(str(path))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert loaded.stage2.params.flat.tobytes() == model.stage2.params.flat.tobytes()
+        assert peak < 1.25 * path.stat().st_size
 
     def test_load_rejects_unknown_version(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -479,13 +512,11 @@ class TestStage2InChild:
 
 
 class TestModelFileValidation:
+    """Edited copies of the committed version-2 model."""
+
     @pytest.fixture(scope="class")
-    def model_path(self, fixture_dataset, fixture_schemas, tmp_path_factory):
-        records, _ = fixture_dataset
-        model, _ = train_pipeline(records, fixture_schemas, fast_settings(epochs=1))
-        path = tmp_path_factory.mktemp("model") / "model.json"
-        model.save(str(path))
-        return path
+    def model_path(self):
+        return V2_MODEL
 
     def edited(self, model_path, tmp_path, edit):
         payload = json.loads(model_path.read_text())
@@ -538,12 +569,157 @@ class TestModelFileValidation:
             ExtractorModel.load(path)
 
     def test_unknown_version(self, model_path, tmp_path):
-        path = self.edited(model_path, tmp_path, lambda p: p.update(format_version=3))
-        with pytest.raises(ValueError, match="unsupported model format version 3"):
+        path = self.edited(model_path, tmp_path, lambda p: p.update(format_version=4))
+        with pytest.raises(ValueError, match="unsupported model format version 4"):
             ExtractorModel.load(path)
+
+    @pytest.mark.parametrize("version", [True, 1.0, 2.0, "2"])
+    def test_version_not_an_integer(self, model_path, tmp_path, version):
+        path = self.edited(model_path, tmp_path, lambda p: p.update(format_version=version))
+        with pytest.raises(ValueError, match=f"unsupported model format version {version!r}"):
+            ExtractorModel.load(path)
+
+    def test_data_after_document(self, model_path, tmp_path):
+        path = tmp_path / "edited.json"
+        path.write_bytes(model_path.read_bytes() + b"{}\n")
+        with pytest.raises(ValueError, match="data follows the JSON document"):
+            ExtractorModel.load(str(path))
+
+    def test_document_over_several_lines(self, model_path, tmp_path):
+        path = tmp_path / "indented.json"
+        path.write_text(json.dumps(json.loads(model_path.read_text()), indent=1))
+        model, again = ExtractorModel.load(str(model_path)), ExtractorModel.load(str(path))
+        for stage in ("stage1", "stage2"):
+            assert getattr(again, stage).params.flat.tobytes() == getattr(model, stage).params.flat.tobytes()
 
     def test_unexpected_tensor(self, model_path, tmp_path):
         def edit(payload):
             payload["stage2"]["tensors"]["extra"] = {"shape": [1], "data": [0.0]}
         with pytest.raises(ValueError, match="stage2: unexpected parameter 'extra'"):
             ExtractorModel.load(self.edited(model_path, tmp_path, edit))
+
+
+class TestModelFormatV3Validation:
+    """Edited copies of the committed version-2 model saved as version 3."""
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        return ExtractorModel.load(str(V2_MODEL))
+
+    @pytest.fixture(scope="class")
+    def model_path(self, model, tmp_path_factory):
+        path = tmp_path_factory.mktemp("model") / "model.json"
+        model.save(str(path))
+        return path
+
+    def edited(self, model_path, tmp_path, header=None, data=None):
+        """A copy with `header(dict)` applied to its header and `data(values)` to the
+        float64 values after it, both stages' in one array; `data` may return bytes."""
+        line, raw = model_path.read_bytes().split(b"\n", 1)
+        payload = json.loads(line)
+        if header:
+            header(payload)
+        values = np.frombuffer(raw, dtype="<f8").copy()
+        raw = data(values) if data else values
+        path = tmp_path / "edited.json"
+        path.write_bytes((json.dumps(payload) + "\n").encode() + bytes(raw))
+        return str(path)
+
+    def offset(self, model, stage, name):
+        """Index of tensor `name` of `stage` in the values after the header."""
+        start = 0 if stage == "stage1" else model.stage1.params.flat.size
+        for tensor, shape in getattr(model, stage).params.layout:
+            if tensor == name:
+                return start
+            start += int(np.prod(shape))
+        raise KeyError(name)
+
+    def test_loads_bit_identical(self, model, model_path):
+        loaded = ExtractorModel.load(str(model_path))
+        for stage in ("stage1", "stage2"):
+            old, new = getattr(model, stage), getattr(loaded, stage)
+            assert new.params.layout == old.params.layout
+            assert new.params.flat.tobytes() == old.params.flat.tobytes()
+            assert new.cfg == old.cfg and new.label_set == old.label_set
+        assert loaded.schemas == model.schemas
+
+    def test_header_not_json(self, model_path, tmp_path):
+        path = tmp_path / "edited.json"
+        path.write_bytes(b"{not json" + model_path.read_bytes().split(b"\n", 1)[1][:64])
+        with pytest.raises(ValueError, match=f"{path}: the model header is not JSON"):
+            ExtractorModel.load(str(path))
+
+    def test_empty_file(self, tmp_path):
+        path = tmp_path / "empty.json"
+        path.write_bytes(b"")
+        with pytest.raises(ValueError, match="the model header is not JSON: the file is empty"):
+            ExtractorModel.load(str(path))
+
+    def test_missing_layout(self, model_path, tmp_path):
+        path = self.edited(model_path, tmp_path, header=lambda p: p["stage2"].pop("layout"))
+        with pytest.raises(ValueError, match="stage2: missing field 'layout'"):
+            ExtractorModel.load(path)
+
+    def test_missing_tensor(self, model_path, tmp_path):
+        path = self.edited(model_path, tmp_path, header=lambda p: p["stage1"]["layout"].pop())
+        with pytest.raises(ValueError, match="stage1: missing parameter 'crf.A'"):
+            ExtractorModel.load(path)
+
+    def test_unexpected_tensor(self, model_path, tmp_path):
+        path = self.edited(model_path, tmp_path,
+                           header=lambda p: p["stage2"]["layout"].append(["extra", [1]]))
+        with pytest.raises(ValueError, match="stage2: unexpected parameter 'extra'"):
+            ExtractorModel.load(path)
+
+    def test_wrong_shape(self, model_path, tmp_path):
+        def edit(payload):
+            entry = next(e for e in payload["stage1"]["layout"] if e[0] == "proj.b")
+            entry[1] = [1, *entry[1]]
+        with pytest.raises(ValueError, match=r"stage1: parameter 'proj.b' has shape \(1, \d+\)"):
+            ExtractorModel.load(self.edited(model_path, tmp_path, header=edit))
+
+    def test_wrong_order(self, model_path, tmp_path):
+        def edit(payload):
+            layout = payload["stage2"]["layout"]
+            layout[0], layout[1] = layout[1], layout[0]
+        with pytest.raises(ValueError, match=r"stage2: the layout lists \['proj.W', 'embeddings'"):
+            ExtractorModel.load(self.edited(model_path, tmp_path, header=edit))
+
+    def test_repeated_tensor(self, model_path, tmp_path):
+        def edit(payload):
+            layout = payload["stage1"]["layout"]
+            layout.insert(0, [layout[-1][0], [0]])
+        with pytest.raises(ValueError, match=r"stage1: the layout lists \['crf.A', 'embeddings'"):
+            ExtractorModel.load(self.edited(model_path, tmp_path, header=edit))
+
+    def test_layout_entry_not_a_pair(self, model_path, tmp_path):
+        path = self.edited(model_path, tmp_path,
+                           header=lambda p: p["stage1"]["layout"].__setitem__(0, "embeddings"))
+        with pytest.raises(ValueError, match="stage1: 'layout' entry 'embeddings' is not a"):
+            ExtractorModel.load(path)
+
+    def test_data_ends_early_in_stage2(self, model_path, tmp_path):
+        path = self.edited(model_path, tmp_path, data=lambda v: v[:-1])
+        with pytest.raises(ValueError, match="stage2: tensor 'crf.A' ends early: .* 8 bytes"):
+            ExtractorModel.load(path)
+
+    def test_data_ends_early_in_stage1(self, model, model_path, tmp_path):
+        end = self.offset(model, "stage1", "proj.W") + 1
+        path = self.edited(model_path, tmp_path, data=lambda v: v[:end])
+        with pytest.raises(ValueError, match="stage1: tensor 'proj.W' ends early"):
+            ExtractorModel.load(path)
+
+    def test_trailing_bytes(self, model_path, tmp_path):
+        path = self.edited(model_path, tmp_path, data=lambda v: v.tobytes() + b"\n")
+        with pytest.raises(ValueError, match="stage2: data continues after tensor 'crf.A'"):
+            ExtractorModel.load(path)
+
+    @pytest.mark.parametrize("stage, name, value", [
+        ("stage1", "proj.b", float("nan")),
+        ("stage2", "lstm_bwd.U", float("-inf")),
+    ])
+    def test_non_finite_value(self, model, model_path, tmp_path, stage, name, value):
+        k = self.offset(model, stage, name)
+        path = self.edited(model_path, tmp_path, data=lambda v: v.__setitem__(k, value) or v)
+        with pytest.raises(ValueError, match=f"{stage}: tensor '{name}' has a non-finite value"):
+            ExtractorModel.load(path)
