@@ -19,23 +19,21 @@ def normalize_surface(surface: str) -> str:
 
 
 @dataclass(frozen=True)
-class Token:
-    index: int
-    surface: str
-    normalized: str = field(init=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "normalized", normalize_surface(self.surface))
-
-
-@dataclass(frozen=True)
 class ParsedSentence:
-    """A tokenized sentence with a dependency tree (root head = -1)."""
+    """A tokenized sentence with a dependency tree (root head = -1).
+
+    A token is known by its position: `surfaces` holds the tokens as
+    written and `normalized` their normalize_surface forms, computed once.
+    """
 
     id: str
-    tokens: tuple[Token, ...]
+    surfaces: tuple[str, ...]
     dep_head: tuple[int, ...]
     dep_label: tuple[str, ...] | None = None
+    normalized: tuple[str, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "normalized", tuple(map(normalize_surface, self.surfaces)))
 
     @classmethod
     def build(
@@ -45,24 +43,15 @@ class ParsedSentence:
         dep_head: Sequence[int],
         dep_label: Sequence[str] | None = None,
     ) -> "ParsedSentence":
-        tokens = tuple(Token(i, s) for i, s in enumerate(surfaces))
         return cls(
             id=sentence_id,
-            tokens=tokens,
-            dep_head=tuple(int(h) for h in dep_head),
+            surfaces=tuple(surfaces),
+            dep_head=tuple(map(int, dep_head)),
             dep_label=tuple(dep_label) if dep_label is not None else None,
         )
 
     def __len__(self) -> int:
-        return len(self.tokens)
-
-    @property
-    def surfaces(self) -> list[str]:
-        return [t.surface for t in self.tokens]
-
-    @property
-    def normalized(self) -> list[str]:
-        return [t.normalized for t in self.tokens]
+        return len(self.surfaces)
 
     def to_dict(self) -> dict:
         rec: dict = {
@@ -98,7 +87,7 @@ def validate_sentence(s: ParsedSentence) -> list[str]:
     defect (a cycle is a single violation naming its members).
     """
     violations: list[str] = []
-    n = len(s.tokens)
+    n = len(s)
     if len(s.dep_head) != n:
         violations.append(
             f"length: dep_head has {len(s.dep_head)} entries for {n} tokens"
@@ -108,9 +97,6 @@ def validate_sentence(s: ParsedSentence) -> list[str]:
         violations.append(
             f"length: dep_label has {len(s.dep_label)} entries for {n} tokens"
         )
-    for pos, tok in enumerate(s.tokens):
-        if tok.index != pos:
-            violations.append(f"index: token at position {pos} has index {tok.index}")
 
     roots = [i for i, h in enumerate(s.dep_head) if h == -1]
     if len(roots) != 1:

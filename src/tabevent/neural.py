@@ -18,6 +18,7 @@ Parameter names (all row-major when flattened to disk):
 from __future__ import annotations
 
 import base64
+import io
 import math
 from dataclasses import dataclass, fields
 from typing import BinaryIO, Mapping, Sequence
@@ -408,7 +409,8 @@ def read_flat(fh: BinaryIO, layout, cfg: ModelConfig) -> Parameters:
 
     A layout whose names, shapes or order differ from `expected_shapes(cfg)`, data
     that ends before the buffer is full, or a NaN or an infinity, is an error naming
-    the tensor.
+    the tensor. Data that the rest of `fh` cannot hold is found before the buffer is
+    allocated, so a header cannot make a small file claim a large allocation.
     """
     shapes = expected_shapes(cfg)
     for entry in _json_list(layout, "'layout'"):
@@ -425,19 +427,27 @@ def read_flat(fh: BinaryIO, layout, cfg: ModelConfig) -> Parameters:
             raise ValueError(f"parameter {name!r} has shape {got[name]}, expected {shape}")
     if [name for name, _ in layout] != list(shapes):
         raise ValueError(f"the layout lists {[name for name, _ in layout]}, expected {list(shapes)}")
+    here = fh.tell()
+    _check_fits(shapes, fh.seek(0, io.SEEK_END) - here)
+    fh.seek(here)
     flat = np.empty(sum(map(math.prod, shapes.values())), dtype=_DTYPE)
     view, done = memoryview(flat).cast("B"), 0
     while done < len(view) and (n := fh.readinto(view[done:])):
         done += n
+    _check_fits(shapes, done)
     params = _parameters_from_flat(flat.astype(np.float64, copy=False), tuple(shapes.items()), 0)
-    end = 0
-    for name, arr in params.items():
-        end += 8 * arr.size
-        if end > done:
-            raise ValueError(f"tensor {name!r} ends early: the data stops {end - done} bytes "
-                             f"short of its end")
     _check_finite(params)
     return params
+
+
+def _check_fits(shapes: Mapping[str, tuple[int, ...]], size: int) -> None:
+    """An error naming the first tensor, in buffer order, that `size` bytes cannot hold."""
+    end = 0
+    for name, shape in shapes.items():
+        end += 8 * math.prod(shape)
+        if end > size:
+            raise ValueError(f"tensor {name!r} ends early: the data stops {end - size} bytes "
+                             f"short of its end")
 
 
 def _check_finite(params: Parameters) -> None:

@@ -4,9 +4,10 @@ Key-argument selection scores each table property, keeps the top half plus
 the best time-related property, and a sentence becomes a positive instance
 of an entry when every key argument value (or alias) appears as a token
 span and all key spans sit within a bounded dependency distance of each
-other. Everything else feeds seeded negative sampling pools. A first-token
-index over every entry's patterns names the entries a sentence may express,
-so matching costs what the corpus's tokens hit, not |corpus| x |entries|.
+other. Everything else feeds seeded negative sampling pools. An index of
+every entry's patterns, keyed by their whole normalized token sequence,
+finds a sentence's matches in one pass over it, so matching costs what the
+corpus's tokens hit, not |corpus| x |entries|.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .core import (
     EventTable,
     ParsedSentence,
     TableEntry,
-    Token,
     _json_list,
     normalize_surface,
     read_jsonl,
@@ -238,38 +238,52 @@ def find_role_spans(
 ) -> dict[str, tuple[int, int]]:
     """Each property's longest, then leftmost, pattern occurrence in the sentence.
 
-    A pattern is tried only where its first token occurs, left to right;
-    an empty pattern matches nothing.
+    A pattern matches as an exact normalized token sequence; an empty
+    pattern matches nothing.
     """
-    return _role_spans(sentence.normalized, surfaces)
+    index, widths = _pattern_index([surfaces])
+    return _scan(sentence.normalized, index, widths).get(0, {})
 
 
-def _role_spans(
-    norm: list[str], surfaces: Mapping[str, Sequence[list[str]]]
-) -> dict[str, tuple[int, int]]:
-    """find_role_spans over the sentence's normalized tokens, so a caller normalizes once."""
-    spans: dict[str, tuple[int, int]] = {}
-    for prop, patterns in surfaces.items():
-        best: tuple[int, int] | None = None
-        for pattern in patterns:
-            width = len(pattern)
-            if not 0 < width <= len(norm):
-                continue
-            stop, start = len(norm) - width + 1, -1  # stop: one past the last start that fits
-            while True:
-                try:
-                    start = norm.index(pattern[0], start + 1, stop)
-                except ValueError:
-                    break
-                if norm[start:start + width] == pattern:
-                    if best is None or width > best[1] - best[0] or (
-                        width == best[1] - best[0] and start < best[0]
-                    ):
-                        best = (start, start + width)
-                    break  # leftmost occurrence of this pattern
-        if best is not None:
-            spans[prop] = best
-    return spans
+_PatternIndex = dict[tuple[str, ...], list[tuple[int, str]]]
+
+
+def _pattern_index(
+    pattern_sets: Iterable[Mapping[str, Sequence[list[str]]]],
+) -> tuple[_PatternIndex, list[int]]:
+    """Each pattern's token tuple -> the (position in `pattern_sets`, property)
+    pairs it belongs to, and the pattern widths in ascending order."""
+    index: _PatternIndex = {}
+    for k, patterns in enumerate(pattern_sets):
+        for prop, ps in patterns.items():
+            for pattern in ps:
+                if pattern:
+                    index.setdefault(tuple(pattern), []).append((k, prop))
+    return index, sorted({len(key) for key in index})
+
+
+def _scan(
+    norm: tuple[str, ...], index: _PatternIndex, widths: Sequence[int]
+) -> dict[int, dict[str, tuple[int, int]]]:
+    """One pass over a sentence's normalized tokens: per pattern set that matches,
+    each property's longest, then leftmost, span.
+
+    Starts run left to right and widths upwards, so a later span replaces a
+    kept one only when it is longer.
+    """
+    found: dict[int, dict[str, tuple[int, int]]] = {}
+    n = len(norm)
+    for start in range(n):
+        for width in widths:
+            end = start + width
+            if end > n:
+                break
+            for k, prop in index.get(norm[start:end], ()):
+                spans = found.setdefault(k, {})
+                kept = spans.get(prop)
+                if kept is None or width > kept[1] - kept[0]:
+                    spans[prop] = (start, end)
+    return found
 
 
 def span_head(sentence: ParsedSentence, span: tuple[int, int]) -> int:
@@ -286,59 +300,57 @@ def span_head(sentence: ParsedSentence, span: tuple[int, int]) -> int:
     return start
 
 
-def _depth_and_ancestors(sentence: ParsedSentence, node: int) -> list[int]:
-    chain = [node]
-    cur = node
-    n = len(sentence)
-    while sentence.dep_head[cur] != -1:
-        cur = sentence.dep_head[cur]
-        chain.append(cur)
-        if len(chain) > n:
-            raise ValueError(f"sentence {sentence.id}: dependency heads contain a cycle")
-    return chain
-
-
 def _check_parse(sentence: ParsedSentence) -> None:
     violations = validate_sentence(sentence)
     if violations:
         raise ValueError(f"sentence {sentence.id}: {violations[0]}")
 
 
-def dep_distance(sentence: ParsedSentence, span_a: tuple[int, int], span_b: tuple[int, int]) -> int:
-    """Minimal hop count between the head tokens of two spans."""
-    _check_parse(sentence)
-    return _hops(sentence, span_a, span_b)
+def _depth_and_ancestors(sentence: ParsedSentence, node: int) -> list[int]:
+    """`node` and its heads up to the root. A walk that leaves the sentence or
+    goes round a cycle raises the parse's first violation."""
+    chain = [node]
+    heads, n = sentence.dep_head, len(sentence)
+    cur = heads[node]
+    while cur != -1:
+        if not 0 <= cur < n or len(chain) == n:
+            _check_parse(sentence)
+            raise ValueError(f"sentence {sentence.id}: dependency heads contain a cycle")
+        chain.append(cur)
+        cur = heads[cur]
+    return chain
 
 
-def _hops(sentence: ParsedSentence, span_a: tuple[int, int], span_b: tuple[int, int]) -> int:
-    """dep_distance on a sentence whose parse is known to be valid."""
-    a = span_head(sentence, span_a)
-    b = span_head(sentence, span_b)
-    chain_a = _depth_and_ancestors(sentence, a)
-    depth_a = {node: i for i, node in enumerate(chain_a)}
-    chain_b = _depth_and_ancestors(sentence, b)
-    for hops_b, node in enumerate(chain_b):
+def _common_ancestor(sentence: ParsedSentence, a: int, b: int) -> tuple[int, int]:
+    """The lowest common ancestor of tokens a and b, and the hops from a to b through it."""
+    depth_a = {node: i for i, node in enumerate(_depth_and_ancestors(sentence, a))}
+    for hops_b, node in enumerate(_depth_and_ancestors(sentence, b)):
         if node in depth_a:
-            return depth_a[node] + hops_b
+            return node, depth_a[node] + hops_b
+    _check_parse(sentence)
     raise ValueError(f"sentence {sentence.id}: no common ancestor found")
+
+
+def dep_distance(sentence: ParsedSentence, span_a: tuple[int, int], span_b: tuple[int, int]) -> int:
+    """Minimal hop count between the head tokens of two spans.
+
+    The parse should be one that validate_sentence accepts; a walk that fails
+    on it raises the parse's first violation.
+    """
+    return _common_ancestor(sentence, span_head(sentence, span_a), span_head(sentence, span_b))[1]
 
 
 def trigger_candidate(
     sentence: ParsedSentence, key_spans: Sequence[tuple[int, int]]
-) -> Token:
-    """Least common ancestor token of all key-argument span heads."""
+) -> int:
+    """Position of the least common ancestor of all key-argument span heads."""
     if not key_spans:
         raise ValueError("need at least one key span")
     heads = [span_head(sentence, span) for span in key_spans]
     lca = heads[0]
     for node in heads[1:]:
-        chain = _depth_and_ancestors(sentence, lca)
-        positions = {n: i for i, n in enumerate(chain)}
-        cur = node
-        while cur not in positions:
-            cur = sentence.dep_head[cur]
-        lca = cur
-    return sentence.tokens[lca]
+        lca = _common_ancestor(sentence, lca, node)[0]
+    return lca
 
 
 @dataclass
@@ -385,9 +397,11 @@ def label_sentence(
 
     Positive iff all key arguments matched and every key-span pair lies
     within max_dep_distance hops; otherwise a negative with the reason
-    recorded. Overlapping spans keep the higher-importance role.
+    recorded. Overlapping spans keep the higher-importance role. The parse is
+    not validated up front (generate_dataset checks every parse once), but a
+    dependency walk that fails on it raises the parse's first violation.
     """
-    if not matches:  # most candidate entries: nothing to claim, nothing to log
+    if not matches:  # nothing to claim, nothing to log
         return LabeledInstance(sentence.id, schema.event_type, "", False, "trivial")
     kept_spans, dropped = _claim_free_spans(
         (p, *matches[p]) for p in _by_importance(schema.importance, matches)
@@ -419,9 +433,8 @@ def label_sentence(
         return negative("partial")
 
     key_spans = [kept[p] for p in sorted(schema.key_args)]
-    _check_parse(sentence)
     pairs = itertools.combinations(key_spans, 2)
-    max_distance = max((_hops(sentence, a, b) for a, b in pairs), default=0)
+    max_distance = max((dep_distance(sentence, a, b) for a, b in pairs), default=0)
     if cfg.max_dep_distance is not None and max_distance > cfg.max_dep_distance:
         return negative("distance", max_distance)
 
@@ -460,7 +473,7 @@ def _merge_positive_instances(
     )
     return {
         "sentence_id": sentence.id,
-        "tokens": sentence.surfaces,
+        "tokens": list(sentence.surfaces),
         "labels": tags_from_spans(len(sentence), kept),
         "event_types": sorted({inst.event_type for inst in instances}),
         "polarity": "positive",
@@ -470,34 +483,23 @@ def _merge_positive_instances(
 def _indexed_matcher(
     tables: Sequence[EventTable], cfg: GenerationConfig
 ) -> Callable[[ParsedSentence], list[tuple[EventTable, TableEntry, dict[str, tuple[int, int]]]]]:
-    """A run's matcher: a sentence's matched spans for each entry it may express.
+    """A run's matcher: each entry a sentence matches, with its matched spans.
 
-    Builds every entry's patterns, inverting the alias map once, and a
-    first-token index from each pattern's first token to the entries
-    (by position, since entry ids need not be unique) with such a pattern.
-    A sentence's candidates are the entries its tokens hit, in (table,
-    entry) order. An entry with no hit matches nothing, so skipping it
-    skips only a `trivial` negative without diagnostics.
+    Builds every entry's patterns, inverting the alias map once, and one
+    index of all of them, by (table, entry) position since entry ids need
+    not be unique. A sentence is scanned once; the entries with a span come
+    back in (table, entry) order. An entry with no span is never labelled,
+    which skips only a `trivial` negative without diagnostics.
     """
     redirects = _redirects(cfg.alias_map)
-    entries: list[tuple[EventTable, TableEntry, dict[str, list[list[str]]]]] = []
-    index: dict[str, list[int]] = {}
-    for table in tables:
-        for entry in table.entries:
-            patterns = _entry_surfaces(entry, cfg.alias_map, redirects)
-            for token in {p[0] for ps in patterns.values() for p in ps}:
-                index.setdefault(token, []).append(len(entries))
-            entries.append((table, entry, patterns))
+    entries = [(table, entry) for table in tables for entry in table.entries]
+    index, widths = _pattern_index(
+        _entry_surfaces(entry, cfg.alias_map, redirects) for _, entry in entries
+    )
 
     def match(sentence: ParsedSentence) -> list:
-        norm = sentence.normalized
-        hits: set[int] = set()
-        for token in set(norm):
-            hits.update(index.get(token, ()))
-        return [
-            (table, entry, _role_spans(norm, patterns))
-            for table, entry, patterns in (entries[k] for k in sorted(hits))
-        ]
+        found = _scan(sentence.normalized, index, widths)
+        return [(*entries[k], found[k]) for k in sorted(found)]
 
     return match
 
@@ -509,7 +511,7 @@ def generate_dataset(
     strategy: Strategy = Strategy.IMP_TIME,
     seed: int = 0,
 ) -> tuple[list[dict], dict]:
-    """Match and label every sentence against the entries its tokens hit.
+    """Label every sentence against each table entry it matches.
 
     Emits every positive record plus negatives: all trivial negatives and
     seeded samples from the partial-match and distance-violation pools,
@@ -543,9 +545,9 @@ def generate_dataset(
             if inst.positive:
                 instances.append(inst)
                 key_spans = [inst.spans[p] for p in sorted(schema.key_args)]
-                token = trigger_candidate(sentence, key_spans)
+                token = sentence.normalized[trigger_candidate(sentence, key_spans)]
                 per_type = trigger_counts.setdefault(table.event_type, {})
-                per_type[token.normalized] = per_type.get(token.normalized, 0) + 1
+                per_type[token] = per_type.get(token, 0) + 1
             else:
                 cand = (inst.reason or "trivial", inst.max_key_distance)
                 if best_reason is None or reason_rank[cand[0]] < reason_rank[best_reason[0]]:
@@ -582,7 +584,7 @@ def generate_dataset(
             reason, max_distance = sentence_reason[sentence.id]
             rec = {
                 "sentence_id": sentence.id,
-                "tokens": sentence.surfaces,
+                "tokens": list(sentence.surfaces),
                 "labels": [OUTSIDE] * len(sentence),
                 "event_types": [],
                 "polarity": "negative",
@@ -654,7 +656,8 @@ def dataset_report(records: Sequence[Mapping], name: str = "dataset") -> dict:
 
 
 def read_dataset(path: str) -> list[dict]:
-    """Dataset records; `tokens` and `labels` are lists of strings of one length."""
+    """Dataset records; `tokens` and `labels` are lists of strings of one length,
+    `event_types`, when present, is a list of strings and `polarity` a string."""
     records = list(read_jsonl(path))
     for rec in records:
         where = f"{path}: record {rec.get('sentence_id')!r}"
@@ -667,7 +670,11 @@ def read_dataset(path: str) -> list[dict]:
             raise ValueError(f"{where}: 'tokens' is empty")
         if len(rec["labels"]) != len(rec["tokens"]):
             raise ValueError(f"{where}: {len(rec['labels'])} labels for {len(rec['tokens'])} tokens")
-        _json_list(rec.get("event_types", []), f"{where}: 'event_types'")
+        types = _json_list(rec.get("event_types", []), f"{where}: 'event_types'")
+        if not all(isinstance(t, str) for t in types):
+            raise ValueError(f"{where}: 'event_types' needs a list of strings")
+        if not isinstance(rec.get("polarity", ""), str):
+            raise ValueError(f"{where}: 'polarity' needs a string, got {type(rec['polarity']).__name__}")
     return records
 
 

@@ -340,6 +340,12 @@ class TestPipelineCommands:
             ("dataset", lambda lines: lines[2].update(event_types="film"),
              "record 'S2': 'event_types' needs a list, got str"),
             ("dataset", lambda lines: lines[2]["labels"].pop(), "record 'S2': 13 labels for 14 tokens"),
+            ("report", lambda lines: lines[2]["event_types"].append(None),
+             "record 'S2': 'event_types' needs a list of strings"),
+            ("dataset", lambda lines: lines[2]["event_types"].append(["film"]),
+             "record 'S2': 'event_types' needs a list of strings"),
+            ("dataset", lambda lines: lines[2].update(polarity=1),
+             "record 'S2': 'polarity' needs a string, got int"),
             ("model", lambda m: m["stage1"]["config"].update(num_labels=None),
              "stage1: 'num_labels' needs an integer, got NoneType"),
             ("model", lambda m: m["schemas"][0]["importance"].update(date=[1]),
@@ -370,7 +376,8 @@ class TestPipelineCommands:
              "model-stage-int", "model-schema-int", "model-label-set-int", "model-vocab-list",
              "corpus-list", "corpus-int-tokens", "corpus-string-tokens", "corpus-int-heads",
              "corpus-string-head", "dataset-labels", "dataset-string-tokens",
-             "dataset-string-types", "dataset-short-labels", "model-null-num-labels",
+             "dataset-string-types", "dataset-short-labels", "dataset-null-type",
+             "dataset-list-type", "dataset-int-polarity", "model-null-num-labels",
              "model-list-importance", "corpus-empty-sentence", "dataset-empty-record",
              "model-nan-tensor", "tables-repeated-type", "model-vocab-id-large",
              "model-vocab-id-negative", "model-type-without-schema", "model-version-bool",
@@ -386,7 +393,7 @@ class TestPipelineCommands:
             edit(payload)
             bad.write_text(json.dumps(payload))
         else:
-            source = dataset if kind == "dataset" else fixture_paths["corpus"]
+            source = dataset if kind in ("dataset", "report") else fixture_paths["corpus"]
             with open(source, "r", encoding="utf-8") as fh:
                 lines = [json.loads(line) for line in fh]
             edit(lines)
@@ -397,6 +404,7 @@ class TestPipelineCommands:
             "tables": ["gen", "--tables", str(bad), "--corpus", corpus],
             "corpus": ["gen", "--tables", tables, "--corpus", str(bad)],
             "dataset": ["train", "--dataset", str(bad), "--tables", tables, "--epochs", "1"],
+            "report": ["report", "--dataset", str(bad)],
         }[kind]
         assert run([*argv, "--out", str(out)]) == 1
         err = capsys.readouterr().err

@@ -26,8 +26,9 @@ def test_normalize_surface():
 
 def test_token_normalized_is_derived():
     s = ParsedSentence.build("x", ["Hello", "World"], [1, -1])
-    assert [t.normalized for t in s.tokens] == ["hello", "world"]
-    assert [t.index for t in s.tokens] == [0, 1]
+    assert s.surfaces == ("Hello", "World")
+    assert s.normalized == ("hello", "world")
+    assert len(s) == 2
 
 
 class TestValidateSentence:
@@ -52,11 +53,7 @@ class TestValidateSentence:
         assert any("out-of-range" in v for v in validate_sentence(s))
 
     def test_length_mismatch(self):
-        s = ParsedSentence(
-            id="x",
-            tokens=ParsedSentence.build("x", ["a", "b"], [-1, 0]).tokens,
-            dep_head=(-1,),
-        )
+        s = ParsedSentence(id="x", surfaces=("a", "b"), dep_head=(-1,))
         assert any("length" in v for v in validate_sentence(s))
 
     def test_self_loop_is_a_cycle(self):

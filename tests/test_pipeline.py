@@ -709,6 +709,24 @@ class TestModelFormatV3Validation:
         with pytest.raises(ValueError, match="stage1: tensor 'proj.W' ends early"):
             ExtractorModel.load(path)
 
+    def test_small_file_declaring_large_tensors(self, model_path, tmp_path):
+        """A header that declares gigabytes is refused, by tensor name, before the
+        buffer is allocated."""
+        def edit(payload):
+            stage = payload["stage1"]
+            stage["config"]["lstm_hidden"] = 20_000
+            shapes = neural.expected_shapes(neural.ModelConfig.from_dict(stage["config"]))
+            stage["layout"] = [[name, list(shape)] for name, shape in shapes.items()]
+        path = self.edited(model_path, tmp_path, header=edit)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="stage1: tensor 'proj.W' ends early"):
+                ExtractorModel.load(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 50 * 2**20
+
     def test_trailing_bytes(self, model_path, tmp_path):
         path = self.edited(model_path, tmp_path, data=lambda v: v.tobytes() + b"\n")
         with pytest.raises(ValueError, match="stage2: data continues after tensor 'crf.A'"):

@@ -228,6 +228,18 @@ class TestDepDistance:
         with pytest.raises(ValueError):
             dep_distance(s, (0, 1), (1, 2))
 
+    @pytest.mark.parametrize("heads, violation", [
+        ([1, 0, -1], "cycle: tokens [0, 1]"),
+        ([-1, 5, 0], "head: token 1 has out-of-range head 5"),
+        ([-1, -3, 0], "head: token 1 has out-of-range head -3"),
+        ([-1, -1, 0], "root: expected exactly one root"),
+    ])
+    def test_failed_walk_names_the_violation(self, heads, violation):
+        s = ParsedSentence.build("x", ["a", "b", "c"], heads)
+        with pytest.raises(ValueError) as exc:
+            dep_distance(s, (0, 1), (1, 2))
+        assert str(exc.value).startswith(f"sentence x: {violation}")
+
     def test_span_head_fallback_leftmost(self):
         # both tokens point outside the span: fall back to the left edge
         s = ParsedSentence.build("x", ["a", "b", "c"], [-1, 0, 0])
@@ -237,16 +249,16 @@ class TestDepDistance:
 class TestTriggerCandidate:
     def test_common_verb(self, fixture_corpus):
         s1 = fixture_corpus[0]
-        tok = trigger_candidate(s1, [(0, 2), (5, 7), (8, 9)])
-        assert tok.surface == "sold"
+        head = trigger_candidate(s1, [(0, 2), (5, 7), (8, 9)])
+        assert s1.surfaces[head] == "sold"
 
     def test_single_span_is_own_head(self, fixture_corpus):
         s1 = fixture_corpus[0]
-        assert trigger_candidate(s1, [(0, 2)]).index == 1
+        assert trigger_candidate(s1, [(0, 2)]) == 1
 
     def test_root_when_nothing_shared(self):
         s = ParsedSentence.build("x", ["l", "root", "r"], [1, -1, 1])
-        assert trigger_candidate(s, [(0, 1), (2, 3)]).index == 1
+        assert trigger_candidate(s, [(0, 1), (2, 3)]) == 1
 
 
 class TestLabelSentence:
@@ -463,7 +475,7 @@ def reference_entry_surfaces(entry, alias_map):
 
 
 def reference_find_role_spans(sentence, surfaces):
-    norm = sentence.normalized
+    norm = list(sentence.normalized)
     spans = {}
     for prop, patterns in surfaces.items():
         best = None
@@ -586,6 +598,78 @@ class TestIndexedMatching:
         assert find_role_spans(s, {"p": [["new", "york"], ["york", "new"]]}) == {"p": (1, 3)}
         assert find_role_spans(s, {"p": [["new", "york", "new", "new", "york"]]}) == {}
         assert find_role_spans(s, {"p": [[]]}) == {}
+
+    @staticmethod
+    def spans(monkeypatch, tables, sentences, alias_map=None):
+        """Each (entry, sentence)'s spans, in table, entry and sentence order, after
+        checking them against the reference and the run against the all-pairs one."""
+        cfg = GenerationConfig(max_dep_distance=None, alias_map=alias_map or {})
+        corpus = [
+            ParsedSentence.build(f"s{i}", tokens, [-1, *range(len(tokens) - 1)])
+            for i, tokens in enumerate(sentences)
+        ]
+        found = []
+        for table in tables:
+            for entry in table.entries:
+                patterns = entry_surfaces(entry, cfg.alias_map)
+                for sentence in corpus:
+                    found.append(find_role_spans(sentence, patterns))
+                    assert found[-1] == reference_find_role_spans(sentence, patterns)
+        got = generate_dataset(tables, corpus, cfg, Strategy.ALL, 0)
+        monkeypatch.setattr(supervision, "_indexed_matcher", all_pairs_matcher)
+        assert got == generate_dataset(tables, corpus, cfg, Strategy.ALL, 0)
+        return found
+
+    def test_widths_overlapping_at_one_start_and_at_different_starts(self, monkeypatch):
+        entry = TableEntry("e", {
+            "a": ("new", "New York", "new york city"), "b": ("York", "York City", "city"),
+        })
+        found = self.spans(monkeypatch, [EventTable("t", ("a", "b"), (), (entry,))], [
+            ["in", "New", "York", "City", "and", "new", "york"],
+            ["new", "york", "new"],
+        ])
+        assert found == [{"a": (1, 4), "b": (2, 4)}, {"a": (0, 2), "b": (1, 2)}]
+
+    def test_one_pattern_under_two_properties_and_two_entries(self, monkeypatch):
+        first = EventTable("t1", ("a", "b"), (), (
+            TableEntry("e1", {"a": ("Acme",), "b": ("Acme", "Bob")}),
+            TableEntry("e2", {"a": ("ACME",)}),
+        ))
+        second = EventTable("t2", ("x",), (), (TableEntry("e3", {"x": ("acme",)}),))
+        found = self.spans(monkeypatch, [first, second], [["Bob", "met", "Acme"], ["acme"]])
+        assert found == [
+            {"a": (2, 3), "b": (0, 1)}, {"a": (0, 1), "b": (0, 1)},
+            {"a": (2, 3)}, {"a": (0, 1)},
+            {"x": (2, 3)}, {"x": (0, 1)},
+        ]
+
+    def test_pattern_longer_than_the_sentence(self, monkeypatch):
+        entry = TableEntry("e", {"a": ("one two three four", "two"), "b": ("one two three four",)})
+        found = self.spans(monkeypatch, [EventTable("t", ("a", "b"), (), (entry,))], [
+            ["one", "two", "three"], ["four"],
+        ])
+        assert found == [{"a": (1, 2)}, {}]
+
+    def test_alias_longer_than_its_canonical_value(self, monkeypatch):
+        aliases = {"international business machines": "ibm", "big blue": "ibm"}
+        entry = TableEntry("e", {"buyer": ("IBM",), "date": ("2004",)})
+        found = self.spans(monkeypatch, [EventTable("t", ("buyer", "date"), (), (entry,))], [
+            ["International", "Business", "Machines", "bought", "IBM", "in", "2004"],
+            ["IBM", "is", "Big", "Blue"],
+            ["Business", "Machines", "2004"],
+        ], aliases)
+        assert found == [{"buyer": (0, 3), "date": (6, 7)}, {"buyer": (2, 4)}, {"date": (2, 3)}]
+
+    def test_token_repeated_many_times(self, monkeypatch):
+        entry = TableEntry("e", {"a": ("new new new", "new york"), "b": ("new",), "c": ("york",)})
+        found = self.spans(monkeypatch, [EventTable("t", ("a", "b", "c"), (), (entry,))], [
+            ["new"] * 40 + ["york"], ["new"] * 2 + ["york"], ["new"] * 40,
+        ])
+        assert found == [
+            {"a": (0, 3), "b": (0, 1), "c": (40, 41)},
+            {"a": (1, 3), "b": (0, 1), "c": (2, 3)},
+            {"a": (0, 3), "b": (0, 1)},
+        ]
 
 
 class TestBitIdentity:
