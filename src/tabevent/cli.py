@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import json
 import sys
 import time
@@ -48,6 +49,15 @@ def _write_manifest(
     with open(out_path + ".manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2)
         fh.write("\n")
+
+
+@contextlib.contextmanager
+def _naming(path: str):
+    """Put `path` in front of a ValueError raised inside."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _apply_config(args: argparse.Namespace, parser_defaults: dict) -> argparse.Namespace:
@@ -98,9 +108,13 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         violation_negative_ratio=args.violation_ratio,
         alias_map=alias_map,
     )
-    records, report = supervision.generate_dataset(
-        tables, corpus, cfg, strategy=Strategy(args.strategy), seed=args.seed
-    )
+    strategy = Strategy(args.strategy)
+    # Schemas are selected first so that a fault of the tables names their file;
+    # the generator's own checks then concern the corpus.
+    with _naming(args.tables):
+        supervision.select_schemas(tables, strategy)
+    with _naming(args.corpus):
+        records, report = supervision.generate_dataset(tables, corpus, cfg, strategy=strategy, seed=args.seed)
     header = _header(args.seed, "gen")
     supervision.write_dataset(args.out, records, header=header)
     outputs = [args.out]
@@ -164,11 +178,11 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         schemas = _schemas(args)
     else:
         raise ValueError("eval needs --model or --tables to know the key arguments")
-    pred = list(read_jsonl(args.pred))
-    gold = list(read_jsonl(args.gold))
-    if gold and "labels" in gold[0]:
-        gold = [evaluation.mentions_from_record(rec, schemas) for rec in gold]
-    metrics = evaluation.score_all_standards(pred, gold, schemas)
+    gold = read_jsonl(args.gold)
+    if "labels" in next(read_jsonl(args.gold), {}):
+        gold = [evaluation.mentions_from_record(rec, schemas) for rec in supervision.read_dataset(args.gold)]
+    events = evaluation._aligned(read_jsonl(args.pred), gold, (args.pred, args.gold))
+    metrics = evaluation._score_all(*events, schemas)
     _write_json(args.out, metrics, _header(None, "eval"))
     inputs = {"pred": args.pred, "gold": args.gold}
     _write_manifest(args.out, "eval", inputs, [args.out], None, t0)
@@ -197,7 +211,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     rows = []
     for path in args.dataset:
         records = supervision.read_dataset(path)
-        rows.append(evaluation.dataset_report(records, name=path))
+        rows.append(supervision.dataset_report(records, name=path))
     payload = {"datasets": rows}
     _write_json(args.out, payload, _header(None, "report"))
     _write_manifest(args.out, "report", {"datasets": args.dataset}, [args.out], None, t0)
@@ -256,9 +270,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--config")
-    p.add_argument("--decoder", choices=["viterbi", "ilp"])
-    p.add_argument("--multi", action="store_true",
-                   help="enumerate multiple typed events per sentence")
+    decoders = p.add_mutually_exclusive_group()
+    decoders.add_argument("--decoder", choices=["viterbi", "ilp"])
+    decoders.add_argument("--multi", action="store_true",
+                          help="enumerate multiple typed events per sentence")
     p.add_argument("--lambda-factor", dest="lambda_factor", type=float)
     p.add_argument("--max-solutions", dest="max_solutions", type=int)
     p.set_defaults(func=_cmd_extract, defaults=EXTRACT_DEFAULTS)

@@ -14,8 +14,13 @@ OUTSIDE = "O"
 
 
 def normalize_surface(surface: str) -> str:
-    """Case-fold and collapse internal whitespace. No stemming."""
-    return " ".join(surface.casefold().split())
+    """Case-fold and collapse internal whitespace. No stemming.
+
+    A surface already in normal form is returned itself, so a sentence holds
+    one string for both forms of such a token.
+    """
+    norm = " ".join(surface.casefold().split())
+    return surface if norm == surface else norm
 
 
 @dataclass(frozen=True)
@@ -105,39 +110,22 @@ def validate_sentence(s: ParsedSentence) -> list[str]:
         if h < -1 or h >= n:
             violations.append(f"head: token {i} has out-of-range head {h}")
 
-    # Walk each token towards the root; any revisit on the current walk is a
-    # new cycle, reported once with all of its members.
-    OK, ON_CYCLE, UNSEEN = 1, 2, 0
-    status = [UNSEEN] * n
+    # Walk each token towards the root, marking the tokens with the walk's
+    # start, until the walk leaves the sentence or meets a marked token. A
+    # walk that meets its own marks has found a new cycle, reported once with
+    # all of its members.
+    heads = s.dep_head
+    walk = [-1] * n
     for start in range(n):
-        if status[start] != UNSEEN:
-            continue
-        path: list[int] = []
-        seen_at: dict[int, int] = {}
         cur = start
-        while True:
-            if cur == -1:
-                for p in path:
-                    status[p] = OK
-                break
-            if cur < 0 or cur >= n:
-                for p in path:
-                    status[p] = OK  # out-of-range already reported above
-                break
-            if status[cur] != UNSEEN:
-                mark = status[cur]
-                for p in path:
-                    status[p] = mark if mark == ON_CYCLE else OK
-                break
-            if cur in seen_at:
-                members = sorted(path[seen_at[cur]:])
-                violations.append(f"cycle: tokens {members} form a dependency cycle")
-                for p in path:
-                    status[p] = ON_CYCLE
-                break
-            seen_at[cur] = len(path)
-            path.append(cur)
-            cur = s.dep_head[cur]
+        while 0 <= cur < n and walk[cur] == -1:
+            walk[cur] = start
+            cur = heads[cur]
+        if 0 <= cur < n and walk[cur] == start:
+            members = [cur]
+            while heads[members[-1]] != cur:
+                members.append(heads[members[-1]])
+            violations.append(f"cycle: tokens {sorted(members)} form a dependency cycle")
     return violations
 
 
@@ -152,6 +140,13 @@ def _json_object(value, what: str) -> Mapping:
     """`value` if it is a JSON object, else an error naming `what`."""
     if not isinstance(value, Mapping):
         raise ValueError(f"{what} needs an object, got {type(value).__name__}")
+    return value
+
+
+def _json_str(value, what: str) -> str:
+    """`value` if it is a JSON string, else an error naming `what`."""
+    if not isinstance(value, str):
+        raise ValueError(f"{what} needs a string, got {type(value).__name__}")
     return value
 
 

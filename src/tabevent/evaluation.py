@@ -4,18 +4,21 @@ Three standards of increasing strictness over (sentence, event) records:
 event classification (type present in the sentence), key argument
 detection (type plus exact key-argument spans), and all argument detection
 (type plus the full argument set, exactly). Span matching is exact
-[start, end); multiple events of the same type in one sentence pair up
-greedily by maximal argument overlap, one-to-one.
+[start, end). Each standard is a key per event, and a predicted event is
+correct when it pairs one-to-one with a gold event of the same sentence and
+key. Pairs form only between equal keys, so the most pairs a sentence has is
+the size of the multiset intersection of its predicted and gold keys; that
+count is what is scored. Dataset reports live in `supervision`.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from collections import Counter
+from typing import Callable, Iterable, Mapping, Sequence
 
-from .core import EventSchema, spans_from_tags
-from .supervision import dataset_report, split_role  # dataset_report is re-exported
+from .core import EventSchema, _json_int, _json_list, _json_object, _json_str, spans_from_tags
 
-ArgSet = frozenset[tuple[str, tuple[int, int]]]
+Event = tuple[str, frozenset[tuple[str, tuple[int, int]]]]
 
 
 def _prf(correct: int, predicted: int, gold: int) -> dict:
@@ -29,118 +32,90 @@ def _prf(correct: int, predicted: int, gold: int) -> dict:
     return {"precision": precision, "recall": recall, "f1": f1}
 
 
-def _index_records(records: Sequence[Mapping], which: str) -> dict[str, Mapping]:
-    indexed: dict[str, Mapping] = {}
-    for rec in records:
-        sid = rec["sentence_id"]
-        if sid in indexed:
-            raise ValueError(f"duplicate {which} record for sentence {sid!r}")
-        indexed[sid] = rec
-    return indexed
+def _argument(arg, at: str) -> tuple[str, tuple[int, int]]:
+    arg = _json_object(arg, f"{at}: argument")
+    role = _json_str(arg.get("role"), f"{at}: 'role'")
+    span = _json_list(arg.get("span"), f"{at}: 'span'")
+    if len(span) != 2:
+        raise ValueError(f"{at}: 'span' needs [start, end], got {len(span)} values")
+    return role, (_json_int(span[0], f"{at}: 'span'"), _json_int(span[1], f"{at}: 'span'"))
 
 
-def _check_alignment(pred: Sequence[Mapping], gold: Sequence[Mapping]) -> tuple[dict, dict]:
-    pred_idx = _index_records(pred, "prediction")
-    gold_idx = _index_records(gold, "gold")
-    stray = set(pred_idx) - set(gold_idx)
-    if stray:
-        raise ValueError(
-            f"predictions for sentences absent from the gold set: {sorted(stray)[:5]}"
-        )
-    return pred_idx, gold_idx
+def _events_by_sentence(records: Iterable[Mapping], where: str) -> dict[str, list[Event]]:
+    """Each record's events as (type, {(role, (start, end))}), keyed by sentence id.
 
-
-def _events_of(rec: Mapping | None) -> list[tuple[str, ArgSet]]:
-    if rec is None:
-        return []
-    events = []
-    for ev in rec.get("events", []):
-        args = frozenset(
-            (a["role"], (int(a["span"][0]), int(a["span"][1])))
-            for a in ev.get("arguments", [])
-        )
-        events.append((str(ev["event_type"]), args))
+    An error names `where`, the record (its sentence id, or its position when
+    the id is bad) and the field.
+    """
+    events: dict[str, list[Event]] = {}
+    for pos, rec in enumerate(records):
+        rec = _json_object(rec, f"{where}: record {pos}")
+        sid = _json_str(rec.get("sentence_id"), f"{where}: record {pos}: 'sentence_id'")
+        at = f"{where}: record {sid!r}"
+        if sid in events:
+            raise ValueError(f"{where}: duplicate record for sentence {sid!r}")
+        events[sid] = []
+        for ev in _json_list(rec.get("events"), f"{at}: 'events'"):
+            ev = _json_object(ev, f"{at}: event")
+            event_type = _json_str(ev.get("event_type"), f"{at}: 'event_type'")
+            arguments = _json_list(ev.get("arguments", []), f"{at}: 'arguments'")
+            events[sid].append((event_type, frozenset(_argument(a, at) for a in arguments)))
     return events
 
 
-def score_event_classification(
-    pred: Sequence[Mapping], gold: Sequence[Mapping]
+def _aligned(
+    pred: Iterable[Mapping], gold: Iterable[Mapping], where: tuple[str, str] = ("predictions", "gold")
+) -> tuple[dict[str, list[Event]], dict[str, list[Event]]]:
+    """Both sides read; every predicted sentence must be a gold one."""
+    pred_events, gold_events = _events_by_sentence(pred, where[0]), _events_by_sentence(gold, where[1])
+    stray = sorted(pred_events.keys() - gold_events.keys())
+    if stray:
+        raise ValueError(f"{where[0]}: predictions for sentences absent from the gold set: {stray[:5]}")
+    return pred_events, gold_events
+
+
+Keys = Callable[[list[Event]], Iterable[tuple[str, object]]]
+
+
+def _standards(schemas: Mapping[str, EventSchema]) -> dict[str, Keys]:
+    """Each standard's (type, key) of a sentence's events; a key of None never pairs."""
+
+    def key_args(events: list[Event]) -> list[tuple[str, object]]:
+        return [
+            (t, frozenset(a for a in args if a[0] in schemas[t].key_args) if t in schemas else None)
+            for t, args in events
+        ]
+
+    return {
+        "event_classification": lambda events: {(t, ()) for t, _ in events},  # each type once
+        "key_argument_detection": key_args,
+        "all_argument_detection": lambda events: events,
+    }
+
+
+def _count(pred: Mapping[str, list[Event]], gold: Mapping[str, list[Event]], keys: Keys) -> dict:
+    """Overall and per-type scores; per sentence, the correct events are `pred keys & gold keys`."""
+    counts: dict[str, list[int]] = {}  # type -> [correct, predicted, gold]
+    for sid, gold_events in gold.items():
+        p, g = Counter(keys(pred.get(sid, []))), Counter(keys(gold_events))
+        for col, counter in enumerate((p & g, p, g)):
+            for (event_type, key), n in counter.items():
+                if col or key is not None:
+                    counts.setdefault(event_type, [0, 0, 0])[col] += n
+    out = _prf(*(sum(c[col] for c in counts.values()) for col in range(3)))
+    out["per_type"] = {t: _prf(*c) for t, c in sorted(counts.items())}
+    return out
+
+
+def _score_all(
+    pred: Mapping[str, list[Event]], gold: Mapping[str, list[Event]], schemas: Mapping[str, EventSchema]
 ) -> dict:
+    return {name: _count(pred, gold, keys) for name, keys in _standards(schemas).items()}
+
+
+def score_event_classification(pred: Sequence[Mapping], gold: Sequence[Mapping]) -> dict:
     """A predicted (sentence, type) pair is correct iff gold has that pair."""
-    pred_idx, gold_idx = _check_alignment(pred, gold)
-    pred_pairs = {
-        (sid, t) for sid, rec in pred_idx.items() for t, _ in _events_of(rec)
-    }
-    gold_pairs = {
-        (sid, t) for sid, rec in gold_idx.items() for t, _ in _events_of(rec)
-    }
-    types = sorted({t for _, t in pred_pairs | gold_pairs})
-    out = _prf(len(pred_pairs & gold_pairs), len(pred_pairs), len(gold_pairs))
-    out["per_type"] = {
-        t: _prf(
-            len({p for p in pred_pairs & gold_pairs if p[1] == t}),
-            len({p for p in pred_pairs if p[1] == t}),
-            len({p for p in gold_pairs if p[1] == t}),
-        )
-        for t in types
-    }
-    return out
-
-
-def _score_events(
-    pred: Sequence[Mapping],
-    gold: Sequence[Mapping],
-    schemas: Mapping[str, EventSchema],
-    keys_only: bool,
-) -> dict:
-    pred_idx, gold_idx = _check_alignment(pred, gold)
-
-    def matches(ptype: str, pargs: ArgSet, gargs: ArgSet) -> bool:
-        if keys_only:
-            if ptype not in schemas:
-                return False
-            # Equality of the key-role restrictions: full-set equality always
-            # implies this, which keeps the three standards monotone.
-            key_props = schemas[ptype].key_args
-            p_keys = {(r, s) for r, s in pargs if r in key_props}
-            g_keys = {(r, s) for r, s in gargs if r in key_props}
-            return p_keys == g_keys
-        return pargs == gargs
-
-    correct = 0
-    n_pred = 0
-    n_gold = 0
-    per_type_counts: dict[str, list[int]] = {}
-    for sid in sorted(gold_idx):
-        pred_events = sorted(
-            _events_of(pred_idx.get(sid)), key=lambda e: (e[0], sorted(e[1]))
-        )
-        gold_events = _events_of(gold_idx[sid])
-        n_pred += len(pred_events)
-        n_gold += len(gold_events)
-        for t, _ in pred_events:
-            per_type_counts.setdefault(t, [0, 0, 0])[1] += 1
-        for t, _ in gold_events:
-            per_type_counts.setdefault(t, [0, 0, 0])[2] += 1
-        matched: set[int] = set()
-        for ptype, pargs in pred_events:
-            candidates = [
-                (len(pargs & gargs), gi)
-                for gi, (gtype, gargs) in enumerate(gold_events)
-                if gi not in matched and gtype == ptype and matches(ptype, pargs, gargs)
-            ]
-            if not candidates:
-                continue
-            overlap, gi = max(candidates, key=lambda c: (c[0], -c[1]))
-            matched.add(gi)
-            correct += 1
-            per_type_counts.setdefault(ptype, [0, 0, 0])[0] += 1
-
-    out = _prf(correct, n_pred, n_gold)
-    out["per_type"] = {
-        t: _prf(c, p, g) for t, (c, p, g) in sorted(per_type_counts.items())
-    }
-    return out
+    return _count(*_aligned(pred, gold), _standards({})["event_classification"])
 
 
 def score_key_args(
@@ -148,8 +123,11 @@ def score_key_args(
     gold: Sequence[Mapping],
     schemas: Mapping[str, EventSchema],
 ) -> dict:
-    """Correct iff the type matches and all key-argument spans match exactly."""
-    return _score_events(pred, gold, schemas, keys_only=True)
+    """Correct iff the type matches and all key-argument spans match exactly.
+
+    An event of a type without a schema is never correct.
+    """
+    return _count(*_aligned(pred, gold), _standards(schemas)["key_argument_detection"])
 
 
 def score_all_args(
@@ -158,7 +136,7 @@ def score_all_args(
     schemas: Mapping[str, EventSchema],
 ) -> dict:
     """Correct iff the type matches and the full argument sets are equal."""
-    return _score_events(pred, gold, schemas, keys_only=False)
+    return _count(*_aligned(pred, gold), _standards(schemas)["all_argument_detection"])
 
 
 def score_all_standards(
@@ -166,15 +144,15 @@ def score_all_standards(
     gold: Sequence[Mapping],
     schemas: Mapping[str, EventSchema],
 ) -> dict:
-    return {
-        "event_classification": score_event_classification(pred, gold),
-        "key_argument_detection": score_key_args(pred, gold, schemas),
-        "all_argument_detection": score_all_args(pred, gold, schemas),
-    }
+    return _score_all(*_aligned(pred, gold), schemas)
 
 
 def mentions_from_record(rec: Mapping, schemas: Mapping[str, EventSchema]) -> dict:
-    """Convert a generated dataset record to an extraction-shaped record."""
+    """Convert a generated dataset record to an extraction-shaped record.
+
+    As in training, a tag whose role is not qualified by an event type of
+    the record belongs to no event.
+    """
     events = []
     tags = list(rec.get("labels", []))
     tokens = list(rec.get("tokens", []))
@@ -182,7 +160,7 @@ def mentions_from_record(rec: Mapping, schemas: Mapping[str, EventSchema]) -> di
     for event_type in sorted(rec.get("event_types", [])):
         arguments = []
         for role, start, end in spans:
-            role_type, prop = split_role(role)
+            role_type, _, prop = role.rpartition(":")
             if role_type != event_type:
                 continue
             arguments.append(
@@ -194,4 +172,3 @@ def mentions_from_record(rec: Mapping, schemas: Mapping[str, EventSchema]) -> di
             )
         events.append({"event_type": event_type, "arguments": arguments})
     return {"sentence_id": rec["sentence_id"], "events": events}
-

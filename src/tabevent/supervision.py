@@ -26,6 +26,7 @@ from .core import (
     ParsedSentence,
     TableEntry,
     _json_list,
+    _json_str,
     normalize_surface,
     read_jsonl,
     tags_from_spans,
@@ -656,11 +657,12 @@ def dataset_report(records: Sequence[Mapping], name: str = "dataset") -> dict:
 
 
 def read_dataset(path: str) -> list[dict]:
-    """Dataset records; `tokens` and `labels` are lists of strings of one length,
-    `event_types`, when present, is a list of strings and `polarity` a string."""
+    """Dataset records; `sentence_id` is a string, `tokens` and `labels` are lists of strings
+    of one length, `event_types`, when present, is a list of strings and `polarity` a string."""
     records = list(read_jsonl(path))
-    for rec in records:
-        where = f"{path}: record {rec.get('sentence_id')!r}"
+    for pos, rec in enumerate(records):
+        sid = _json_str(rec.get("sentence_id"), f"{path}: record {pos}: 'sentence_id'")
+        where = f"{path}: record {sid!r}"
         for field in ("tokens", "labels"):
             if field not in rec:
                 raise ValueError(f"{where} lacks {field!r}")
@@ -673,8 +675,7 @@ def read_dataset(path: str) -> list[dict]:
         types = _json_list(rec.get("event_types", []), f"{where}: 'event_types'")
         if not all(isinstance(t, str) for t in types):
             raise ValueError(f"{where}: 'event_types' needs a list of strings")
-        if not isinstance(rec.get("polarity", ""), str):
-            raise ValueError(f"{where}: 'polarity' needs a string, got {type(rec['polarity']).__name__}")
+        _json_str(rec.get("polarity", ""), f"{where}: 'polarity'")
     return records
 
 

@@ -10,12 +10,14 @@ from tabevent.core import read_jsonl
 from tabevent.pipeline import ExtractorModel
 
 # A version-1 model (embed/hidden1/hidden2/keyarg dims 4/4/4/2, 5 epochs at lr 0.05, seed 0, on
-# the README's gen output for fixtures/), and what `extract --decoder ilp --multi` wrote from
+# the README's gen output for fixtures/), and what `extract --multi` wrote from
 # it on fixtures/s1s4_corpus.jsonl when version 1 was the format `train` wrote. The same model
 # as version 2 is what `save` wrote from it, with its `meta`, when version 2 was the format.
+# The metrics are what `eval` wrote for that output against the README's gen output, with
+# the version-2 model's schemas, when events were paired greedily by argument overlap.
 DATA = pathlib.Path(__file__).resolve().parent / "data"
 V1_MODEL, V1_PRED = DATA / "model_v1.json", DATA / "model_v1_pred_multi.jsonl"
-V2_MODEL = DATA / "model_v2.json"
+V2_MODEL, V1_METRICS = DATA / "model_v2.json", DATA / "model_v1_metrics.json"
 
 
 def run(argv):
@@ -126,7 +128,7 @@ class TestGen:
             ]
         )
         assert code == 1
-        assert "error: repeated sentence id 'S1'" in capsys.readouterr().err
+        assert f"error: {corpus}: repeated sentence id 'S1'" in capsys.readouterr().err
 
 
 class TestUsage:
@@ -138,6 +140,12 @@ class TestUsage:
     def test_unknown_flag_exits_2(self, fixture_paths):
         with pytest.raises(SystemExit) as exc:
             run(["gen", "--bogus", "x"])
+        assert exc.value.code == 2
+
+    def test_multi_with_decoder_exits_2(self, fixture_paths, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run(["extract", "--model", str(V2_MODEL), "--corpus", fixture_paths["corpus"],
+                 "--out", str(tmp_path / "pred.jsonl"), "--multi", "--decoder", "viterbi"])
         assert exc.value.code == 2
 
 
@@ -262,6 +270,13 @@ class TestPipelineCommands:
         ) == 0
         assert (base / "pred_multi.jsonl.manifest.json").exists()
 
+    def test_eval_matches_committed_metrics(self, gen_out, tmp_path):
+        dataset, _ = gen_out
+        out = tmp_path / "metrics.json"
+        assert run(["eval", "--pred", str(V1_PRED), "--gold", str(dataset), "--model", str(V2_MODEL),
+                    "--out", str(out)]) == 0
+        assert out.read_bytes() == V1_METRICS.read_bytes()
+
     def test_eval_requires_schema_source(self, trained, fixture_paths, capsys):
         base, dataset, model = trained
         pred = base / "pred.jsonl"
@@ -370,6 +385,42 @@ class TestPipelineCommands:
              ": unsupported model format version True"),
             ("model", lambda m: m.update(format_version=1.0),
              ": unsupported model format version 1.0"),
+            ("corpus", lambda lines: lines[0]["dep_head"].pop(),
+             ": sentence S1: length: dep_head has 16 entries for 17 tokens"),
+            ("tables", lambda t: t[0]["entries"][0]["values"].pop("divisions_formed"),
+             ": count_arg is zero or missing for property 'divisions_formed'"),
+            ("tables", lambda t: t[1].update(entries=[]),
+             ": count_cvt is zero or missing for event type 'people.marriage'"),
+            ("pred", lambda lines: lines[1].pop("sentence_id"),
+             ": record 0: 'sentence_id' needs a string, got NoneType"),
+            ("pred", lambda lines: lines[2].update(sentence_id=["S2"]),
+             ": record 1: 'sentence_id' needs a string, got list"),
+            ("pred", lambda lines: lines[3].update(sentence_id="x"),
+             ": predictions for sentences absent from the gold set: ['x']"),
+            ("pred", lambda lines: lines[1].update(events=5),
+             ": record 'S1': 'events' needs a list, got int"),
+            ("pred", lambda lines: lines[1]["events"].__setitem__(0, "x"),
+             ": record 'S1': event needs an object, got str"),
+            ("pred", lambda lines: lines[1]["events"][0].pop("event_type"),
+             ": record 'S1': 'event_type' needs a string, got NoneType"),
+            ("pred", lambda lines: lines[1]["events"][0]["arguments"][0].pop("role"),
+             ": record 'S1': 'role' needs a string, got NoneType"),
+            ("pred", lambda lines: lines[1]["events"][0]["arguments"][0]["span"].pop(),
+             ": record 'S1': 'span' needs [start, end], got 1 values"),
+            ("pred", lambda lines: lines[1]["events"][0]["arguments"][0]["span"].__setitem__(0, "x"),
+             ": record 'S1': 'span' needs an integer, got str"),
+            ("events", lambda lines: lines[2]["events"][0]["arguments"].__setitem__(1, 2.5),
+             ": record 'S2': argument needs an object, got float"),
+            ("gold", lambda lines: lines[2].pop("sentence_id"),
+             ": record 1: 'sentence_id' needs a string, got NoneType"),
+            ("gold", lambda lines: lines[2]["labels"].__setitem__(0, 5),
+             "record 'S2': 'labels' needs a list of strings"),
+            ("gold", lambda lines: lines[2]["tokens"].__setitem__(3, ["x"]),
+             "record 'S2': 'tokens' needs a list of strings"),
+            ("gold", lambda lines: lines[2].update(event_types=5),
+             "record 'S2': 'event_types' needs a list, got int"),
+            ("gold", lambda lines: lines[1].pop("labels"),
+             ": record 'S1': 'events' needs a list, got NoneType"),
         ],
         ids=["model-config", "model-schemas", "tensor-shape", "table-entries",
              "tables-string-values", "tables-non-object", "tables-non-object-entry",
@@ -381,7 +432,12 @@ class TestPipelineCommands:
              "model-list-importance", "corpus-empty-sentence", "dataset-empty-record",
              "model-nan-tensor", "tables-repeated-type", "model-vocab-id-large",
              "model-vocab-id-negative", "model-type-without-schema", "model-version-bool",
-             "model-version-float"],
+             "model-version-float", "corpus-short-heads", "tables-unused-property",
+             "tables-no-entries", "pred-missing-id", "pred-list-id", "pred-stray-id",
+             "pred-int-events", "pred-string-event", "pred-missing-type", "pred-missing-role",
+             "pred-short-span", "pred-string-span", "gold-events-float-argument",
+             "gold-missing-id", "gold-int-label", "gold-list-token", "gold-int-types",
+             "gold-first-record-without-labels"],
     )
     def test_malformed_input_named(
         self, trained, fixture_paths, tmp_path, capsys, kind, edit, named
@@ -393,7 +449,8 @@ class TestPipelineCommands:
             edit(payload)
             bad.write_text(json.dumps(payload))
         else:
-            source = dataset if kind in ("dataset", "report") else fixture_paths["corpus"]
+            source = {"dataset": dataset, "report": dataset, "gold": dataset, "pred": V1_PRED,
+                      "events": V1_PRED}.get(kind, fixture_paths["corpus"])
             with open(source, "r", encoding="utf-8") as fh:
                 lines = [json.loads(line) for line in fh]
             edit(lines)
@@ -405,6 +462,9 @@ class TestPipelineCommands:
             "corpus": ["gen", "--tables", tables, "--corpus", str(bad)],
             "dataset": ["train", "--dataset", str(bad), "--tables", tables, "--epochs", "1"],
             "report": ["report", "--dataset", str(bad)],
+            "pred": ["eval", "--pred", str(bad), "--gold", str(dataset), "--model", str(V2_MODEL)],
+            "gold": ["eval", "--pred", str(V1_PRED), "--gold", str(bad), "--model", str(V2_MODEL)],
+            "events": ["eval", "--pred", str(V1_PRED), "--gold", str(bad), "--model", str(V2_MODEL)],
         }[kind]
         assert run([*argv, "--out", str(out)]) == 1
         err = capsys.readouterr().err
@@ -435,8 +495,7 @@ class TestModelFormatV1:
                 assert params[name].ravel().tolist() == tensor["data"]
 
     def test_extract_matches_committed_output(self, fixture_paths, tmp_path):
-        pred = self.extract(V1_MODEL, fixture_paths["corpus"], tmp_path / "pred.jsonl",
-                            "--decoder", "ilp", "--multi")
+        pred = self.extract(V1_MODEL, fixture_paths["corpus"], tmp_path / "pred.jsonl", "--multi")
         assert pred == V1_PRED.read_bytes()
 
     def test_resaved_as_v3(self, fixture_paths, tmp_path):
@@ -475,8 +534,7 @@ class TestModelFormatV2:
         assert v2.schemas == v1.schemas
 
     def test_extract_matches_committed_output(self, fixture_paths, tmp_path):
-        pred = self.extract(V2_MODEL, fixture_paths["corpus"], tmp_path / "pred.jsonl",
-                            "--decoder", "ilp", "--multi")
+        pred = self.extract(V2_MODEL, fixture_paths["corpus"], tmp_path / "pred.jsonl", "--multi")
         assert pred == V1_PRED.read_bytes()
 
     def test_converted_to_v3_bit_identical(self, fixture_paths, tmp_path):

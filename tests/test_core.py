@@ -1,4 +1,5 @@
 import json
+import random
 
 import numpy as np
 import pytest
@@ -22,6 +23,13 @@ from tabevent.core import (
 def test_normalize_surface():
     assert normalize_surface("  New\t York ") == "new york"
     assert normalize_surface("McAndrews") == "mcandrews"
+
+
+def test_normal_form_reuses_the_surface():
+    surface = "".join(["new", " york"])
+    assert normalize_surface(surface) is surface
+    s = ParsedSentence.build("x", ["Hello", "world"], [1, -1])
+    assert s.normalized[1] is s.surfaces[1] and s.normalized[0] == "hello"
 
 
 def test_token_normalized_is_derived():
@@ -59,6 +67,35 @@ class TestValidateSentence:
     def test_self_loop_is_a_cycle(self):
         s = ParsedSentence.build("x", ["a", "b"], [-1, 1])
         assert any("cycle" in v for v in validate_sentence(s))
+
+
+def test_cycles_match_brute_force():
+    """A token is on a cycle iff following heads from it returns to it; each cycle is
+    reported once, in the order of the first token whose walk reaches it."""
+    rng = random.Random(0)
+    for _ in range(3000):
+        n = rng.randint(1, 9)
+        heads = [rng.randint(-2, n) for _ in range(n)]
+
+        def walk(i):
+            """Tokens visited from i, and where the walk stopped: off the sentence or on a repeat."""
+            seen = []
+            while 0 <= i < n and i not in seen:
+                seen.append(i)
+                i = heads[i]
+            return seen, i
+
+        on_cycle = {i for i in range(n) if walk(i)[1] == i}
+        cycles = []
+        for start in range(n):
+            end = walk(start)[1]
+            if 0 <= end < n and sorted(walk(end)[0]) not in cycles:
+                cycles.append(sorted(walk(end)[0]))
+        assert {i for members in cycles for i in members} == on_cycle
+        violations = validate_sentence(ParsedSentence.build("x", ["w"] * n, heads))
+        assert [v for v in violations if v.startswith("cycle")] == [
+            f"cycle: tokens {members} form a dependency cycle" for members in cycles
+        ], heads
 
 
 def test_sentence_roundtrip_random():

@@ -1,16 +1,17 @@
+import random
+
 import pytest
 
 from corpusgen import build_synth_corpus
 from tabevent import evaluation, supervision
 from tabevent.core import EventSchema
 from tabevent.evaluation import (
-    dataset_report,
     mentions_from_record,
     score_all_args,
     score_event_classification,
     score_key_args,
 )
-from tabevent.supervision import GenerationConfig, Strategy
+from tabevent.supervision import GenerationConfig, Strategy, dataset_report
 
 
 def schemas():
@@ -189,6 +190,114 @@ def test_mentions_from_record():
             ],
         }
     ]
+
+
+def test_mentions_from_record_skips_unqualified_roles():
+    rec = {
+        "sentence_id": "x",
+        "tokens": ["Ana", "joined", "Acme"],
+        "labels": ["B-who", "O", "B-hire:org"],
+        "event_types": ["hire"],
+    }
+    assert mentions_from_record(rec, schemas())["events"] == [
+        {"event_type": "hire", "arguments": [{"role": "org", "span": [2, 3], "text": "Acme"}]}
+    ]
+
+
+class TestAgainstMaximumMatching:
+    """Each standard's scores equal those of a maximum one-to-one matching of
+    predicted and gold events per sentence, found by trying every assignment."""
+
+    SCHEMAS = {
+        **schemas(),
+        "win": EventSchema("win", frozenset({"who"}), frozenset({"prize"}), {"who": 0.0, "prize": -1.0}),
+    }
+    TYPES = ["hire", "win", "other"]  # "other" has no schema
+    ROLES = ["who", "org", "title", "prize"]
+
+    def matches(self, standard, p, g):
+        (ptype, pargs), (gtype, gargs) = p, g
+        if ptype != gtype:
+            return False
+        if standard == "key_argument_detection":
+            if ptype not in self.SCHEMAS:
+                return False
+            keys = self.SCHEMAS[ptype].key_args
+            return {a for a in pargs if a[0] in keys} == {a for a in gargs if a[0] in keys}
+        if standard == "all_argument_detection":
+            return set(pargs) == set(gargs)
+        return True
+
+    def most_pairs(self, preds, golds, match):
+        if not preds:
+            return 0
+        first, rest = preds[0], preds[1:]
+        best = self.most_pairs(rest, golds, match)
+        for j, g in enumerate(golds):
+            if match(first, g):
+                best = max(best, 1 + self.most_pairs(rest, golds[:j] + golds[j + 1:], match))
+        return best
+
+    def random_events(self, rng, like=()):
+        events = []
+        for _ in range(rng.randint(0, 4)):
+            if like and rng.random() < 0.4:
+                events.append(rng.choice(like))
+            elif events and rng.random() < 0.2:
+                events.append(rng.choice(events))  # a repeated event
+            else:
+                roles = rng.sample(self.ROLES, rng.randint(0, 3))
+                events.append((rng.choice(self.TYPES), [(r, s, s + 1) for r in roles for s in [rng.randint(0, 1)]]))
+        return events
+
+    def expected(self, pred, gold, standard):
+        counts = {}  # type -> [correct, predicted, gold]
+        for sid, gold_events in gold.items():
+            pred_events = pred.get(sid, [])
+            if standard == "event_classification":  # each type once per sentence
+                pred_events = [(t, []) for t in sorted({t for t, _ in pred_events})]
+                gold_events = [(t, []) for t in sorted({t for t, _ in gold_events})]
+            for t in self.TYPES:
+                ps = [e for e in pred_events if e[0] == t]
+                gs = [e for e in gold_events if e[0] == t]
+                if ps or gs:
+                    c = counts.setdefault(t, [0, 0, 0])
+                    c[0] += self.most_pairs(ps, gs, lambda p, g: self.matches(standard, p, g))
+                    c[1] += len(ps)
+                    c[2] += len(gs)
+
+        def prf(c, p, g):
+            precision, recall = (c / p if p else 0.0), (c / g if g else 0.0)
+            f1 = 2.0 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
+            return {"precision": precision, "recall": recall, "f1": f1}
+
+        out = prf(*(sum(c[i] for c in counts.values()) for i in range(3)))
+        out["per_type"] = {t: prf(*c) for t, c in sorted(counts.items())}
+        return out
+
+    def test_random_draws(self):
+        rng = random.Random(0)
+        stray_draws = 0
+        for _ in range(2500):
+            gold = {f"s{i}": self.random_events(rng) for i in range(rng.randint(1, 3))}
+            pred = {sid: self.random_events(rng, like=events) for sid, events in gold.items()
+                    if rng.random() < 0.85}  # some sentences have no prediction record
+            if rng.random() < 0.05:
+                pred["stray"] = self.random_events(rng)
+            pred_recs = [record(sid, events) for sid, events in pred.items()]
+            gold_recs = [record(sid, events) for sid, events in gold.items()]
+            if "stray" in pred:
+                stray_draws += 1
+                with pytest.raises(ValueError, match="absent from the gold set"):
+                    evaluation.score_all_standards(pred_recs, gold_recs, self.SCHEMAS)
+                continue
+            got = evaluation.score_all_standards(pred_recs, gold_recs, self.SCHEMAS)
+            for standard, scores in got.items():
+                assert scores == self.expected(pred, gold, standard), (standard, pred, gold)
+            assert got["event_classification"] == score_event_classification(pred_recs, gold_recs)
+            assert got["key_argument_detection"] == score_key_args(pred_recs, gold_recs, self.SCHEMAS)
+            assert got["all_argument_detection"] == score_all_args(pred_recs, gold_recs, self.SCHEMAS)
+        assert stray_draws > 50
 
 
 class TestDatasetReport:
