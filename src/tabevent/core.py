@@ -71,11 +71,9 @@ class ParsedSentence:
     @classmethod
     def from_dict(cls, rec: Mapping) -> "ParsedSentence":
         sentence_id = str(rec["id"])
-        tokens = _json_list(rec["tokens"], "'tokens'")
+        tokens = _json_strs(rec["tokens"], "'tokens'")
         heads = _json_list(rec["dep_head"], "'dep_head'")
         labels = rec.get("dep_label")
-        if not all(isinstance(t, str) for t in tokens):
-            raise ValueError("'tokens' needs a list of strings")
         if not tokens:
             raise ValueError("'tokens' is empty")
         if not all(type(h) is int for h in heads):
@@ -133,6 +131,13 @@ def _json_list(value, what: str) -> list:
     """`value` if it is a list, else an error naming `what`: a string is not a list of forms."""
     if not isinstance(value, list):
         raise ValueError(f"{what} needs a list, got {type(value).__name__}")
+    return value
+
+
+def _json_strs(value, what: str) -> list:
+    """`value` if it is a list of JSON strings, else an error naming `what`."""
+    if not all(isinstance(x, str) for x in _json_list(value, what)):
+        raise ValueError(f"{what} needs a list of strings")
     return value
 
 
@@ -279,8 +284,8 @@ class EventSchema:
         }
         return cls(
             event_type=str(rec["event_type"]),
-            key_args=frozenset(_json_list(rec["key_args"], "'key_args'")),
-            nonkey_args=frozenset(_json_list(rec.get("nonkey_args", []), "'nonkey_args'")),
+            key_args=frozenset(_json_strs(rec["key_args"], "'key_args'")),
+            nonkey_args=frozenset(_json_strs(rec.get("nonkey_args", []), "'nonkey_args'")),
             importance=imp,
         )
 
@@ -352,8 +357,8 @@ class LabelSet:
     def from_dict(cls, rec: Mapping) -> "LabelSet":
         groups = _json_object(rec.get("groups", {}), "'groups'")
         return cls(
-            _json_list(rec["roles"], "'roles'"),
-            {t: _json_list(rs, f"group {t!r}") for t, rs in groups.items()},
+            _json_strs(rec["roles"], "'roles'"),
+            {t: _json_strs(rs, f"group {t!r}") for t, rs in groups.items()},
         )
 
 

@@ -25,8 +25,8 @@ from .core import (
     EventTable,
     ParsedSentence,
     TableEntry,
-    _json_list,
     _json_str,
+    _json_strs,
     normalize_surface,
     read_jsonl,
     tags_from_spans,
@@ -358,9 +358,7 @@ def trigger_candidate(
 class LabeledInstance:
     """One (sentence, entry) labeling outcome."""
 
-    sentence_id: str
     event_type: str
-    entry_id: str
     positive: bool
     reason: str | None = None          # partial | distance | trivial for negatives
     spans: dict[str, tuple[int, int]] = field(default_factory=dict)
@@ -402,8 +400,6 @@ def label_sentence(
     not validated up front (generate_dataset checks every parse once), but a
     dependency walk that fails on it raises the parse's first violation.
     """
-    if not matches:  # nothing to claim, nothing to log
-        return LabeledInstance(sentence.id, schema.event_type, "", False, "trivial")
     kept_spans, dropped = _claim_free_spans(
         (p, *matches[p]) for p in _by_importance(schema.importance, matches)
     )
@@ -413,59 +409,35 @@ def label_sentence(
     ]
     kept = {prop: (start, end) for prop, start, end in kept_spans}
 
-    matched_keys = set(matches) & schema.key_args
-    kept_keys = set(kept) & schema.key_args
-
-    def negative(reason: str, max_distance: int | None = None) -> LabeledInstance:
-        return LabeledInstance(
-            sentence_id=sentence.id,
-            event_type=schema.event_type,
-            entry_id="",
-            positive=False,
-            reason=reason,
-            spans={},
-            max_key_distance=max_distance,
-            diagnostics=diagnostics,
-        )
-
-    if not matched_keys:
-        return negative("trivial")
-    if kept_keys != schema.key_args:
-        return negative("partial")
+    if schema.key_args.isdisjoint(matches):
+        return LabeledInstance(schema.event_type, False, "trivial", {}, None, diagnostics)
+    if not schema.key_args <= kept.keys():
+        return LabeledInstance(schema.event_type, False, "partial", {}, None, diagnostics)
 
     key_spans = [kept[p] for p in sorted(schema.key_args)]
     pairs = itertools.combinations(key_spans, 2)
     max_distance = max((dep_distance(sentence, a, b) for a, b in pairs), default=0)
     if cfg.max_dep_distance is not None and max_distance > cfg.max_dep_distance:
-        return negative("distance", max_distance)
-
-    return LabeledInstance(
-        sentence_id=sentence.id,
-        event_type=schema.event_type,
-        entry_id="",
-        positive=True,
-        spans=kept,
-        max_key_distance=max_distance,
-        diagnostics=diagnostics,
-    )
+        return LabeledInstance(schema.event_type, False, "distance", {}, max_distance, diagnostics)
+    return LabeledInstance(schema.event_type, True, None, kept, max_distance, diagnostics)
 
 
 def _merge_positive_instances(
     sentence: ParsedSentence,
-    instances: list[LabeledInstance],
+    instances: list[tuple[str, LabeledInstance]],
     schemas: Mapping[str, EventSchema],
     diagnostics: list[str],
 ) -> dict:
-    """Fold per-entry positives for one sentence into a single record.
+    """Fold one sentence's (entry id, positive instance) pairs into a single record.
 
-    Span conflicts across event types keep the first (type-ordered) role
-    and are logged; such shared spans stay recoverable per type through
-    the record's event_types list.
+    Span conflicts keep the first role in (event type, entry id) order and
+    are logged; such shared spans stay recoverable per type through the
+    record's event_types list.
     """
-    instances = sorted(instances, key=lambda inst: (inst.event_type, inst.entry_id))
+    instances = sorted(instances, key=lambda pair: (pair[1].event_type, pair[0]))
     kept, dropped = _claim_free_spans(
         (role_label(inst.event_type, prop), *inst.spans[prop])
-        for inst in instances
+        for _, inst in instances
         for prop in _by_importance(schemas[inst.event_type].importance, inst.spans)
     )
     diagnostics.extend(
@@ -476,7 +448,7 @@ def _merge_positive_instances(
         "sentence_id": sentence.id,
         "tokens": list(sentence.surfaces),
         "labels": tags_from_spans(len(sentence), kept),
-        "event_types": sorted({inst.event_type for inst in instances}),
+        "event_types": sorted({inst.event_type for _, inst in instances}),
         "polarity": "positive",
     }
 
@@ -514,10 +486,14 @@ def generate_dataset(
 ) -> tuple[list[dict], dict]:
     """Label every sentence against each table entry it matches.
 
-    Emits every positive record plus negatives: all trivial negatives and
-    seeded samples from the partial-match and distance-violation pools,
-    sized by the config ratios relative to the positive count. Returns the
-    records in corpus order together with a statistics report.
+    Each sentence is decided once, into its entry of `outcomes` (corpus
+    order): its merged positive record, else its best negative reason
+    `(reason, max_key_distance)`, distance before partial before trivial and
+    the first in (table, entry) order among equals; ("trivial", None) when
+    no entry matched. Emits every positive record, all trivial negatives and
+    seeded samples of the partial and distance pools, sized by the config
+    ratios relative to the positive count. Returns the records in corpus
+    order together with a statistics report.
     """
     seen: set[str] = set()
     for sentence in corpus:
@@ -529,60 +505,53 @@ def generate_dataset(
     match = _indexed_matcher(tables, cfg)
 
     diagnostics: list[str] = []
-    positive_records: dict[str, dict] = {}
-    sentence_reason: dict[str, tuple[str, int | None]] = {}
+    outcomes: list[dict | tuple[str, int | None]] = []
     trigger_counts: dict[str, dict[str, int]] = {}
     positive_instances = 0
     reason_rank = {"distance": 0, "partial": 1, "trivial": 2}
 
     for sentence in corpus:
-        instances: list[LabeledInstance] = []
-        best_reason: tuple[str, int | None] | None = None
+        positives: list[tuple[str, LabeledInstance]] = []
+        negatives: list[tuple[str, int | None]] = []
         for table, entry, spans in match(sentence):
             schema = schemas[table.event_type]
             inst = label_sentence(sentence, spans, schema, cfg)
-            inst.entry_id = entry.id
             diagnostics.extend(inst.diagnostics)
             if inst.positive:
-                instances.append(inst)
+                positives.append((entry.id, inst))
                 key_spans = [inst.spans[p] for p in sorted(schema.key_args)]
                 token = sentence.normalized[trigger_candidate(sentence, key_spans)]
                 per_type = trigger_counts.setdefault(table.event_type, {})
                 per_type[token] = per_type.get(token, 0) + 1
             else:
-                cand = (inst.reason or "trivial", inst.max_key_distance)
-                if best_reason is None or reason_rank[cand[0]] < reason_rank[best_reason[0]]:
-                    best_reason = cand
-        if instances:
-            positive_instances += len(instances)
-            positive_records[sentence.id] = _merge_positive_instances(
-                sentence, instances, schemas, diagnostics
-            )
-        else:
-            sentence_reason[sentence.id] = best_reason or ("trivial", None)
+                negatives.append((inst.reason, inst.max_key_distance))
+        positive_instances += len(positives)
+        outcomes.append(
+            _merge_positive_instances(sentence, positives, schemas, diagnostics) if positives
+            else min(negatives, key=lambda neg: reason_rank[neg[0]], default=("trivial", None))
+        )
 
-    pools: dict[str, list[str]] = {"partial": [], "distance": [], "trivial": []}
-    for sentence in corpus:
-        if sentence.id in sentence_reason:
-            pools[sentence_reason[sentence.id][0]].append(sentence.id)
+    pools: dict[str, list[int]] = {"partial": [], "distance": [], "trivial": []}
+    for pos, outcome in enumerate(outcomes):
+        if isinstance(outcome, tuple):
+            pools[outcome[0]].append(pos)
 
-    n_pos = len(positive_records)
+    n_pos = len(outcomes) - sum(map(len, pools.values()))
     rng = random.Random(seed)
 
-    def sample(pool: list[str], ratio: float) -> set[str]:
-        k = min(len(pool), int(round(ratio * n_pos)))
-        return set(rng.sample(pool, k))
+    def sample(pool: list[int], ratio: float) -> list[int]:
+        return rng.sample(pool, min(len(pool), int(round(ratio * n_pos))))
 
-    chosen = sample(pools["partial"], cfg.partial_negative_ratio)
-    chosen |= sample(pools["distance"], cfg.violation_negative_ratio)
-    chosen |= set(pools["trivial"])
+    partial = sample(pools["partial"], cfg.partial_negative_ratio)
+    distance = sample(pools["distance"], cfg.violation_negative_ratio)
+    chosen = {*partial, *distance, *pools["trivial"]}
 
     records: list[dict] = []
-    for sentence in corpus:
-        if sentence.id in positive_records:
-            records.append(positive_records[sentence.id])
-        elif sentence.id in chosen:
-            reason, max_distance = sentence_reason[sentence.id]
+    for pos, (sentence, outcome) in enumerate(zip(corpus, outcomes)):
+        if isinstance(outcome, dict):
+            records.append(outcome)
+        elif pos in chosen:
+            reason, max_distance = outcome
             rec = {
                 "sentence_id": sentence.id,
                 "tokens": list(sentence.surfaces),
@@ -591,7 +560,7 @@ def generate_dataset(
                 "polarity": "negative",
                 "reason": reason,
             }
-            if reason == "distance" and max_distance is not None:
+            if reason == "distance":
                 rec["max_key_distance"] = max_distance
             records.append(rec)
 
@@ -605,8 +574,8 @@ def generate_dataset(
         "positive_instances": positive_instances,
         "negatives": {
             "emitted": len(records) - n_pos,
-            "partial": len(chosen & set(pools["partial"])),
-            "distance": len(chosen & set(pools["distance"])),
+            "partial": len(partial),
+            "distance": len(distance),
             "trivial": len(pools["trivial"]),
             "pool_sizes": {k: len(v) for k, v in pools.items()},
         },
@@ -666,15 +635,12 @@ def read_dataset(path: str) -> list[dict]:
         for field in ("tokens", "labels"):
             if field not in rec:
                 raise ValueError(f"{where} lacks {field!r}")
-            if not all(isinstance(x, str) for x in _json_list(rec[field], f"{where}: {field!r}")):
-                raise ValueError(f"{where}: {field!r} needs a list of strings")
+            _json_strs(rec[field], f"{where}: {field!r}")
         if not rec["tokens"]:
             raise ValueError(f"{where}: 'tokens' is empty")
         if len(rec["labels"]) != len(rec["tokens"]):
             raise ValueError(f"{where}: {len(rec['labels'])} labels for {len(rec['tokens'])} tokens")
-        types = _json_list(rec.get("event_types", []), f"{where}: 'event_types'")
-        if not all(isinstance(t, str) for t in types):
-            raise ValueError(f"{where}: 'event_types' needs a list of strings")
+        _json_strs(rec.get("event_types", []), f"{where}: 'event_types'")
         _json_str(rec.get("polarity", ""), f"{where}: 'polarity'")
     return records
 

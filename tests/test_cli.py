@@ -421,6 +421,14 @@ class TestPipelineCommands:
              "record 'S2': 'event_types' needs a list, got int"),
             ("gold", lambda lines: lines[1].pop("labels"),
              ": record 'S1': 'events' needs a list, got NoneType"),
+            ("model", lambda m: m["stage1"]["label_set"]["roles"].__setitem__(0, ["x"]),
+             ": stage1: 'roles' needs a list of strings"),
+            ("model", lambda m: m["stage1"]["label_set"]["groups"]["people.marriage"].append(["x"]),
+             ": stage1: group 'people.marriage' needs a list of strings"),
+            ("model", lambda m: m["schemas"][0]["key_args"].__setitem__(0, ["date"]),
+             ": 'key_args' needs a list of strings"),
+            ("model", lambda m: m["schemas"][1]["nonkey_args"].append(["venue"]),
+             ": 'nonkey_args' needs a list of strings"),
         ],
         ids=["model-config", "model-schemas", "tensor-shape", "table-entries",
              "tables-string-values", "tables-non-object", "tables-non-object-entry",
@@ -437,7 +445,8 @@ class TestPipelineCommands:
              "pred-int-events", "pred-string-event", "pred-missing-type", "pred-missing-role",
              "pred-short-span", "pred-string-span", "gold-events-float-argument",
              "gold-missing-id", "gold-int-label", "gold-list-token", "gold-int-types",
-             "gold-first-record-without-labels"],
+             "gold-first-record-without-labels", "model-list-role", "model-list-group-role",
+             "model-list-key-arg", "model-list-nonkey-arg"],
     )
     def test_malformed_input_named(
         self, trained, fixture_paths, tmp_path, capsys, kind, edit, named

@@ -2,9 +2,10 @@
 
 Each draw takes a valid input, replaces one of its JSON values with another
 value (mostly of another kind) or deletes it, and runs the command that reads
-it through `cli.main`, in-process and under an alarm. A draw passes when the
-command exits 0, or exits 1 with an `error: <file>` line that names one of its
-input files. Anything else (a traceback, another exit code, a run past the
+it through `cli.main`, in-process and under an alarm. Of a version-3 model,
+only the JSON header line is mutated; the tensor bytes after it stay as they
+are. A draw passes when the command exits 0, or exits 1 with an
+`error: <file>` line that names one of its input files. Anything else (a traceback, another exit code, a run past the
 alarm) is an escape. Each escape found so far is pinned as a named case in
 `test_cli.py::TestPipelineCommands::test_malformed_input_named`.
 """
@@ -21,6 +22,7 @@ import pytest
 from tabevent import cli
 from tabevent.core import read_jsonl
 from tabevent.evaluation import mentions_from_record
+from tabevent.pipeline import ExtractorModel
 
 DATA = pathlib.Path(__file__).resolve().parent / "data"
 SEED = 17
@@ -61,19 +63,24 @@ def mutate(doc, rng):
 
 
 def _load(path):
-    """A JSONL file as a list of its lines' values, or a JSON file as its value."""
-    with open(path, "r", encoding="utf-8") as fh:
-        if str(path).endswith(".jsonl"):
-            return [json.loads(line) for line in fh if line.strip()]
-        return json.load(fh)
+    """A JSONL file as a list of its lines' values, or a JSON file as its value, and b"".
+    A version-3 model (`.bin`) gives its header line's value and the tensor bytes after it."""
+    data = pathlib.Path(path).read_bytes()
+    if str(path).endswith(".jsonl"):
+        return [json.loads(line) for line in data.splitlines() if line.strip()], b""
+    if str(path).endswith(".bin"):
+        header, _, tensors = data.partition(b"\n")
+        return json.loads(header), tensors
+    return json.loads(data), b""
 
 
-def _dump(doc, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        if str(path).endswith(".jsonl"):
-            fh.writelines(json.dumps(line) + "\n" for line in doc)
-        else:
-            json.dump(doc, fh)
+def _dump(doc, path, tensors=b""):
+    """The inverse of `_load`."""
+    if str(path).endswith(".jsonl"):
+        text = "".join(json.dumps(line) + "\n" for line in doc)
+    else:
+        text = json.dumps(doc) + ("\n" if str(path).endswith(".bin") else "")
+    pathlib.Path(path).write_bytes(text.encode("utf-8") + tensors)
 
 
 def run_draw(argv, inputs):
@@ -107,8 +114,11 @@ def valid_inputs(tmp_path_factory, fixture_paths):
                      "--out", str(dataset), "--seed", "0"]) == 0
     events = base / "gold_events.jsonl"
     _dump([mentions_from_record(rec, {}) for rec in read_jsonl(str(dataset))], events)
+    model_v3 = base / "model_v3.bin"
+    ExtractorModel.load(str(DATA / "model_v2.json")).save(str(model_v3))
     return {**fixture_paths, "dataset": str(dataset), "events": str(events),
-            "pred": str(DATA / "model_v1_pred_multi.jsonl"), "model": str(DATA / "model_v2.json")}
+            "pred": str(DATA / "model_v1_pred_multi.jsonl"), "model": str(DATA / "model_v2.json"),
+            "model_v3": str(model_v3)}
 
 
 # (case, input kind mutated, draws, the command run on the mutated file `bad`)
@@ -125,6 +135,10 @@ CASES = [
      lambda p, bad: ["eval", "--pred", p["pred"], "--gold", bad, "--model", p["model"]]),
     ("eval-gold-events", "events", 300,
      lambda p, bad: ["eval", "--pred", p["pred"], "--gold", bad, "--model", p["model"]]),
+    ("extract-model-v2", "model", 300,
+     lambda p, bad: ["extract", "--model", bad, "--corpus", p["corpus"]]),
+    ("extract-model-v3", "model_v3", 300,
+     lambda p, bad: ["extract", "--model", bad, "--corpus", p["corpus"]]),
 ]
 
 
@@ -132,10 +146,11 @@ CASES = [
 def test_mutated_inputs_fail_by_name(valid_inputs, tmp_path, case, kind, draws, argv):
     rng = random.Random(f"{SEED}-{case}")
     source = valid_inputs[kind]
-    bad = str(tmp_path / ("bad.jsonl" if source.endswith(".jsonl") else "bad.json"))
+    bad = str(tmp_path / ("bad" + pathlib.Path(source).suffix))
     escapes = []
     for draw in range(draws):
-        _dump(mutate(_load(source), rng), bad)
+        doc, tensors = _load(source)
+        _dump(mutate(doc, rng), bad, tensors)
         command = argv(valid_inputs, bad)
         inputs = [a for a in command if a == bad or a in valid_inputs.values()]
         escape = run_draw([*command, "--out", str(tmp_path / "out")], inputs)

@@ -404,6 +404,65 @@ class TestGenerateDataset:
         assert records[1]["labels"] == ["B-t:who", "O", "B-t:what"]
         assert report["positive_instances"] == 2
 
+    def test_merge_orders_entries_by_id_not_table_order(self):
+        table = EventTable(
+            "t",
+            ("who", "what"),
+            (),
+            (
+                TableEntry("e2", {"who": ("Alice Smith",), "what": ("tennis",)}),
+                TableEntry("e1", {"who": ("Smith",), "what": ("tennis",)}),
+            ),
+        )
+        sent = ParsedSentence.build("x", ["Alice", "Smith", "plays", "tennis"], [1, 2, -1, 2])
+        records, report = generate_dataset([table], [sent], GenerationConfig(), Strategy.ALL)
+        assert records[0]["labels"] == ["O", "B-t:who", "O", "B-t:what"]
+        assert report["positive_instances"] == 2
+        assert report["diagnostics"] == [
+            "merge-overlap: dropped t:what span [3,4) in x",
+            "merge-overlap: dropped t:who span [0,2) in x",
+        ]
+
+    def test_best_negative_reason_first_in_table_order(self):
+        # In "far", z-partial matches only `a`; y-far and x-near match both keys at 4 and 3 hops.
+        table = EventTable(
+            "t",
+            ("a", "b"),
+            (),
+            (
+                TableEntry("z-partial", {"a": ("delta",), "b": ("omega",)}),
+                TableEntry("y-far", {"a": ("alpha",), "b": ("beta",)}),
+                TableEntry("x-near", {"a": ("alpha",), "b": ("gamma",)}),
+            ),
+        )
+        corpus = [
+            ParsedSentence.build("pos", ["alpha", "beta"], [1, -1]),
+            ParsedSentence.build(
+                "far", ["alpha", "x", "y", "gamma", "beta", "delta"], [1, 2, -1, 2, 3, 2]
+            ),
+        ]
+        cfg = GenerationConfig(max_dep_distance=1)
+        records, report = generate_dataset([table], corpus, cfg, Strategy.ALL)
+        assert [r["polarity"] for r in records] == ["positive", "negative"]
+        assert records[1]["reason"] == "distance"
+        assert records[1]["max_key_distance"] == 4
+        assert report["negatives"]["pool_sizes"] == {"partial": 0, "distance": 1, "trivial": 0}
+
+    def test_sampled_negatives_pinned(self):
+        """Two of four partial, then two of four distance negatives, drawn by one seeded rng."""
+        table = EventTable("t", ("a", "b"), (), (TableEntry("e", {"a": ("alpha",), "b": ("beta",)}),))
+        shapes = {
+            "pos": (["alpha", "beta"], [1, -1]),
+            "p": (["alpha", "x"], [1, -1]),
+            "d": (["alpha", "x", "beta"], [1, -1, 1]),
+        }
+        ids = ["pos0", "p0", "d0", "p1", "d1", "pos1", "p2", "d2", "p3", "d3"]
+        corpus = [ParsedSentence.build(i, *shapes[i.rstrip("0123")]) for i in ids]
+        cfg = GenerationConfig(max_dep_distance=1)
+        records, report = generate_dataset([table], corpus, cfg, Strategy.ALL, seed=3)
+        assert [r["sentence_id"] for r in records] == ["pos0", "p1", "d1", "pos1", "p2", "d3"]
+        assert report["negatives"]["pool_sizes"] == {"partial": 4, "distance": 4, "trivial": 0}
+
     def test_repeated_event_type_rejected(self):
         """Schemas are keyed by event type, so a second table of a type would drop the first."""
         tables = [
@@ -673,25 +732,30 @@ class TestIndexedMatching:
 
 
 class TestBitIdentity:
-    """sha256 of the written dataset.jsonl plus the JSON report, pinned from the all-pairs matcher."""
+    """sha256 of the written dataset.jsonl plus the JSON report. The first four settings were
+    pinned from the all-pairs matcher, the non-default ratios from the indexed matcher."""
 
-    SETTINGS = [(Strategy.ALL, None), (Strategy.IMP_TIME, 2), (Strategy.IMP, 2), (Strategy.IMP, None)]
+    RATIOS = {"partial_negative_ratio": 0.5, "violation_negative_ratio": 2.5}
+    SETTINGS = [(Strategy.ALL, None, {}), (Strategy.IMP_TIME, 2, {}), (Strategy.IMP, 2, {}),
+                (Strategy.IMP, None, {}), (Strategy.IMP_TIME, 2, RATIOS)]
     FIXTURES = [
         "bea1ea7a01b9abeb56e347bf9e2acc6ff61b027fe8d9f531040eab58bf8c1ba3",
         "1cae7c942055fddea1fe97729ca9f69a1764a11fb350a8d6139e6d2722ef8d7b",
         "e04e5be7b788b7aeb2feb75f803bcde432842e48b130679616667cda22f9e2f6",
         "cea072c0544bc9f98b0ff1de18e02eed43fc8f5d94eaf0cccd5ec3bec532ad15",
+        "e72488e6c3a22fe2a27cf62b3124dedaa21a6f19e053f025544ef55b2cd38afe",
     ]
     SYNTH = [
         "0b7127ee1a0f401e3b33fa596d7e5c3c6adb473bf3fd74e69e2a9f34bcf47b66",
         "d650c9e5f367db597a9d9e6be850a06e252ad078078d5c3fbaff633908797fad",
         "04dd7efd18937b419c52e22c2b448908ccf235400bae618eb28c5f58628d2c33",
         "a40f5cf12209c459baab3c506f4d67c10daa3958589e2d7f4dd030c9006bb757",
+        "a4c2fc38007d65bd78dca0dc72a10412171ea2ed9cd2f23cfcee66a42c732bfc",
     ]
 
     @staticmethod
-    def digest(tmp_path, tables, corpus, strategy, max_dist, alias_map):
-        cfg = GenerationConfig(max_dep_distance=max_dist, alias_map=alias_map)
+    def digest(tmp_path, tables, corpus, strategy, max_dist, ratios, alias_map):
+        cfg = GenerationConfig(max_dep_distance=max_dist, alias_map=alias_map, **ratios)
         records, report = generate_dataset(tables, corpus, cfg, strategy=strategy, seed=0)
         path = tmp_path / "dataset.jsonl"
         supervision.write_dataset(str(path), records)
@@ -702,15 +766,15 @@ class TestBitIdentity:
     def test_fixtures_with_aliases(self, tmp_path, fixture_tables, fixture_corpus, fixture_paths):
         aliases = supervision.read_alias_map(fixture_paths["aliases"])
         got = [
-            self.digest(tmp_path, fixture_tables, fixture_corpus, strategy, dist, aliases)
-            for strategy, dist in self.SETTINGS
+            self.digest(tmp_path, fixture_tables, fixture_corpus, strategy, dist, ratios, aliases)
+            for strategy, dist, ratios in self.SETTINGS
         ]
         assert got == self.FIXTURES
 
     def test_strategy_ordering_corpus(self, tmp_path):
         corpus = build_synth_corpus(seed=0)
         got = [
-            self.digest(tmp_path, corpus.tables, corpus.sentences, strategy, dist, {})
-            for strategy, dist in self.SETTINGS
+            self.digest(tmp_path, corpus.tables, corpus.sentences, strategy, dist, ratios, {})
+            for strategy, dist, ratios in self.SETTINGS
         ]
         assert got == self.SYNTH
