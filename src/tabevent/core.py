@@ -186,7 +186,7 @@ class TableEntry:
         if not isinstance(rec["values"], Mapping):
             raise ValueError(f"entry {rec['id']}: 'values' is not an object")
         values = {
-            str(p): tuple(map(str, _json_list(v, f"entry {rec['id']}: property {p!r}")))
+            str(p): tuple(_json_strs(v, f"entry {rec['id']}: property {p!r}"))
             for p, v in rec["values"].items()
         }
         return cls(id=str(rec["id"]), values=values)
@@ -234,14 +234,15 @@ class EventTable:
     def from_dict(cls, rec: Mapping) -> "EventTable":
         if not isinstance(rec, Mapping):
             raise ValueError(f"table record is not an object: {type(rec).__name__}")
-        where = f"table {rec['event_type']}"
-        properties = _json_list(rec["properties"], f"{where}: 'properties'")
-        time_properties = _json_list(rec.get("time_properties", []), f"{where}: 'time_properties'")
+        event_type = _json_str(rec["event_type"], "table record: 'event_type'")
+        where = f"table {event_type}"
+        properties = _json_strs(rec["properties"], f"{where}: 'properties'")
+        time_properties = _json_strs(rec.get("time_properties", []), f"{where}: 'time_properties'")
         entries = _json_list(rec["entries"], f"{where}: 'entries'")
         return cls(
-            event_type=str(rec["event_type"]),
-            properties=tuple(map(str, properties)),
-            time_properties=tuple(map(str, time_properties)),
+            event_type=event_type,
+            properties=tuple(properties),
+            time_properties=tuple(time_properties),
             entries=tuple(map(TableEntry.from_dict, entries)),
         )
 
@@ -283,7 +284,7 @@ class EventSchema:
             for p, v in _json_object(rec.get("importance", {}), "'importance'").items()
         }
         return cls(
-            event_type=str(rec["event_type"]),
+            event_type=_json_str(rec["event_type"], "schema record: 'event_type'"),
             key_args=frozenset(_json_strs(rec["key_args"], "'key_args'")),
             nonkey_args=frozenset(_json_strs(rec.get("nonkey_args", []), "'nonkey_args'")),
             importance=imp,

@@ -1,8 +1,9 @@
 """Token embeddings and a bidirectional LSTM emitting per-label scores.
 
 Pure numpy, float64, with hand-derived gradients for every parameter so
-training needs no autograd framework. The backward direction literally runs
-the forward recurrence on the reversed input and reverses its outputs.
+training needs no autograd framework. The two LSTM directions run in one time
+loop: step t reads token t in the forward direction and token n-1-t in the
+backward one, whose outputs are reversed into token order afterwards.
 
 Parameter names (all row-major when flattened to disk):
   embeddings            |V| x embed_dim
@@ -178,66 +179,92 @@ def _parameters_from_flat(flat: np.ndarray, layout: tuple, step: int) -> Paramet
     return params
 
 
-def lstm_forward(
-    x: np.ndarray, W: np.ndarray, U: np.ndarray, b: np.ndarray
-) -> dict[str, np.ndarray]:
-    """Single-direction LSTM pass; returns all activations for backprop.
+def blstm_forward(x: np.ndarray, params: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Both LSTM directions over `x` in one time loop; returns all activations for backprop.
 
-    Each step adds `U @ h_prev` to its row of `gates` (`x @ W.T + b`) and turns
-    it into the gate values in place with one tanh: sigmoid(z) = 0.5 + 0.5*tanh(z/2).
+    Step t advances the forward direction at token t and the backward direction at
+    token n-1-t. The state is gate-major: `gates[t]` is (4, 2, H), gate by direction,
+    and `c`, `tanh_c` and `h` are (n, 2, H), all in step order. Each step adds the two
+    recurrent products `U_d @ h_prev_d` to its row of `gates` (`x_d @ W_d.T + b_d`) and
+    turns it into the gate values in place with one tanh over both directions:
+    sigmoid(z) = 0.5 + 0.5*tanh(z/2).
     """
     n = x.shape[0]
-    H = U.shape[1]
-    gates = x @ W.T + b
-    scale = np.full(4 * H, 0.5)
-    scale[2 * H:3 * H] = 1.0
+    Us = params["lstm_fwd.U"], params["lstm_bwd.U"]
+    H = Us[0].shape[1]
+    gates = np.empty((n, 4, 2, H))
+    for d, (direction, x_d) in enumerate((("fwd", x), ("bwd", x[::-1]))):
+        p = f"lstm_{direction}."
+        gates[:, :, d] = (x_d @ params[p + "W"].T + params[p + "b"]).reshape(n, 4, H)
+    scale = np.full((4, 2, H), 0.5)
+    scale[2] = 1.0
     shift = 1.0 - scale
-    c = np.empty((n, H)); tanh_c = np.empty((n, H)); h = np.empty((n, H))
-    h_prev = c_prev = np.zeros(H)
-    for t in range(n):
-        z = gates[t]
-        z += U @ h_prev
+    c = np.empty((n, 2, H)); tanh_c = np.empty((n, 2, H)); h = np.empty((n, 2, H))
+    rec = np.empty((2, 4 * H))  # U_d @ h_prev_d, one row per direction
+    rec_gates = rec.reshape(2, 4, H).transpose(1, 0, 2)
+    ig = np.empty((2, H))
+    h_prev = c_prev = np.zeros((2, H))
+    for z, c_t, tanh_c_t, h_t in zip(gates, c, tanh_c, h):
+        np.dot(Us[0], h_prev[0], out=rec[0])
+        np.dot(Us[1], h_prev[1], out=rec[1])
+        z += rec_gates
         z *= scale
         np.tanh(z, out=z)
         z *= scale
         z += shift
-        np.multiply(z[H:2 * H], c_prev, out=c[t])
-        c[t] += z[:H] * z[2 * H:3 * H]
-        np.tanh(c[t], out=tanh_c[t])
-        np.multiply(z[3 * H:], tanh_c[t], out=h[t])
-        h_prev, c_prev = h[t], c[t]
+        np.multiply(z[1], c_prev, out=c_t)
+        c_t += np.multiply(z[0], z[2], out=ig)
+        np.tanh(c_t, out=tanh_c_t)
+        np.multiply(z[3], tanh_c_t, out=h_t)
+        h_prev, c_prev = h_t, c_t
     return {"x": x, "gates": gates, "c": c, "tanh_c": tanh_c, "h": h}
 
 
-def _lstm_backward(
+def _blstm_backward(
     cache: dict[str, np.ndarray],
     dh_out: np.ndarray,
-    W: np.ndarray,
-    U: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Backprop through one direction. Returns (dx, dW, dU, db).
+    params: Mapping[str, np.ndarray],
+    grads: Mapping[str, np.ndarray],
+) -> np.ndarray:
+    """Backprop through both directions of `blstm_forward`, given dLoss/dh (n x 2H, token
+    order). Writes the `lstm_{fwd,bwd}` gradients into `grads` and returns dLoss/dx.
 
-    Only the recurrence into dZ, the gate pre-activation gradients, runs per step.
+    Only the recurrence into dZ, the gate pre-activation gradients, runs per step, for
+    both directions at once. dZ is direction-major, (2, n, 4H), so each direction's row
+    for `U_d` and its whole block for the weight gradients are contiguous.
     """
     x, gates, c, tanh_c, h = (cache[k] for k in ("x", "gates", "c", "tanh_c", "h"))
-    n, H = c.shape
-    i, f, g, o = (gates[:, k * H:(k + 1) * H] for k in range(4))
-    c_prev = np.vstack([np.zeros(H), c[:-1]])
-    # dZ[t] is dc * dc_gates[t] for the input, forget and cell gates, dh * dh_gate[t] for output.
-    dc_gates = np.stack([g * i * (1.0 - i), c_prev * f * (1.0 - f), i * (1.0 - g**2)], axis=1)
+    n, _, H = c.shape
+    Us = params["lstm_fwd.U"], params["lstm_bwd.U"]
+    # Per step (2, 1, H): one row per direction, broadcasting over dZ's gate axis.
+    i, f, g, o = (gates[:, k, :, None] for k in range(4))
+    tanh_c = tanh_c[:, :, None]
+    c_prev = np.concatenate([np.zeros((1, 2, 1, H)), c[:-1, :, None]])
+    # dZ[d, t] is dc * dc_gates[t] for the input, forget and cell gates, dh * dh_gate[t] for output.
+    dc_gates = np.concatenate([g * i * (1.0 - i), c_prev * f * (1.0 - f), i * (1.0 - g**2)], axis=2)
     dh_gate = tanh_c * o * (1.0 - o)
     dh_cell = o * (1.0 - tanh_c**2)
-    dZ = np.empty((n, 4 * H))
-    dZ_blocks = dZ.reshape(n, 4, H)
-    dh_next = dc_next = np.zeros(H)
+    dh_steps = np.stack([dh_out[:, :H], dh_out[::-1, H:]], axis=1)[:, :, None]
+    dZ = np.empty((2, n, 4 * H))
+    dZ_blocks = dZ.reshape(2, n, 4, H)
+    dh_next = np.zeros((2, 1, H))
+    dc_next = np.zeros((2, 1, H))
     for t in range(n - 1, -1, -1):
-        dh = dh_out[t] + dh_next
+        dh = dh_steps[t] + dh_next
         dc = dc_next + dh * dh_cell[t]
-        np.multiply(dc_gates[t], dc, out=dZ_blocks[t, :3])
-        np.multiply(dh, dh_gate[t], out=dZ_blocks[t, 3])
-        dh_next = dZ[t] @ U
+        np.multiply(dc_gates[t], dc, out=dZ_blocks[:, t, :3])
+        np.multiply(dh, dh_gate[t], out=dZ_blocks[:, t, 3:])
+        np.dot(dZ[0, t], Us[0], out=dh_next[0, 0])
+        np.dot(dZ[1, t], Us[1], out=dh_next[1, 0])
         dc_next = dc * f[t]
-    return dZ @ W, dZ.T @ x, dZ[1:].T @ h[:-1], dZ.sum(axis=0)
+    dx = []
+    for d, (direction, x_d) in enumerate((("fwd", x), ("bwd", x[::-1]))):
+        p, dZ_d = f"lstm_{direction}.", dZ[d]
+        dx.append(dZ_d @ params[p + "W"])
+        np.matmul(dZ_d.T, x_d, out=grads[p + "W"])
+        np.matmul(dZ_d[1:].T, np.ascontiguousarray(h[:-1, d]), out=grads[p + "U"])
+        np.sum(dZ_d, axis=0, out=grads[p + "b"])
+    return dx[0] + dx[1][::-1]
 
 
 def forward(
@@ -251,7 +278,7 @@ def forward(
     """Emission scores P (n x num_labels) plus the cache backward() needs.
 
     Dropout masks are drawn from `rng` only when train=True; inference is
-    dropout-free and deterministic.
+    dropout-free and deterministic, and its cache holds no masks.
     """
     token_ids = [int(t) for t in token_ids]
     if not token_ids:
@@ -262,7 +289,6 @@ def forward(
         keyarg_ids = [int(k) for k in keyarg_ids]
     elif keyarg_ids is not None:
         raise ValueError("model was not configured with key-argument features")
-    n = len(token_ids)
 
     _check_param_shapes(params, expected_shapes(cfg))
     emb = params["embeddings"]
@@ -275,18 +301,17 @@ def forward(
         raise ValueError("training-mode dropout needs a seeded rng")
     keep = 1.0 - cfg.dropout_rate
 
-    def mask(shape: tuple[int, ...]) -> np.ndarray:
-        return (rng.random(shape) < keep) / keep if dropout else np.ones(shape)
+    def mask(shape: tuple[int, ...]) -> np.ndarray | None:
+        return (rng.random(shape) < keep) / keep if dropout else None
 
     in_mask = mask(x.shape)
-    x_dropped = x * in_mask
+    x_dropped = x if in_mask is None else x * in_mask
 
-    fwd = lstm_forward(x_dropped, params["lstm_fwd.W"], params["lstm_fwd.U"], params["lstm_fwd.b"])
-    bwd = lstm_forward(x_dropped[::-1], params["lstm_bwd.W"], params["lstm_bwd.U"], params["lstm_bwd.b"])
-    h = np.concatenate([fwd["h"], bwd["h"][::-1]], axis=1)
+    lstm = blstm_forward(x_dropped, params)
+    h = np.concatenate([lstm["h"][:, 0], lstm["h"][::-1, 1]], axis=1)
 
     out_mask = mask(h.shape)
-    h_dropped = h * out_mask
+    h_dropped = h if out_mask is None else h * out_mask
 
     P = h_dropped @ params["proj.W"].T + params["proj.b"][None, :]
     cache = {
@@ -295,8 +320,7 @@ def forward(
         "keyarg_ids": keyarg_ids,
         "in_mask": in_mask,
         "out_mask": out_mask,
-        "fwd": fwd,
-        "bwd": bwd,
+        "lstm": lstm,
         "h_dropped": h_dropped,
         "params": params,
         "step": params.step,
@@ -324,18 +348,14 @@ def backward(cache: dict, dP: np.ndarray, grads: Parameters) -> None:
     if dP.shape != (n, cfg.num_labels):
         raise ValueError(f"dP shape {dP.shape} does not match ({n}, {cfg.num_labels})")
 
-    H = cfg.lstm_hidden
     grads["proj.W"][...] = dP.T @ cache["h_dropped"]
     grads["proj.b"][...] = dP.sum(axis=0)
-    dh = (dP @ params["proj.W"]) * cache["out_mask"]
-
-    d_in = {}
-    for direction, dh_dir in (("fwd", dh[:, :H]), ("bwd", dh[::-1, H:])):
-        p = f"lstm_{direction}."
-        d_in[direction], grads[p + "W"][...], grads[p + "U"][...], grads[p + "b"][...] = (
-            _lstm_backward(cache[direction], dh_dir, params[p + "W"], params[p + "U"])
-        )
-    dx = (d_in["fwd"] + d_in["bwd"][::-1]) * cache["in_mask"]
+    dh = dP @ params["proj.W"]
+    if cache["out_mask"] is not None:
+        dh *= cache["out_mask"]
+    dx = _blstm_backward(cache["lstm"], dh, params, grads)
+    if cache["in_mask"] is not None:
+        dx *= cache["in_mask"]
     grads["embeddings"].fill(0.0)
     np.add.at(grads["embeddings"], cache["token_ids"], dx[:, :cfg.embed_dim])
     if cfg.uses_keyargs:

@@ -214,38 +214,48 @@ def check_blstm_gradients(trials: int = 10, seed: int = 0, rel_tol: float = 1e-3
     """All parameter gradients, `crf.A`'s zero one included, vs central finite differences.
 
     The loss is sum(P * R) for a fixed random R, which makes dLoss/dP = R
-    and exercises backward() in isolation. Dropout is off so the loss is a
-    smooth deterministic function of the parameters.
+    and exercises backward() in isolation. Sentences have 1 to 9 tokens, so a
+    direction may be a single step and an odd length makes the two directions
+    meet at the middle token; the hidden size is 1, 3 or 4. Trials 3 and 6 of
+    every 8 train with dropout 0.5: each loss evaluation draws its masks from a
+    freshly seeded rng, so they are the same masks the analytic gradient used
+    and the loss stays a smooth deterministic function of the parameters.
     """
     report = OracleReport("blstm-gradients", trials)
     eps = 1e-4
     for trial in range(trials):
         rng = _trial_rng(2000, trial, seed)
         use_keyargs = trial % 2 == 1
+        train = trial % 8 in (3, 6)
+        n = int(rng.integers(1, 10))
         vocab = {neural.UNK: 0, "a": 1, "b": 2, "c": 3, "d": 4}
         cfg = neural.ModelConfig(
             vocab=vocab,
             num_labels=3,
             embed_dim=5,
-            lstm_hidden=4,
+            lstm_hidden=int(rng.choice([1, 3, 4])),
             keyarg_embed_dim=3 if use_keyargs else 0,
             num_keyarg_labels=4 if use_keyargs else 0,
-            dropout_rate=0.0,
+            dropout_rate=0.5 if train else 0.0,
         )
         params = neural.init_params(cfg, rng)
-        token_ids = [int(t) for t in rng.integers(0, len(vocab), size=4)]
+        token_ids = [int(t) for t in rng.integers(0, len(vocab), size=n)]
         keyarg_ids = (
-            [int(k) for k in rng.integers(0, 4, size=4)] if use_keyargs else None
+            [int(k) for k in rng.integers(0, 4, size=n)] if use_keyargs else None
         )
-        R = rng.normal(size=(4, cfg.num_labels))
+        R = rng.normal(size=(n, cfg.num_labels))
+        mask_seed = int(rng.integers(2**32))
 
-        P, cache = neural.forward(token_ids, params, cfg, keyarg_ids=keyarg_ids)
+        def run() -> tuple[np.ndarray, dict]:
+            return neural.forward(token_ids, params, cfg, keyarg_ids=keyarg_ids, train=train,
+                                  rng=np.random.default_rng(mask_seed))
+
+        _, cache = run()
         grads = params.zeros_like()
         neural.backward(cache, R, grads)
 
         def loss() -> float:
-            out, _ = neural.forward(token_ids, params, cfg, keyarg_ids=keyarg_ids)
-            return float((out * R).sum())
+            return float((run()[0] * R).sum())
 
         numeric = _numeric_gradients(params, loss, eps)
         worst = 0.0
@@ -254,7 +264,10 @@ def check_blstm_gradients(trials: int = 10, seed: int = 0, rel_tol: float = 1e-3
             denom = np.maximum(np.maximum(np.abs(num), np.abs(ana)), 1e-3)
             worst = max(worst, float((np.abs(num - ana) / denom).max()))
         if worst > rel_tol:
-            report.failures.append(f"trial {trial}: max rel error {worst:.3e}")
+            report.failures.append(
+                f"trial {trial} (n={n}, H={cfg.lstm_hidden}, train={train}): "
+                f"max rel error {worst:.3e}"
+            )
     return report
 
 

@@ -429,6 +429,15 @@ class TestPipelineCommands:
              ": 'key_args' needs a list of strings"),
             ("model", lambda m: m["schemas"][1]["nonkey_args"].append(["venue"]),
              ": 'nonkey_args' needs a list of strings"),
+            ("tables", lambda t: t[0].update(event_type=["business.acquisition"]),
+             ": table record: 'event_type' needs a string, got list"),
+            ("tables", lambda t: t[0]["entries"][1]["values"].update(date=[["March", "2010"]]),
+             ": entry m.05nb3y7: property 'date' needs a list of strings"),
+            ("tables", lambda t: (t[1]["properties"].append(["officiant"]),
+                                  t[1]["entries"][0]["values"].update({"['officiant']": ["x"]})),
+             ": table people.marriage: 'properties' needs a list of strings"),
+            ("model", lambda m: m["schemas"].append({**m["schemas"][0], "event_type": ["x"]}),
+             ": schema record: 'event_type' needs a string, got list"),
         ],
         ids=["model-config", "model-schemas", "tensor-shape", "table-entries",
              "tables-string-values", "tables-non-object", "tables-non-object-entry",
@@ -446,7 +455,8 @@ class TestPipelineCommands:
              "pred-short-span", "pred-string-span", "gold-events-float-argument",
              "gold-missing-id", "gold-int-label", "gold-list-token", "gold-int-types",
              "gold-first-record-without-labels", "model-list-role", "model-list-group-role",
-             "model-list-key-arg", "model-list-nonkey-arg"],
+             "model-list-key-arg", "model-list-nonkey-arg", "tables-list-type",
+             "tables-list-value", "tables-list-property", "model-list-schema-type"],
     )
     def test_malformed_input_named(
         self, trained, fixture_paths, tmp_path, capsys, kind, edit, named

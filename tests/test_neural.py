@@ -166,22 +166,44 @@ def reference_lstm_step_kernels(x, W, U, b, dh_out):
     return np.array(hs), np.array(cs), dx, dW, dU, db
 
 
+def blstm_params(rng, D, H):
+    return {
+        f"lstm_{direction}.{name}": rng.normal(size=shape)
+        for direction in ("fwd", "bwd")
+        for name, shape in (("W", (4 * H, D)), ("U", (4 * H, H)), ("b", (4 * H,)))
+    }
+
+
 @pytest.mark.parametrize("n", [1, 2, 9])
 def test_lstm_kernels_match_per_step_reference(n):
+    """Each direction of the lockstep kernels against the per-step np.outer oracle; the
+    backward direction's oracle runs on the reversed input and its dLoss/dh."""
     rng = np.random.default_rng(100 + n)
     D, H = 5, 4
     x = rng.normal(size=(n, D))
-    W, U, b = rng.normal(size=(4 * H, D)), rng.normal(size=(4 * H, H)), rng.normal(size=4 * H)
-    dh_out = rng.normal(size=(n, H))
-    cache = neural.lstm_forward(x, W, U, b)
-    got = (cache["h"], cache["c"]) + neural._lstm_backward(cache, dh_out, W, U)
-    want = reference_lstm_step_kernels(x, W, U, b, dh_out)
-    for name, a, e in zip(("h", "c", "dx", "dW", "dU", "db"), got, want):
-        assert a.shape == e.shape, name
-        assert np.abs(a - e).max() <= 1e-12 * np.abs(e).max(), name
+    params = blstm_params(rng, D, H)
+    dh_out = rng.normal(size=(n, 2 * H))
+    grads = {name: np.empty_like(arr) for name, arr in params.items()}
+    cache = neural.blstm_forward(x, params)
+    dx = neural._blstm_backward(cache, dh_out, params, grads)
+    dx_want = np.zeros_like(x)
+    for d, (direction, x_d, dh_d) in enumerate(
+        (("fwd", x, dh_out[:, :H]), ("bwd", x[::-1], dh_out[::-1, H:]))
+    ):
+        p = f"lstm_{direction}."
+        h, c, dx_d, dW, dU, db = reference_lstm_step_kernels(
+            x_d, params[p + "W"], params[p + "U"], params[p + "b"], dh_d
+        )
+        dx_want += dx_d if d == 0 else dx_d[::-1]
+        got = (cache["h"][:, d], cache["c"][:, d], grads[p + "W"], grads[p + "U"], grads[p + "b"])
+        for name, a, e in zip(("h", "c", "dW", "dU", "db"), got, (h, c, dW, dU, db)):
+            assert a.shape == e.shape, p + name
+            assert np.abs(a - e).max() <= 1e-12 * np.abs(e).max(), p + name
+    assert np.abs(dx - dx_want).max() <= 1e-12 * np.abs(dx_want).max()
 
 
 def test_backward_direction_is_reversed_forward():
+    """The cache holds both directions in step order: the backward one's step t is token n-1-t."""
     cfg = tiny_cfg()
     params = neural.init_params(cfg, np.random.default_rng(6))
     ids = [1, 3, 2, 1]
@@ -189,8 +211,163 @@ def test_backward_direction_is_reversed_forward():
     x = params["embeddings"][ids]
     fwd_ref = reference_lstm(x, params["lstm_fwd.W"], params["lstm_fwd.U"], params["lstm_fwd.b"])
     bwd_ref = reference_lstm(x[::-1], params["lstm_bwd.W"], params["lstm_bwd.U"], params["lstm_bwd.b"])
-    assert np.allclose(cache["fwd"]["h"], fwd_ref)
-    assert np.allclose(cache["bwd"]["h"], bwd_ref)
+    assert np.allclose(cache["lstm"]["h"][:, 0], fwd_ref)
+    assert np.allclose(cache["lstm"]["h"][:, 1], bwd_ref)
+    assert np.array_equal(cache["h_dropped"], np.concatenate([cache["lstm"]["h"][:, 0],
+                                                              cache["lstm"]["h"][::-1, 1]], axis=1))
+
+
+# The single-direction kernels and their two-call use in forward()/backward() as they
+# were before the lockstep kernels, kept verbatim as the oracle for bit equality.
+
+def reference_lstm_forward(
+    x: np.ndarray, W: np.ndarray, U: np.ndarray, b: np.ndarray
+) -> dict[str, np.ndarray]:
+    """Single-direction LSTM pass; returns all activations for backprop.
+
+    Each step adds `U @ h_prev` to its row of `gates` (`x @ W.T + b`) and turns
+    it into the gate values in place with one tanh: sigmoid(z) = 0.5 + 0.5*tanh(z/2).
+    """
+    n = x.shape[0]
+    H = U.shape[1]
+    gates = x @ W.T + b
+    scale = np.full(4 * H, 0.5)
+    scale[2 * H:3 * H] = 1.0
+    shift = 1.0 - scale
+    c = np.empty((n, H)); tanh_c = np.empty((n, H)); h = np.empty((n, H))
+    h_prev = c_prev = np.zeros(H)
+    for t in range(n):
+        z = gates[t]
+        z += U @ h_prev
+        z *= scale
+        np.tanh(z, out=z)
+        z *= scale
+        z += shift
+        np.multiply(z[H:2 * H], c_prev, out=c[t])
+        c[t] += z[:H] * z[2 * H:3 * H]
+        np.tanh(c[t], out=tanh_c[t])
+        np.multiply(z[3 * H:], tanh_c[t], out=h[t])
+        h_prev, c_prev = h[t], c[t]
+    return {"x": x, "gates": gates, "c": c, "tanh_c": tanh_c, "h": h}
+
+
+def reference_lstm_backward(
+    cache: dict[str, np.ndarray],
+    dh_out: np.ndarray,
+    W: np.ndarray,
+    U: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Backprop through one direction. Returns (dx, dW, dU, db).
+
+    Only the recurrence into dZ, the gate pre-activation gradients, runs per step.
+    """
+    x, gates, c, tanh_c, h = (cache[k] for k in ("x", "gates", "c", "tanh_c", "h"))
+    n, H = c.shape
+    i, f, g, o = (gates[:, k * H:(k + 1) * H] for k in range(4))
+    c_prev = np.vstack([np.zeros(H), c[:-1]])
+    # dZ[t] is dc * dc_gates[t] for the input, forget and cell gates, dh * dh_gate[t] for output.
+    dc_gates = np.stack([g * i * (1.0 - i), c_prev * f * (1.0 - f), i * (1.0 - g**2)], axis=1)
+    dh_gate = tanh_c * o * (1.0 - o)
+    dh_cell = o * (1.0 - tanh_c**2)
+    dZ = np.empty((n, 4 * H))
+    dZ_blocks = dZ.reshape(n, 4, H)
+    dh_next = dc_next = np.zeros(H)
+    for t in range(n - 1, -1, -1):
+        dh = dh_out[t] + dh_next
+        dc = dc_next + dh * dh_cell[t]
+        np.multiply(dc_gates[t], dc, out=dZ_blocks[t, :3])
+        np.multiply(dh, dh_gate[t], out=dZ_blocks[t, 3])
+        dh_next = dZ[t] @ U
+        dc_next = dc * f[t]
+    return dZ @ W, dZ.T @ x, dZ[1:].T @ h[:-1], dZ.sum(axis=0)
+
+
+def reference_forward(token_ids, params, cfg, keyarg_ids=None, train=False, rng=None):
+    """forward() with the single-direction kernels and always-built dropout masks."""
+    x = params["embeddings"][token_ids]
+    if cfg.uses_keyargs:
+        x = np.concatenate([x, params["keyarg_embeddings"][keyarg_ids]], axis=1)
+
+    dropout = train and cfg.dropout_rate > 0.0
+    keep = 1.0 - cfg.dropout_rate
+
+    def mask(shape: tuple[int, ...]) -> np.ndarray:
+        return (rng.random(shape) < keep) / keep if dropout else np.ones(shape)
+
+    in_mask = mask(x.shape)
+    x_dropped = x * in_mask
+
+    fwd = reference_lstm_forward(x_dropped, params["lstm_fwd.W"], params["lstm_fwd.U"], params["lstm_fwd.b"])
+    bwd = reference_lstm_forward(x_dropped[::-1], params["lstm_bwd.W"], params["lstm_bwd.U"], params["lstm_bwd.b"])
+    h = np.concatenate([fwd["h"], bwd["h"][::-1]], axis=1)
+
+    out_mask = mask(h.shape)
+    h_dropped = h * out_mask
+
+    P = h_dropped @ params["proj.W"].T + params["proj.b"][None, :]
+    cache = {"cfg": cfg, "token_ids": token_ids, "keyarg_ids": keyarg_ids, "in_mask": in_mask,
+             "out_mask": out_mask, "fwd": fwd, "bwd": bwd, "h_dropped": h_dropped, "params": params}
+    return P, cache
+
+
+def reference_backward(cache, dP, grads):
+    """backward() with the single-direction kernels."""
+    cfg, params = cache["cfg"], cache["params"]
+    H = cfg.lstm_hidden
+    grads["proj.W"][...] = dP.T @ cache["h_dropped"]
+    grads["proj.b"][...] = dP.sum(axis=0)
+    dh = (dP @ params["proj.W"]) * cache["out_mask"]
+
+    d_in = {}
+    for direction, dh_dir in (("fwd", dh[:, :H]), ("bwd", dh[::-1, H:])):
+        p = f"lstm_{direction}."
+        d_in[direction], grads[p + "W"][...], grads[p + "U"][...], grads[p + "b"][...] = (
+            reference_lstm_backward(cache[direction], dh_dir, params[p + "W"], params[p + "U"])
+        )
+    dx = (d_in["fwd"] + d_in["bwd"][::-1]) * cache["in_mask"]
+    grads["embeddings"].fill(0.0)
+    np.add.at(grads["embeddings"], cache["token_ids"], dx[:, :cfg.embed_dim])
+    if cfg.uses_keyargs:
+        grads["keyarg_embeddings"].fill(0.0)
+        np.add.at(grads["keyarg_embeddings"], cache["keyarg_ids"], dx[:, cfg.embed_dim:])
+
+
+def test_lockstep_bits_equal_single_direction_reference():
+    """P, h and every gradient equal the single-direction kernels' bit for bit, with and
+    without key-argument features, in inference and in training with dropout 0.5."""
+    rng = np.random.default_rng(2024)
+    vocab = {UNK: 0, **{f"w{i}": i + 1 for i in range(11)}}
+    for draw in range(320):
+        n = int(rng.choice([1, 2, 3, 11, 40]))
+        H = int(rng.choice([1, 3, 24, 100]))
+        use_keyargs, train = draw % 2 == 1, draw % 4 >= 2
+        cfg = ModelConfig(
+            vocab=vocab, num_labels=int(rng.integers(1, 8)), embed_dim=int(rng.choice([2, 9, 30])),
+            lstm_hidden=H, keyarg_embed_dim=3 if use_keyargs else 0,
+            num_keyarg_labels=4 if use_keyargs else 0, dropout_rate=0.5,
+        )
+        params = neural.init_params(cfg, rng)
+        params.flat[...] = rng.normal(scale=0.5, size=params.flat.shape)
+        ids = [int(t) for t in rng.integers(0, len(vocab), size=n)]
+        keyarg_ids = [int(k) for k in rng.integers(0, 4, size=n)] if use_keyargs else None
+        dP = rng.normal(size=(n, cfg.num_labels))
+        mask_seed = int(rng.integers(2**32))
+
+        P, cache = neural.forward(ids, params, cfg, keyarg_ids, train, np.random.default_rng(mask_seed))
+        grads = params.zeros_like()
+        neural.backward(cache, dP, grads)
+        P_ref, ref_cache = reference_forward(ids, params, cfg, keyarg_ids, train,
+                                             np.random.default_rng(mask_seed))
+        grads_ref = params.zeros_like()
+        reference_backward(ref_cache, dP, grads_ref)
+
+        where = f"draw {draw}: n={n} H={H} keyargs={use_keyargs} train={train}"
+        assert np.array_equal(P, P_ref), where
+        assert np.array_equal(cache["lstm"]["h"][:, 0], ref_cache["fwd"]["h"]), where
+        assert np.array_equal(cache["lstm"]["h"][:, 1], ref_cache["bwd"]["h"]), where
+        assert np.array_equal(cache["h_dropped"], ref_cache["h_dropped"]), where
+        for name in params:
+            assert np.array_equal(grads[name], grads_ref[name]), f"{where}: {name}"
 
 
 class TestBackward:
