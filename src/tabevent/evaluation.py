@@ -113,11 +113,6 @@ def _score_all(
     return {name: _count(pred, gold, keys) for name, keys in _standards(schemas).items()}
 
 
-def score_event_classification(pred: Sequence[Mapping], gold: Sequence[Mapping]) -> dict:
-    """A predicted (sentence, type) pair is correct iff gold has that pair."""
-    return _count(*_aligned(pred, gold), _standards({})["event_classification"])
-
-
 def score_key_args(
     pred: Sequence[Mapping],
     gold: Sequence[Mapping],
@@ -130,20 +125,12 @@ def score_key_args(
     return _count(*_aligned(pred, gold), _standards(schemas)["key_argument_detection"])
 
 
-def score_all_args(
-    pred: Sequence[Mapping],
-    gold: Sequence[Mapping],
-    schemas: Mapping[str, EventSchema],
-) -> dict:
-    """Correct iff the type matches and the full argument sets are equal."""
-    return _count(*_aligned(pred, gold), _standards(schemas)["all_argument_detection"])
-
-
 def score_all_standards(
     pred: Sequence[Mapping],
     gold: Sequence[Mapping],
     schemas: Mapping[str, EventSchema],
 ) -> dict:
+    """The scores of each standard, keyed by its name."""
     return _score_all(*_aligned(pred, gold), schemas)
 
 

@@ -18,7 +18,6 @@ Parameter names (all row-major when flattened to disk):
 
 from __future__ import annotations
 
-import base64
 import io
 import math
 from dataclasses import dataclass, fields
@@ -406,14 +405,11 @@ def sgd_step(params: Parameters, grads: Parameters, state: AdamState, lr: float)
 
 
 # ---------------------------------------------------------------------------
-# Disk format: named row-major tensors of little-endian float64. Model format
-# version 3 stores a stage's whole buffer `flat` as raw bytes after a header that
-# gives its layout; version 2 stored each tensor's bytes as base64 and version 1
-# as a float list, both in per-tensor records.
+# Disk format: a stage's whole buffer `flat` as raw little-endian float64 bytes,
+# after a header that gives its layout of named row-major tensors.
 # ---------------------------------------------------------------------------
 
 _DTYPE = "<f8"
-_TENSOR_FIELDS = {1: ("shape", "data"), 2: ("shape", "dtype", "data_b64")}
 
 
 def write_flat(fh: BinaryIO, params: Parameters) -> None:
@@ -423,7 +419,7 @@ def write_flat(fh: BinaryIO, params: Parameters) -> None:
 
 
 def read_flat(fh: BinaryIO, layout, cfg: ModelConfig) -> Parameters:
-    """The tensors `cfg` implies, read from a version-3 stage: `layout`, the header's
+    """The tensors `cfg` implies, read from a stage of a model file: `layout`, the header's
     `[[name, shape], ...]` in buffer order, and the next bytes of `fh`, which are read
     into the new parameter buffer itself.
 
@@ -474,58 +470,6 @@ def _check_finite(params: Parameters) -> None:
     if not np.isfinite(params.flat).all():
         name = next(name for name, arr in params.items() if not np.isfinite(arr).all())
         raise ValueError(f"tensor {name!r} has a non-finite value")
-
-
-def tensors_from_dict(rec: Mapping, cfg: ModelConfig, format_version: int = 2) -> Parameters:
-    """The tensors `cfg` implies, read from a stage's `tensors` record of `format_version`.
-
-    A missing, unexpected or misshapen tensor, one not in the version's form, one
-    whose data does not fill its shape, or one holding a NaN or an infinity, is an
-    error naming it; so is a version-2 tensor whose dtype is not `<f8` or whose data
-    is not base64.
-    """
-    if not isinstance(rec, Mapping):
-        raise ValueError("'tensors' is not an object")
-    shapes = expected_shapes(cfg)
-    for name in sorted(rec.keys() - shapes.keys()):
-        raise ValueError(f"unexpected parameter {name!r}")
-    fields = _TENSOR_FIELDS[format_version]
-    arrays = {}
-    for name, shape in shapes.items():
-        if name not in rec:
-            raise ValueError(f"missing parameter {name!r}")
-        entry = rec[name]
-        if not isinstance(entry, Mapping) or not set(fields) <= entry.keys():
-            raise ValueError(f"tensor {name!r} needs a {', '.join(map(repr, fields))} "
-                             f"in format version {format_version}")
-        got = tuple(entry["shape"]) if isinstance(entry["shape"], list) else entry["shape"]
-        if got != shape:
-            raise ValueError(f"parameter {name!r} has shape {got}, expected {shape}")
-        arrays[name] = _tensor_data(name, entry, shape, format_version)
-    params = Parameters(arrays)
-    _check_finite(params)
-    return params
-
-
-def _tensor_data(name: str, entry: Mapping, shape: tuple, format_version: int) -> np.ndarray:
-    """The values of one tensor record whose shape has been checked."""
-    if format_version == 1:
-        data = entry["data"]
-        n = len(data) if isinstance(data, list) else type(data).__name__
-        if n != math.prod(shape):
-            raise ValueError(f"tensor {name!r} has {n} values for shape {shape}")
-        return np.asarray(data, dtype=np.float64).reshape(shape)
-    if entry["dtype"] != _DTYPE:
-        raise ValueError(f"tensor {name!r} has dtype {entry['dtype']!r}, expected {_DTYPE!r}")
-    try:
-        raw = base64.b64decode(entry["data_b64"], validate=True)
-    except (ValueError, TypeError):  # binascii.Error is a ValueError
-        raise ValueError(f"tensor {name!r} data_b64 is not base64") from None
-    nbytes = 8 * math.prod(shape)
-    if len(raw) != nbytes:
-        raise ValueError(f"tensor {name!r} has {len(raw) / 8:.15g} values for shape {shape} "
-                         f"({len(raw)} bytes, expected {nbytes})")
-    return np.frombuffer(raw, dtype=_DTYPE).reshape(shape)
 
 
 def load_embeddings(

@@ -9,7 +9,6 @@ it never overwrites a stage-1 key span.
 from __future__ import annotations
 
 import json
-import mmap
 import os
 import pickle
 import signal
@@ -45,7 +44,7 @@ class TaggerModel:
     label_set: LabelSet
 
     def _header(self) -> dict:
-        """The stage's part of a version-3 header: everything but the tensor data."""
+        """The stage's part of the header: everything but the tensor data."""
         return {
             "config": self.cfg.to_dict(),
             "label_set": self.label_set.to_dict(),
@@ -53,16 +52,15 @@ class TaggerModel:
         }
 
     @classmethod
-    def from_dict(cls, rec: Mapping, format_version: int = 2,
-                  data: BinaryIO | None = None) -> "TaggerModel":
-        """The stage of `rec`; in version 3 its tensors are the next bytes of `data`."""
+    def from_header(cls, rec: Mapping, data: BinaryIO) -> "TaggerModel":
+        """The stage whose part of the header is `rec`; its tensors are the next bytes of `data`."""
         rec = _json_object(rec, "stage record")
         cfg = neural.ModelConfig.from_dict(_json_object(rec["config"], "'config'"))
-        if format_version == 3:
-            params = neural.read_flat(data, rec["layout"], cfg)
-        else:
-            params = neural.tensors_from_dict(rec["tensors"], cfg, format_version)
-        return cls(cfg, params, LabelSet.from_dict(_json_object(rec["label_set"], "'label_set'")))
+        label_set = LabelSet.from_dict(_json_object(rec["label_set"], "'label_set'"))
+        if len(label_set) != cfg.num_labels:
+            raise ValueError(f"the label set has {len(label_set)} labels, the network "
+                             f"{cfg.num_labels}")
+        return cls(cfg, neural.read_flat(data, rec["layout"], cfg), label_set)
 
     def emissions(
         self, sentence: ParsedSentence, keyarg_ids: Sequence[int] | None = None
@@ -114,28 +112,26 @@ class ExtractorModel:
 
     @classmethod
     def load(cls, path: str) -> "ExtractorModel":
-        """Read a model of format version 3, 2 or 1.
-
-        A version-3 file's tensor bytes are read into each stage's parameter buffer
-        itself, after its header line. Versions 1 and 2 are one JSON document, which
-        their writers put on one line, with each tensor in that version's form.
-        """
+        """Read a model that `save` wrote: its header line, then each stage's tensor bytes
+        into that stage's parameter buffer itself."""
         with open(path, "rb") as fh:
             payload = _read_header(fh, path)
             version = payload.get("format_version") if isinstance(payload, dict) else None
-            if type(version) is not int or version not in (1, 2, 3):
+            if type(version) is not int or version != 3:
                 raise ValueError(f"{path}: unsupported model format version {version!r}")
             where, stages = path, {}
             try:
                 for stage in ("stage1", "stage2"):
                     where = f"{path}: {stage}"
-                    stages[stage] = TaggerModel.from_dict(payload[stage], version, fh)
-                where = path
-                if version == 3 and fh.read(1):
+                    stages[stage] = TaggerModel.from_header(payload[stage], fh)
+                if fh.read(1):
                     last = stages["stage2"].params.layout[-1][0]
-                    raise ValueError(f"stage2: data continues after tensor {last!r}")
-                if version != 3 and fh.read().strip():
-                    raise ValueError("data follows the JSON document")
+                    raise ValueError(f"data continues after tensor {last!r}")
+                takes, given = stages["stage2"].cfg.num_keyarg_labels, len(stages["stage1"].label_set)
+                if takes != given:
+                    raise ValueError(f"the network takes {takes} key-argument labels, stage 1's "
+                                     f"label set has {given}")
+                where = path
                 schemas = {
                     schema.event_type: schema
                     for schema in map(EventSchema.from_dict, _json_list(payload["schemas"], "'schemas'"))
@@ -150,24 +146,12 @@ class ExtractorModel:
 
 
 def _read_header(fh: BinaryIO, path: str):
-    """The JSON value of the first line of the file `fh`, or of the whole file when that
-    line is not complete JSON; `fh` is left after that line.
-
-    The line is found in a memory map of the file and copied out in one piece, which
-    for a version-1 or -2 file is as fast as reading the whole file.
-    """
+    """The JSON value of the first line of `fh`, which is left after that line."""
+    line = fh.readline()
     try:
-        if os.fstat(fh.fileno()).st_size == 0:
+        if not line:
             raise ValueError("the file is empty")
-        with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as mm:
-            end = mm.find(b"\n") + 1 or len(mm)
-            text = mm[:end]
-        fh.seek(end)
-        text = text.decode("utf-8")  # unmapped, then the bytes dropped: at most two copies
-        try:
-            return json.loads(text)
-        except ValueError:
-            return json.loads(text + fh.read().decode("utf-8"))
+        return json.loads(line.decode("utf-8"))
     except ValueError as exc:
         raise ValueError(f"{path}: the model header is not JSON: {exc}") from None
 

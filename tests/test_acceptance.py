@@ -203,15 +203,15 @@ def learned():
 
 
 def test_09_learnability(learned):
-    f1_train = evaluation.score_event_classification(
-        learned["pred_train"], learned["gold_train"]
-    )["f1"]
-    f1_viterbi = evaluation.score_event_classification(
-        learned["pred_held_viterbi"], learned["gold_held"]
-    )["f1"]
-    f1_ilp = evaluation.score_event_classification(
-        learned["pred_held_ilp"], learned["gold_held"]
-    )["f1"]
+    f1_train = evaluation.score_all_standards(
+        learned["pred_train"], learned["gold_train"], {}
+    )["event_classification"]["f1"]
+    f1_viterbi = evaluation.score_all_standards(
+        learned["pred_held_viterbi"], learned["gold_held"], {}
+    )["event_classification"]["f1"]
+    f1_ilp = evaluation.score_all_standards(
+        learned["pred_held_ilp"], learned["gold_held"], {}
+    )["event_classification"]["f1"]
     ok = (
         f1_train >= 0.95
         and learned["epochs_run"] <= 50
@@ -275,9 +275,10 @@ def test_10_metric_chain(learned):
     ok = True
     chains = []
     for pred, gold, schemas in cases:
-        f_ec = evaluation.score_event_classification(pred, gold)["f1"]
+        scores = evaluation.score_all_standards(pred, gold, schemas)
+        f_ec = scores["event_classification"]["f1"]
         f_key = evaluation.score_key_args(pred, gold, schemas)["f1"]
-        f_all = evaluation.score_all_args(pred, gold, schemas)["f1"]
+        f_all = scores["all_argument_detection"]["f1"]
         chains.append((f_all, f_key, f_ec))
         ok = ok and f_all <= f_key <= f_ec
     report(

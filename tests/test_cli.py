@@ -1,23 +1,22 @@
-import base64
 import json
 import pathlib
-import struct
 
 import pytest
+from test_pipeline import edited_model, tensor_offset
 
 from tabevent import cli
 from tabevent.core import read_jsonl
 from tabevent.pipeline import ExtractorModel
 
-# A version-1 model (embed/hidden1/hidden2/keyarg dims 4/4/4/2, 5 epochs at lr 0.05, seed 0, on
-# the README's gen output for fixtures/), and what `extract --multi` wrote from
-# it on fixtures/s1s4_corpus.jsonl when version 1 was the format `train` wrote. The same model
-# as version 2 is what `save` wrote from it, with its `meta`, when version 2 was the format.
-# The metrics are what `eval` wrote for that output against the README's gen output, with
-# the version-2 model's schemas, when events were paired greedily by argument overlap.
+# A model (embed/hidden1/hidden2/keyarg dims 4/4/4/2, 5 epochs at lr 0.05, seed 0, on the
+# README's gen output for fixtures/), written by `train` in model format 1 and converted to
+# format 3 by `load` and `save` with its `meta`; and what `extract --multi` wrote from it on
+# fixtures/s1s4_corpus.jsonl when format 1 was the format `train` wrote. The metrics are what
+# `eval` wrote for that output against the README's gen output, with the model's schemas, when
+# events were paired greedily by argument overlap.
 DATA = pathlib.Path(__file__).resolve().parent / "data"
-V1_MODEL, V1_PRED = DATA / "model_v1.json", DATA / "model_v1_pred_multi.jsonl"
-V2_MODEL, V1_METRICS = DATA / "model_v2.json", DATA / "model_v1_metrics.json"
+MODEL, PRED, METRICS = (DATA / name for name in
+                        ("model_v3.bin", "model_v1_pred_multi.jsonl", "model_v1_metrics.json"))
 
 
 def run(argv):
@@ -30,19 +29,14 @@ def read_json(path):
 
 
 def read_header(path):
-    """The header line of a version-3 model file."""
+    """The header line of a model file."""
     with open(path, "rb") as fh:
         return json.loads(fh.readline())
 
 
-def drop_last_value(tensor):
-    tensor["data_b64"] = base64.b64encode(base64.b64decode(tensor["data_b64"])[:-8]).decode()
-
-
-def nan_first_value(tensor):
-    raw = base64.b64decode(tensor["data_b64"])
-    nan = struct.pack("<d", float("nan"))
-    tensor["data_b64"] = base64.b64encode(nan + raw[8:]).decode()
+def first_value(stage, name):
+    """Index of the first value of tensor `name` of `stage` after the committed model's header."""
+    return tensor_offset(ExtractorModel.load(str(MODEL)), stage, name)
 
 
 @pytest.fixture
@@ -144,7 +138,7 @@ class TestUsage:
 
     def test_multi_with_decoder_exits_2(self, fixture_paths, tmp_path):
         with pytest.raises(SystemExit) as exc:
-            run(["extract", "--model", str(V2_MODEL), "--corpus", fixture_paths["corpus"],
+            run(["extract", "--model", str(MODEL), "--corpus", fixture_paths["corpus"],
                  "--out", str(tmp_path / "pred.jsonl"), "--multi", "--decoder", "viterbi"])
         assert exc.value.code == 2
 
@@ -270,12 +264,18 @@ class TestPipelineCommands:
         ) == 0
         assert (base / "pred_multi.jsonl.manifest.json").exists()
 
+    def test_extract_matches_committed_output(self, fixture_paths, tmp_path):
+        out = tmp_path / "pred.jsonl"
+        assert run(["extract", "--model", str(MODEL), "--corpus", fixture_paths["corpus"],
+                    "--out", str(out), "--multi"]) == 0
+        assert out.read_bytes() == PRED.read_bytes()
+
     def test_eval_matches_committed_metrics(self, gen_out, tmp_path):
         dataset, _ = gen_out
         out = tmp_path / "metrics.json"
-        assert run(["eval", "--pred", str(V1_PRED), "--gold", str(dataset), "--model", str(V2_MODEL),
+        assert run(["eval", "--pred", str(PRED), "--gold", str(dataset), "--model", str(MODEL),
                     "--out", str(out)]) == 0
-        assert out.read_bytes() == V1_METRICS.read_bytes()
+        assert out.read_bytes() == METRICS.read_bytes()
 
     def test_eval_requires_schema_source(self, trained, fixture_paths, capsys):
         base, dataset, model = trained
@@ -289,17 +289,15 @@ class TestPipelineCommands:
     @pytest.mark.parametrize(
         "stage, edit, named",
         [
-            ("stage1", lambda tensors: tensors.pop("crf.A"), "missing parameter 'crf.A'"),
-            ("stage2", lambda tensors: drop_last_value(tensors["proj.W"]), "tensor 'proj.W' has"),
+            ("stage1", dict(header=lambda h: h["stage1"]["layout"].pop()), "missing parameter 'crf.A'"),
+            ("stage2", dict(data=lambda v: v[:first_value("stage2", "proj.W") + 1]),
+             "tensor 'proj.W' ends early"),
         ],
         ids=["missing", "truncated"],
     )
     def test_extract_rejects_bad_tensor(self, trained, fixture_paths, capsys, stage, edit, named):
         base, _, _ = trained
-        payload = read_json(V2_MODEL)
-        edit(payload[stage]["tensors"])
-        bad = base / "bad_model.json"
-        bad.write_text(json.dumps(payload))
+        bad = edited_model(MODEL, base, **edit)
         code = run(
             [
                 "extract",
@@ -327,8 +325,8 @@ class TestPipelineCommands:
         [
             ("model", lambda m: m["stage1"].pop("config"), "stage1: missing field 'config'"),
             ("model", lambda m: m.pop("schemas"), ": missing field 'schemas'"),
-            ("model", lambda m: m["stage2"]["tensors"]["proj.W"].pop("shape"),
-             "stage2: tensor 'proj.W' needs a 'shape'"),
+            ("model", lambda m: next(e for e in m["stage2"]["layout"] if e[0] == "proj.W").pop(),
+             "stage2: 'layout' entry ['proj.W'] is not a [name, shape] pair"),
             ("tables", lambda t: t[1].pop("entries"), "table record missing field 'entries'"),
             ("tables", lambda t: t[0]["entries"][0]["values"].update(date="2004"),
              "entry m.07bh4j7: property 'date' needs a list, got str"),
@@ -369,7 +367,7 @@ class TestPipelineCommands:
              "sentence 'EMPTY': 'tokens' is empty"),
             ("dataset", lambda lines: lines[2].update(tokens=[], labels=[]),
              "record 'S2': 'tokens' is empty"),
-            ("model", lambda m: nan_first_value(m["stage1"]["tensors"]["proj.b"]),
+            ("model-data", lambda v: v.__setitem__(first_value("stage1", "proj.b"), float("nan")) or v,
              "stage1: tensor 'proj.b' has a non-finite value"),
             ("tables", lambda t: t.append({
                 "event_type": "business.acquisition", "properties": ["x", "y"],
@@ -438,6 +436,11 @@ class TestPipelineCommands:
              ": table people.marriage: 'properties' needs a list of strings"),
             ("model", lambda m: m["schemas"].append({**m["schemas"][0], "event_type": ["x"]}),
              ": schema record: 'event_type' needs a string, got list"),
+            ("model", lambda m: m["stage2"]["label_set"]["roles"].pop(),
+             ": stage2: the label set has 3 labels, the network 5"),
+            ("model", lambda m: (m["stage1"]["label_set"]["roles"].pop(),
+                                 m["stage1"]["label_set"]["groups"]["people.marriage"].pop()),
+             ": stage1: the label set has 9 labels, the network 11"),
         ],
         ids=["model-config", "model-schemas", "tensor-shape", "table-entries",
              "tables-string-values", "tables-non-object", "tables-non-object-entry",
@@ -456,20 +459,23 @@ class TestPipelineCommands:
              "gold-missing-id", "gold-int-label", "gold-list-token", "gold-int-types",
              "gold-first-record-without-labels", "model-list-role", "model-list-group-role",
              "model-list-key-arg", "model-list-nonkey-arg", "tables-list-type",
-             "tables-list-value", "tables-list-property", "model-list-schema-type"],
+             "tables-list-value", "tables-list-property", "model-list-schema-type",
+             "model-stage2-labels-short", "model-stage1-labels-short"],
     )
     def test_malformed_input_named(
         self, trained, fixture_paths, tmp_path, capsys, kind, edit, named
     ):
         _, dataset, _ = trained
         bad = tmp_path / f"bad-{kind}"
-        if kind in ("model", "tables"):
-            payload = read_json(V2_MODEL if kind == "model" else fixture_paths["tables"])
+        if kind in ("model", "model-data"):
+            bad = edited_model(MODEL, tmp_path, **{"header" if kind == "model" else "data": edit})
+        elif kind == "tables":
+            payload = read_json(fixture_paths["tables"])
             edit(payload)
             bad.write_text(json.dumps(payload))
         else:
-            source = {"dataset": dataset, "report": dataset, "gold": dataset, "pred": V1_PRED,
-                      "events": V1_PRED}.get(kind, fixture_paths["corpus"])
+            source = {"dataset": dataset, "report": dataset, "gold": dataset, "pred": PRED,
+                      "events": PRED}.get(kind, fixture_paths["corpus"])
             with open(source, "r", encoding="utf-8") as fh:
                 lines = [json.loads(line) for line in fh]
             edit(lines)
@@ -477,13 +483,14 @@ class TestPipelineCommands:
         tables, corpus, out = fixture_paths["tables"], fixture_paths["corpus"], tmp_path / "out"
         argv = {
             "model": ["extract", "--model", str(bad), "--corpus", corpus],
+            "model-data": ["extract", "--model", str(bad), "--corpus", corpus],
             "tables": ["gen", "--tables", str(bad), "--corpus", corpus],
             "corpus": ["gen", "--tables", tables, "--corpus", str(bad)],
             "dataset": ["train", "--dataset", str(bad), "--tables", tables, "--epochs", "1"],
             "report": ["report", "--dataset", str(bad)],
-            "pred": ["eval", "--pred", str(bad), "--gold", str(dataset), "--model", str(V2_MODEL)],
-            "gold": ["eval", "--pred", str(V1_PRED), "--gold", str(bad), "--model", str(V2_MODEL)],
-            "events": ["eval", "--pred", str(V1_PRED), "--gold", str(bad), "--model", str(V2_MODEL)],
+            "pred": ["eval", "--pred", str(bad), "--gold", str(dataset), "--model", str(MODEL)],
+            "gold": ["eval", "--pred", str(PRED), "--gold", str(bad), "--model", str(MODEL)],
+            "events": ["eval", "--pred", str(PRED), "--gold", str(bad), "--model", str(MODEL)],
         }[kind]
         assert run([*argv, "--out", str(out)]) == 1
         err = capsys.readouterr().err
@@ -496,80 +503,6 @@ class TestPipelineCommands:
         assert run(["report", "--dataset", str(dataset), "--out", str(out)]) == 0
         payload = read_json(out)
         assert payload["datasets"][0]["positives"] == 2
-
-
-class TestModelFormatV1:
-    def extract(self, model, corpus, out, *flags):
-        assert run(["extract", "--model", str(model), "--corpus", corpus, "--out", str(out),
-                    *flags]) == 0
-        return out.read_bytes()
-
-    def test_loads(self):
-        payload = read_json(V1_MODEL)
-        assert payload["format_version"] == 1
-        model = ExtractorModel.load(str(V1_MODEL))
-        for stage in ("stage1", "stage2"):
-            params = getattr(model, stage).params
-            for name, tensor in payload[stage]["tensors"].items():
-                assert params[name].ravel().tolist() == tensor["data"]
-
-    def test_extract_matches_committed_output(self, fixture_paths, tmp_path):
-        pred = self.extract(V1_MODEL, fixture_paths["corpus"], tmp_path / "pred.jsonl", "--multi")
-        assert pred == V1_PRED.read_bytes()
-
-    def test_resaved_as_v3(self, fixture_paths, tmp_path):
-        v1, meta = ExtractorModel.load(str(V1_MODEL)), read_json(V1_MODEL)["meta"]
-        path, again = tmp_path / "v3.json", tmp_path / "v3_again.json"
-        v1.save(str(path), meta=meta)
-        assert read_header(path)["format_version"] == 3
-        assert read_header(path)["meta"] == meta
-        v3 = ExtractorModel.load(str(path))
-        for stage in ("stage1", "stage2"):
-            old, new = getattr(v1, stage), getattr(v3, stage)
-            assert new.params.layout == old.params.layout
-            assert new.params.flat.tobytes() == old.params.flat.tobytes()
-            assert new.cfg == old.cfg and new.label_set == old.label_set
-        assert v3.schemas == v1.schemas
-        v3.save(str(again), meta=meta)
-        assert again.read_bytes() == path.read_bytes()
-        corpus = fixture_paths["corpus"]
-        for flags in (["--decoder", "viterbi"], ["--decoder", "ilp"], ["--multi"]):
-            from_v1 = self.extract(V1_MODEL, corpus, tmp_path / "v1.jsonl", *flags)
-            assert self.extract(path, corpus, tmp_path / "v3.jsonl", *flags) == from_v1
-        assert from_v1 == V1_PRED.read_bytes()
-
-
-class TestModelFormatV2:
-    extract = TestModelFormatV1.extract
-
-    def test_loads_as_v1(self):
-        assert read_json(V2_MODEL)["format_version"] == 2
-        v1, v2 = ExtractorModel.load(str(V1_MODEL)), ExtractorModel.load(str(V2_MODEL))
-        for stage in ("stage1", "stage2"):
-            old, new = getattr(v1, stage), getattr(v2, stage)
-            assert new.params.layout == old.params.layout
-            assert new.params.flat.tobytes() == old.params.flat.tobytes()
-            assert new.cfg == old.cfg and new.label_set == old.label_set
-        assert v2.schemas == v1.schemas
-
-    def test_extract_matches_committed_output(self, fixture_paths, tmp_path):
-        pred = self.extract(V2_MODEL, fixture_paths["corpus"], tmp_path / "pred.jsonl", "--multi")
-        assert pred == V1_PRED.read_bytes()
-
-    def test_converted_to_v3_bit_identical(self, fixture_paths, tmp_path):
-        v2, meta = ExtractorModel.load(str(V2_MODEL)), read_json(V2_MODEL)["meta"]
-        path = tmp_path / "v3.json"
-        v2.save(str(path), meta=meta)
-        header = read_header(path)
-        assert header["format_version"] == 3 and header["meta"] == meta
-        v3 = ExtractorModel.load(str(path))
-        for stage in ("stage1", "stage2"):
-            old, new = getattr(v2, stage).params, getattr(v3, stage).params
-            assert new.layout == old.layout
-            for name in old:
-                assert new[name].tobytes() == old[name].tobytes(), (stage, name)
-        pred = self.extract(path, fixture_paths["corpus"], tmp_path / "pred.jsonl", "--multi")
-        assert pred == V1_PRED.read_bytes()
 
 
 class TestOracleCommand:

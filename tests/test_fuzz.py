@@ -2,9 +2,9 @@
 
 Each draw takes a valid input, replaces one of its JSON values with another
 value (mostly of another kind) or deletes it, and runs the command that reads
-it through `cli.main`, in-process and under an alarm. Of a version-3 model,
-only the JSON header line is mutated; the tensor bytes after it stay as they
-are. A draw passes when the command exits 0, or exits 1 with an
+it through `cli.main`, in-process and under an alarm. Of a model, only the
+JSON header line is mutated; the tensor bytes after it stay as they are. A
+draw passes when the command exits 0, or exits 1 with an
 `error: <file>` line that names one of its input files. Anything else (a traceback, another exit code, a run past the
 alarm) is an escape. Each escape found so far is pinned as a named case in
 `test_cli.py::TestPipelineCommands::test_malformed_input_named`.
@@ -22,7 +22,6 @@ import pytest
 from tabevent import cli
 from tabevent.core import read_jsonl
 from tabevent.evaluation import mentions_from_record
-from tabevent.pipeline import ExtractorModel
 
 DATA = pathlib.Path(__file__).resolve().parent / "data"
 SEED = 17
@@ -64,7 +63,7 @@ def mutate(doc, rng):
 
 def _load(path):
     """A JSONL file as a list of its lines' values, or a JSON file as its value, and b"".
-    A version-3 model (`.bin`) gives its header line's value and the tensor bytes after it."""
+    A model (`.bin`) gives its header line's value and the tensor bytes after it."""
     data = pathlib.Path(path).read_bytes()
     if str(path).endswith(".jsonl"):
         return [json.loads(line) for line in data.splitlines() if line.strip()], b""
@@ -114,11 +113,8 @@ def valid_inputs(tmp_path_factory, fixture_paths):
                      "--out", str(dataset), "--seed", "0"]) == 0
     events = base / "gold_events.jsonl"
     _dump([mentions_from_record(rec, {}) for rec in read_jsonl(str(dataset))], events)
-    model_v3 = base / "model_v3.bin"
-    ExtractorModel.load(str(DATA / "model_v2.json")).save(str(model_v3))
     return {**fixture_paths, "dataset": str(dataset), "events": str(events),
-            "pred": str(DATA / "model_v1_pred_multi.jsonl"), "model": str(DATA / "model_v2.json"),
-            "model_v3": str(model_v3)}
+            "pred": str(DATA / "model_v1_pred_multi.jsonl"), "model": str(DATA / "model_v3.bin")}
 
 
 # (case, input kind mutated, draws, the command run on the mutated file `bad`)
@@ -135,9 +131,7 @@ CASES = [
      lambda p, bad: ["eval", "--pred", p["pred"], "--gold", bad, "--model", p["model"]]),
     ("eval-gold-events", "events", 300,
      lambda p, bad: ["eval", "--pred", p["pred"], "--gold", bad, "--model", p["model"]]),
-    ("extract-model-v2", "model", 300,
-     lambda p, bad: ["extract", "--model", bad, "--corpus", p["corpus"]]),
-    ("extract-model-v3", "model_v3", 300,
+    ("extract-model-v3", "model", 300,
      lambda p, bad: ["extract", "--model", bad, "--corpus", p["corpus"]]),
 ]
 

@@ -1,8 +1,5 @@
-import base64
 import copy
 import io
-import json
-import pathlib
 import pickle
 
 import numpy as np
@@ -10,8 +7,6 @@ import pytest
 
 from tabevent import neural, oracle
 from tabevent.neural import AdamState, ModelConfig, Parameters, UNK
-
-DATA = pathlib.Path(__file__).resolve().parent / "data"
 
 
 def tiny_cfg(**kwargs):
@@ -542,15 +537,6 @@ class TestParameters:
         assert all(not copied[name].any() for name in copied)
 
 
-def v2_tensors(params):
-    """A stage's `tensors` record of model format version 2, as its writer wrote it."""
-    return {
-        name: {"shape": list(arr.shape), "dtype": "<f8",
-               "data_b64": base64.b64encode(arr.astype("<f8").tobytes()).decode()}
-        for name, arr in sorted(params.items())
-    }
-
-
 def test_tensor_roundtrip():
     cfg = tiny_cfg(keyarg_embed_dim=2, num_keyarg_labels=5)
     params = neural.init_params(cfg, np.random.default_rng(10))
@@ -562,50 +548,15 @@ def test_tensor_roundtrip():
     restored = neural.read_flat(fh, layout, cfg)
     assert restored.layout == params.layout and restored.flat.tobytes() == params.flat.tobytes()
     assert all(np.shares_memory(restored[name], restored.flat) for name in restored)
-    from_v2 = neural.tensors_from_dict(v2_tensors(params), cfg)
-    assert from_v2.layout == params.layout and from_v2.flat.tobytes() == params.flat.tobytes()
-
-
-def test_tensor_record_is_base64_float64():
-    """The committed version-2 model holds the version-1 model's values as `<f8` base64."""
-    v1, v2 = (json.loads((DATA / f"model_v{k}.json").read_text()) for k in (1, 2))
-    for stage in ("stage1", "stage2"):
-        assert list(v2[stage]["tensors"]) == sorted(v1[stage]["tensors"])
-        for name, entry in v2[stage]["tensors"].items():
-            assert entry.keys() == {"shape", "dtype", "data_b64"} and entry["dtype"] == "<f8"
-            data = v1[stage]["tensors"][name]["data"]
-            assert base64.b64decode(entry["data_b64"]) == np.asarray(data, "<f8").tobytes()
-
-
-def drop_last_value(entry):
-    entry["data_b64"] = base64.b64encode(base64.b64decode(entry["data_b64"])[:-8]).decode()
 
 
 def test_truncated_tensor_named():
     cfg = tiny_cfg(lstm_hidden=1)
-    rec = v2_tensors(neural.init_params(cfg, np.random.default_rng(0)))
-    drop_last_value(rec["proj.W"])
-    with pytest.raises(ValueError, match="'proj.W' has 5 values for shape"):
-        neural.tensors_from_dict(rec, cfg)
-
-
-@pytest.mark.parametrize(
-    "edit, named",
-    [
-        (lambda e: e.update(data_b64="not base64!"), "tensor 'proj.W' data_b64 is not base64"),
-        (lambda e: e.update(data_b64=[0.0] * 6), "tensor 'proj.W' data_b64 is not base64"),
-        (lambda e: e.update(dtype="<f4"), "tensor 'proj.W' has dtype '<f4', expected '<f8'"),
-        (lambda e: e.update(data_b64=base64.b64encode(bytes(52)).decode()),
-         r"tensor 'proj.W' has 6.5 values for shape \(3, 2\) \(52 bytes, expected 48\)"),
-    ],
-    ids=["not-base64", "not-a-string", "dtype", "byte-length"],
-)
-def test_bad_v2_tensor_named(edit, named):
-    cfg = tiny_cfg(lstm_hidden=1)
-    rec = v2_tensors(neural.init_params(cfg, np.random.default_rng(0)))
-    edit(rec["proj.W"])
-    with pytest.raises(ValueError, match=named):
-        neural.tensors_from_dict(rec, cfg)
+    params = neural.init_params(cfg, np.random.default_rng(0))
+    layout = [[name, list(shape)] for name, shape in params.layout]
+    end = params["embeddings"].size + params["proj.W"].size
+    with pytest.raises(ValueError, match="tensor 'proj.W' ends early: the data stops 8 bytes short"):
+        neural.read_flat(io.BytesIO(params.flat[:end - 1].tobytes()), layout, cfg)
 
 
 class TestEmbeddingFile:

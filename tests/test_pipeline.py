@@ -23,7 +23,7 @@ from tabevent.pipeline import (
 )
 
 DATA = pathlib.Path(__file__).resolve().parent / "data"
-V1_MODEL, V2_MODEL = DATA / "model_v1.json", DATA / "model_v2.json"
+MODEL = DATA / "model_v3.bin"
 
 
 def make_schemas():
@@ -511,137 +511,101 @@ class TestStage2InChild:
         assert_no_child_left()
 
 
+def edited_model(model_path, tmp_path, header=None, data=None):
+    """A copy of a model file with `header(dict)` applied to its header and `data(values)` to
+    the float64 values after it, both stages' in one array; `data` may return bytes."""
+    line, raw = model_path.read_bytes().split(b"\n", 1)
+    payload = json.loads(line)
+    if header:
+        header(payload)
+    values = np.frombuffer(raw, dtype="<f8").copy()
+    raw = data(values) if data else values
+    path = tmp_path / "edited.json"
+    path.write_bytes((json.dumps(payload) + "\n").encode() + bytes(raw))
+    return str(path)
+
+
+def tensor_offset(model, stage, name):
+    """Index of tensor `name` of `stage` of `model` in the values after its file's header."""
+    start = 0 if stage == "stage1" else model.stage1.params.flat.size
+    for tensor, shape in getattr(model, stage).params.layout:
+        if tensor == name:
+            return start
+        start += int(np.prod(shape))
+    raise KeyError(name)
+
+
 class TestModelFileValidation:
-    """Edited copies of the committed version-2 model."""
+    """The committed model file, its format version, and files of the retired formats 1 and 2."""
 
-    @pytest.fixture(scope="class")
-    def model_path(self):
-        return V2_MODEL
+    def retired(self, tmp_path, version, indent=None):
+        """The committed model as its format-`version` writer wrote it: one JSON document,
+        each stage's tensors as `{name: {"shape", ...}}` records, a float list `data` in
+        format 1 and the base64 `data_b64` of its `<f8` bytes in format 2."""
+        model = ExtractorModel.load(str(MODEL))
+        with open(MODEL, "rb") as fh:
+            payload = json.loads(fh.readline())
+        payload["format_version"] = version
+        for stage in ("stage1", "stage2"):
+            del payload[stage]["layout"]
+            payload[stage]["tensors"] = {
+                name: {"shape": list(arr.shape), "data": arr.ravel().tolist()} if version == 1
+                else {"shape": list(arr.shape), "dtype": "<f8",
+                      "data_b64": base64.b64encode(arr.astype("<f8").tobytes()).decode()}
+                for name, arr in sorted(getattr(model, stage).params.items())
+            }
+        path = tmp_path / f"model_v{version}.json"
+        path.write_text(json.dumps(payload, indent=indent))
+        return path
 
-    def edited(self, model_path, tmp_path, edit):
-        payload = json.loads(model_path.read_text())
-        edit(payload)
-        path = tmp_path / "edited.json"
-        path.write_text(json.dumps(payload))
-        return str(path)
-
-    def test_loads_unedited(self, model_path):
-        model = ExtractorModel.load(str(model_path))
+    def test_loads_unedited(self):
+        model = ExtractorModel.load(str(MODEL))
         assert list(model.stage1.params) == list(neural.expected_shapes(model.stage1.cfg))
 
-    def test_missing_tensor(self, model_path, tmp_path):
-        path = self.edited(model_path, tmp_path, lambda p: p["stage1"]["tensors"].pop("crf.A"))
-        with pytest.raises(ValueError, match="stage1: missing parameter 'crf.A'"):
-            ExtractorModel.load(path)
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_retired_version_refused(self, tmp_path, version):
+        path = self.retired(tmp_path, version)
+        with pytest.raises(ValueError) as exc:
+            ExtractorModel.load(str(path))
+        assert str(exc.value) == f"{path}: unsupported model format version {version}"
 
-    def test_truncated_tensor(self, model_path, tmp_path):
-        def edit(payload):
-            tensor = payload["stage2"]["tensors"]["proj.W"]
-            tensor["data_b64"] = base64.b64encode(base64.b64decode(tensor["data_b64"])[:-8]).decode()
-        with pytest.raises(ValueError, match="stage2: tensor 'proj.W' has"):
-            ExtractorModel.load(self.edited(model_path, tmp_path, edit))
+    def test_document_over_several_lines(self, tmp_path):
+        path = self.retired(tmp_path, 2, indent=1)
+        with pytest.raises(ValueError, match=f"{path}: the model header is not JSON"):
+            ExtractorModel.load(str(path))
 
-    def test_truncated_v1_tensor(self, tmp_path):
-        path = self.edited(
-            V1_MODEL, tmp_path, lambda p: p["stage2"]["tensors"]["proj.W"]["data"].pop()
-        )
-        with pytest.raises(ValueError, match="stage2: tensor 'proj.W' has"):
-            ExtractorModel.load(path)
-
-    def test_wrong_shape(self, model_path, tmp_path):
-        def edit(payload):
-            tensor = payload["stage1"]["tensors"]["proj.b"]
-            tensor["shape"] = [1, *tensor["shape"]]
-        with pytest.raises(ValueError, match=r"stage1: parameter 'proj.b' has shape \(1, \d+\)"):
-            ExtractorModel.load(self.edited(model_path, tmp_path, edit))
-
-    def test_float_list_in_v2_file(self, model_path, tmp_path):
-        def edit(payload):
-            tensor = payload["stage1"]["tensors"]["proj.b"]
-            tensor["data"] = [0.0] * tensor["shape"][0]
-            del tensor["dtype"], tensor["data_b64"]
-        with pytest.raises(ValueError, match="stage1: tensor 'proj.b' needs .* format version 2"):
-            ExtractorModel.load(self.edited(model_path, tmp_path, edit))
-
-    def test_base64_in_v1_file(self, model_path, tmp_path):
-        path = self.edited(model_path, tmp_path, lambda p: p.update(format_version=1))
-        with pytest.raises(ValueError, match="stage1: tensor 'embeddings' needs .* format version 1"):
-            ExtractorModel.load(path)
-
-    def test_unknown_version(self, model_path, tmp_path):
-        path = self.edited(model_path, tmp_path, lambda p: p.update(format_version=4))
+    def test_unknown_version(self, tmp_path):
+        path = edited_model(MODEL, tmp_path, header=lambda p: p.update(format_version=4))
         with pytest.raises(ValueError, match="unsupported model format version 4"):
             ExtractorModel.load(path)
 
-    @pytest.mark.parametrize("version", [True, 1.0, 2.0, "2"])
-    def test_version_not_an_integer(self, model_path, tmp_path, version):
-        path = self.edited(model_path, tmp_path, lambda p: p.update(format_version=version))
+    @pytest.mark.parametrize("version", [True, 1.0, 2.0, "2", 3.0, "3"])
+    def test_version_not_an_integer(self, tmp_path, version):
+        path = edited_model(MODEL, tmp_path, header=lambda p: p.update(format_version=version))
         with pytest.raises(ValueError, match=f"unsupported model format version {version!r}"):
             ExtractorModel.load(path)
 
-    def test_data_after_document(self, model_path, tmp_path):
-        path = tmp_path / "edited.json"
-        path.write_bytes(model_path.read_bytes() + b"{}\n")
-        with pytest.raises(ValueError, match="data follows the JSON document"):
-            ExtractorModel.load(str(path))
-
-    def test_document_over_several_lines(self, model_path, tmp_path):
-        path = tmp_path / "indented.json"
-        path.write_text(json.dumps(json.loads(model_path.read_text()), indent=1))
-        model, again = ExtractorModel.load(str(model_path)), ExtractorModel.load(str(path))
-        for stage in ("stage1", "stage2"):
-            assert getattr(again, stage).params.flat.tobytes() == getattr(model, stage).params.flat.tobytes()
-
-    def test_unexpected_tensor(self, model_path, tmp_path):
-        def edit(payload):
-            payload["stage2"]["tensors"]["extra"] = {"shape": [1], "data": [0.0]}
-        with pytest.raises(ValueError, match="stage2: unexpected parameter 'extra'"):
-            ExtractorModel.load(self.edited(model_path, tmp_path, edit))
-
 
 class TestModelFormatV3Validation:
-    """Edited copies of the committed version-2 model saved as version 3."""
+    """Edited copies of the committed model."""
+
+    edited, offset = staticmethod(edited_model), staticmethod(tensor_offset)
 
     @pytest.fixture(scope="class")
     def model(self):
-        return ExtractorModel.load(str(V2_MODEL))
+        return ExtractorModel.load(str(MODEL))
 
     @pytest.fixture(scope="class")
-    def model_path(self, model, tmp_path_factory):
-        path = tmp_path_factory.mktemp("model") / "model.json"
-        model.save(str(path))
-        return path
+    def model_path(self):
+        return MODEL
 
-    def edited(self, model_path, tmp_path, header=None, data=None):
-        """A copy with `header(dict)` applied to its header and `data(values)` to the
-        float64 values after it, both stages' in one array; `data` may return bytes."""
-        line, raw = model_path.read_bytes().split(b"\n", 1)
-        payload = json.loads(line)
-        if header:
-            header(payload)
-        values = np.frombuffer(raw, dtype="<f8").copy()
-        raw = data(values) if data else values
-        path = tmp_path / "edited.json"
-        path.write_bytes((json.dumps(payload) + "\n").encode() + bytes(raw))
-        return str(path)
-
-    def offset(self, model, stage, name):
-        """Index of tensor `name` of `stage` in the values after the header."""
-        start = 0 if stage == "stage1" else model.stage1.params.flat.size
-        for tensor, shape in getattr(model, stage).params.layout:
-            if tensor == name:
-                return start
-            start += int(np.prod(shape))
-        raise KeyError(name)
-
-    def test_loads_bit_identical(self, model, model_path):
-        loaded = ExtractorModel.load(str(model_path))
-        for stage in ("stage1", "stage2"):
-            old, new = getattr(model, stage), getattr(loaded, stage)
-            assert new.params.layout == old.params.layout
-            assert new.params.flat.tobytes() == old.params.flat.tobytes()
-            assert new.cfg == old.cfg and new.label_set == old.label_set
-        assert loaded.schemas == model.schemas
+    def test_loads_bit_identical(self, model, model_path, tmp_path):
+        """Saved again with its own `meta`, the loaded model is the committed file's bytes."""
+        path = tmp_path / "resaved.bin"
+        with open(model_path, "rb") as fh:
+            meta = json.loads(fh.readline())["meta"]
+        model.save(str(path), meta=meta)
+        assert path.read_bytes() == model_path.read_bytes()
 
     def test_header_not_json(self, model_path, tmp_path):
         path = tmp_path / "edited.json"
@@ -741,3 +705,24 @@ class TestModelFormatV3Validation:
         path = self.edited(model_path, tmp_path, data=lambda v: v.__setitem__(k, value) or v)
         with pytest.raises(ValueError, match=f"{stage}: tensor '{name}' has a non-finite value"):
             ExtractorModel.load(path)
+
+    def test_label_set_shorter_than_network(self, model_path, tmp_path):
+        path = self.edited(model_path, tmp_path,
+                           header=lambda p: p["stage2"]["label_set"]["roles"].pop())
+        with pytest.raises(ValueError, match=r"stage2: the label set has \d+ labels, the network \d+"):
+            ExtractorModel.load(path)
+
+    def test_stage2_features_disagree_with_stage1(self, tmp_path):
+        """Stage 2 takes one feature per stage-1 label; a stage 1 of other labels is refused."""
+        model = untrained_model(["w"])
+        schemas = make_schemas()
+        del schemas["sport.win"]
+        labels1, _ = build_label_sets(schemas)
+        cfg1 = neural.ModelConfig(vocab=model.stage1.cfg.vocab, num_labels=len(labels1),
+                                  embed_dim=6, lstm_hidden=5)
+        model.stage1 = TaggerModel(cfg1, neural.init_params(cfg1, np.random.default_rng(0)), labels1)
+        path = tmp_path / "model.bin"
+        model.save(str(path))
+        with pytest.raises(ValueError, match=f"{path}: stage2: the network takes 7 key-argument "
+                                             f"labels, stage 1's label set has 5"):
+            ExtractorModel.load(str(path))
