@@ -17,7 +17,7 @@ import time
 from dataclasses import asdict
 
 from . import __version__, evaluation, ilp, oracle, pipeline, supervision
-from .core import read_corpus, read_jsonl, read_tables, write_jsonl
+from .core import open_text, read_corpus, read_jsonl, read_tables, write_jsonl
 from .supervision import GenerationConfig, Strategy
 
 
@@ -61,19 +61,45 @@ def _naming(path: str):
 
 
 def _apply_config(args: argparse.Namespace, parser_defaults: dict) -> argparse.Namespace:
-    """Fill unset flags from the [command] section of the INI config file, else the defaults."""
+    """Fill unset flags from the [command] section of the INI config file, else the defaults.
+
+    The section may hold only the command's settings, each with a value of the setting's type
+    (and one of its flag's choices); anything else is an error naming the file.
+    """
     section = {}
     if getattr(args, "config", None):
-        ini = configparser.ConfigParser()
-        if not ini.read(args.config):
-            raise ValueError(f"config file not found: {args.config}")
+        ini = configparser.ConfigParser(interpolation=None)
+        with open_text(args.config) as fh:
+            try:
+                ini.read_file(fh)
+            except configparser.Error as exc:
+                raise ValueError(f"{args.config}: {exc}".replace("\n", " ")) from None
         if ini.has_section(args.command):
             section = ini[args.command]
+        for key in section:
+            if key not in parser_defaults:
+                raise ValueError(f"{args.config}: [{args.command}] has no setting {key!r}; its "
+                                 f"settings are {', '.join(sorted(parser_defaults)) or 'none'}")
     for key, default in parser_defaults.items():
         if getattr(args, key, None) is None:
-            setattr(args, key, type(default)(section[key]) if key in section else default)
+            setattr(args, key, _setting(args, key, section[key], default) if key in section else default)
     return args
 
+
+def _setting(args: argparse.Namespace, key: str, text: str, default):
+    """The INI value `text` of setting `key` as the type of its default."""
+    where = f"{args.config}: [{args.command}] {key}"
+    try:
+        value = type(default)(text)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
+    if key in _CHOICES and value not in _CHOICES[key]:
+        raise ValueError(f"{where}: {value!r} is not one of {', '.join(_CHOICES[key])}")
+    return value
+
+
+# The settings whose flags take one of a list of names.
+_CHOICES = {"strategy": [s.value for s in Strategy], "decoder": ["viterbi", "ilp"]}
 
 # Each subcommand's defaults are the library's own.
 _GEN = GenerationConfig()
@@ -178,9 +204,12 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         schemas = _schemas(args)
     else:
         raise ValueError("eval needs --model or --tables to know the key arguments")
-    gold = read_jsonl(args.gold)
-    if "labels" in next(read_jsonl(args.gold), {}):
-        gold = [evaluation.mentions_from_record(rec, schemas) for rec in supervision.read_dataset(args.gold)]
+    # Gold is in dataset form when its first record has labels; the file is read once, so
+    # it may be a pipe.
+    gold = list(read_jsonl(args.gold))
+    if gold and "labels" in gold[0]:
+        gold = [evaluation.mentions_from_record(rec, schemas)
+                for rec in supervision.check_dataset(gold, args.gold)]
     events = evaluation._aligned(read_jsonl(args.pred), gold, (args.pred, args.gold))
     metrics = evaluation._score_all(*events, schemas)
     _write_json(args.out, metrics, _header(None, "eval"))
@@ -241,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--max-dist", dest="max_dist", type=int,
                    help="max dependency hops between key arguments; 0 disables")
-    p.add_argument("--strategy", choices=[s.value for s in Strategy])
+    p.add_argument("--strategy", choices=_CHOICES["strategy"])
     p.add_argument("--partial-ratio", dest="partial_ratio", type=float)
     p.add_argument("--violation-ratio", dest="violation_ratio", type=float)
     p.set_defaults(func=_cmd_gen, defaults=GEN_DEFAULTS)
@@ -252,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--config")
     p.add_argument("--embeddings")
-    p.add_argument("--strategy", choices=[s.value for s in Strategy])
+    p.add_argument("--strategy", choices=_CHOICES["strategy"])
     p.add_argument("--seed", type=int)
     p.add_argument("--epochs", type=int)
     p.add_argument("--lr", type=float)
@@ -271,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--config")
     decoders = p.add_mutually_exclusive_group()
-    decoders.add_argument("--decoder", choices=["viterbi", "ilp"])
+    decoders.add_argument("--decoder", choices=_CHOICES["decoder"])
     decoders.add_argument("--multi", action="store_true",
                           help="enumerate multiple typed events per sentence")
     p.add_argument("--lambda-factor", dest="lambda_factor", type=float)
@@ -285,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config")
     p.add_argument("--model", help="model file supplying the event schemas")
     p.add_argument("--tables", help="tables file to derive schemas instead")
-    p.add_argument("--strategy", choices=[s.value for s in Strategy])
+    p.add_argument("--strategy", choices=_CHOICES["strategy"])
     p.set_defaults(func=_cmd_eval, defaults=_STRATEGY)
 
     p = sub.add_parser("oracle", help="run brute-force verification suites")

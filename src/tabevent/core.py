@@ -6,9 +6,10 @@ freely between parallel workers.
 
 from __future__ import annotations
 
+import contextlib
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
 OUTSIDE = "O"
 
@@ -34,42 +35,25 @@ class ParsedSentence:
     id: str
     surfaces: tuple[str, ...]
     dep_head: tuple[int, ...]
-    dep_label: tuple[str, ...] | None = None
     normalized: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "normalized", tuple(map(normalize_surface, self.surfaces)))
 
     @classmethod
-    def build(
-        cls,
-        sentence_id: str,
-        surfaces: Sequence[str],
-        dep_head: Sequence[int],
-        dep_label: Sequence[str] | None = None,
-    ) -> "ParsedSentence":
-        return cls(
-            id=sentence_id,
-            surfaces=tuple(surfaces),
-            dep_head=tuple(map(int, dep_head)),
-            dep_label=tuple(dep_label) if dep_label is not None else None,
-        )
+    def build(cls, sentence_id: str, surfaces: Sequence[str], dep_head: Sequence[int]) -> "ParsedSentence":
+        return cls(id=sentence_id, surfaces=tuple(surfaces), dep_head=tuple(map(int, dep_head)))
 
     def __len__(self) -> int:
         return len(self.surfaces)
 
     def to_dict(self) -> dict:
-        rec: dict = {
-            "id": self.id,
-            "tokens": list(self.surfaces),
-            "dep_head": list(self.dep_head),
-        }
-        if self.dep_label is not None:
-            rec["dep_label"] = list(self.dep_label)
-        return rec
+        return {"id": self.id, "tokens": list(self.surfaces), "dep_head": list(self.dep_head)}
 
     @classmethod
     def from_dict(cls, rec: Mapping) -> "ParsedSentence":
+        """The sentence of a corpus record. A `dep_label` is checked, one string per token,
+        and not kept: nothing reads it."""
         sentence_id = str(rec["id"])
         tokens = _json_strs(rec["tokens"], "'tokens'")
         heads = _json_list(rec["dep_head"], "'dep_head'")
@@ -78,9 +62,9 @@ class ParsedSentence:
             raise ValueError("'tokens' is empty")
         if not all(type(h) is int for h in heads):
             raise ValueError("'dep_head' needs a list of integers")
-        if labels is not None:
-            _json_list(labels, "'dep_label'")
-        return cls.build(sentence_id, tokens, heads, labels)
+        if labels is not None and len(_json_strs(labels, "'dep_label'")) != len(tokens):
+            raise ValueError(f"'dep_label' has {len(labels)} entries for {len(tokens)} tokens")
+        return cls.build(sentence_id, tokens, heads)
 
 
 def validate_sentence(s: ParsedSentence) -> list[str]:
@@ -96,10 +80,6 @@ def validate_sentence(s: ParsedSentence) -> list[str]:
             f"length: dep_head has {len(s.dep_head)} entries for {n} tokens"
         )
         return violations
-    if s.dep_label is not None and len(s.dep_label) != n:
-        violations.append(
-            f"length: dep_label has {len(s.dep_label)} entries for {n} tokens"
-        )
 
     roots = [i for i, h in enumerate(s.dep_head) if h == -1]
     if len(roots) != 1:
@@ -281,12 +261,12 @@ class EventSchema:
         rec = _json_object(rec, "schema record")
         imp = {
             str(p): (float("-inf") if v is None else _json_float(v, f"importance of {p!r}"))
-            for p, v in _json_object(rec.get("importance", {}), "'importance'").items()
+            for p, v in _json_object(rec["importance"], "'importance'").items()
         }
         return cls(
             event_type=_json_str(rec["event_type"], "schema record: 'event_type'"),
             key_args=frozenset(_json_strs(rec["key_args"], "'key_args'")),
-            nonkey_args=frozenset(_json_strs(rec.get("nonkey_args", []), "'nonkey_args'")),
+            nonkey_args=frozenset(_json_strs(rec["nonkey_args"], "'nonkey_args'")),
             importance=imp,
         )
 
@@ -356,7 +336,7 @@ class LabelSet:
 
     @classmethod
     def from_dict(cls, rec: Mapping) -> "LabelSet":
-        groups = _json_object(rec.get("groups", {}), "'groups'")
+        groups = _json_object(rec["groups"], "'groups'")
         return cls(
             _json_strs(rec["roles"], "'roles'"),
             {t: _json_strs(rs, f"group {t!r}") for t, rs in groups.items()},
@@ -433,11 +413,9 @@ class Argument:
     start: int
     end: int
 
-    def to_dict(self, surfaces: Sequence[str] | None = None) -> dict:
-        rec: dict = {"role": self.role, "span": [self.start, self.end]}
-        if surfaces is not None:
-            rec["text"] = " ".join(surfaces[self.start:self.end])
-        return rec
+    def to_dict(self, surfaces: Sequence[str]) -> dict:
+        return {"role": self.role, "span": [self.start, self.end],
+                "text": " ".join(surfaces[self.start:self.end])}
 
 
 @dataclass(frozen=True)
@@ -463,8 +441,19 @@ class EventMention:
 # start with a {"_header": ...} line which readers skip.
 # ---------------------------------------------------------------------------
 
-def read_jsonl(path: str) -> Iterator[dict]:
+@contextlib.contextmanager
+def open_text(path: str) -> Iterator[TextIO]:
+    """`path` opened to read as UTF-8; a byte that is not UTF-8 is an error naming `path`."""
     with open(path, "r", encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not UTF-8: {exc.reason} "
+                             f"(byte 0x{exc.object[exc.start]:02x})") from None
+
+
+def read_jsonl(path: str) -> Iterator[dict]:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -501,7 +490,7 @@ def read_corpus(path: str) -> list[ParsedSentence]:
 
 
 def read_tables(path: str) -> list[EventTable]:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         try:
             payload = json.load(fh)
         except json.JSONDecodeError as exc:

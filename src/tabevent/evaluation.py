@@ -135,15 +135,15 @@ def score_all_standards(
 
 
 def mentions_from_record(rec: Mapping, schemas: Mapping[str, EventSchema]) -> dict:
-    """Convert a generated dataset record to an extraction-shaped record.
+    """Convert a generated dataset record, one that `supervision.check_dataset` accepts, to an
+    extraction-shaped record.
 
     As in training, a tag whose role is not qualified by an event type of
     the record belongs to no event.
     """
     events = []
-    tags = list(rec.get("labels", []))
-    tokens = list(rec.get("tokens", []))
-    spans = spans_from_tags(tags)
+    tokens = rec["tokens"]
+    spans = spans_from_tags(rec["labels"])
     for event_type in sorted(rec.get("event_types", [])):
         arguments = []
         for role, start, end in spans:

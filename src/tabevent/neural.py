@@ -25,7 +25,7 @@ from typing import BinaryIO, Mapping, Sequence
 
 import numpy as np
 
-from .core import _json_float, _json_int, _json_list, _json_object
+from .core import _json_float, _json_int, _json_list, _json_object, open_text
 
 UNK = "<unk>"
 
@@ -82,9 +82,9 @@ class ModelConfig:
             num_labels=_json_int(rec["num_labels"], "'num_labels'"),
             embed_dim=_json_int(rec["embed_dim"], "'embed_dim'"),
             lstm_hidden=_json_int(rec["lstm_hidden"], "'lstm_hidden'"),
-            keyarg_embed_dim=_json_int(rec.get("keyarg_embed_dim", 0), "'keyarg_embed_dim'"),
-            num_keyarg_labels=_json_int(rec.get("num_keyarg_labels", 0), "'num_keyarg_labels'"),
-            dropout_rate=_json_float(rec.get("dropout_rate", 0.5), "'dropout_rate'"),
+            keyarg_embed_dim=_json_int(rec["keyarg_embed_dim"], "'keyarg_embed_dim'"),
+            num_keyarg_labels=_json_int(rec["num_keyarg_labels"], "'num_keyarg_labels'"),
+            dropout_rate=_json_float(rec["dropout_rate"], "'dropout_rate'"),
         )
 
 
@@ -484,7 +484,7 @@ def load_embeddings(
     Tokens absent from the file keep seeded random rows.
     """
     matrix = rng.uniform(-_INIT_SCALE, _INIT_SCALE, size=(len(vocab), embed_dim))
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             parts = line.rstrip("\n").split(" ")
             if len(parts) < 2:

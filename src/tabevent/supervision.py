@@ -28,6 +28,7 @@ from .core import (
     _json_str,
     _json_strs,
     normalize_surface,
+    open_text,
     read_jsonl,
     tags_from_spans,
     validate_sentence,
@@ -190,7 +191,7 @@ def split_role(role: str) -> tuple[str, str]:
 def read_alias_map(path: str) -> dict[str, str]:
     """Tab-separated surface -> canonical pairs, normalized on load."""
     aliases: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line.strip():
@@ -626,9 +627,14 @@ def dataset_report(records: Sequence[Mapping], name: str = "dataset") -> dict:
 
 
 def read_dataset(path: str) -> list[dict]:
-    """Dataset records; `sentence_id` is a string, `tokens` and `labels` are lists of strings
-    of one length, `event_types`, when present, is a list of strings and `polarity` a string."""
-    records = list(read_jsonl(path))
+    """The records of the dataset file `path`, checked by `check_dataset`."""
+    return check_dataset(list(read_jsonl(path)), path)
+
+
+def check_dataset(records: list[dict], path: str) -> list[dict]:
+    """`records`, read from `path`, if they are dataset records: `sentence_id` is a string,
+    `tokens` and `labels` are lists of strings of one length, `event_types`, when present, is
+    a list of strings and `polarity` a string. Else an error names `path` and the record."""
     for pos, rec in enumerate(records):
         sid = _json_str(rec.get("sentence_id"), f"{path}: record {pos}: 'sentence_id'")
         where = f"{path}: record {sid!r}"

@@ -1,5 +1,7 @@
 import json
+import os
 import pathlib
+import threading
 
 import pytest
 from test_pipeline import edited_model, tensor_offset
@@ -277,6 +279,29 @@ class TestPipelineCommands:
                     "--out", str(out)]) == 0
         assert out.read_bytes() == METRICS.read_bytes()
 
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+    def test_eval_reads_gold_from_a_pipe(self, gen_out, tmp_path):
+        """Gold in dataset form is read once, so a pipe scores what the file scores by path."""
+        dataset, _ = gen_out
+        read_end, write_end = os.pipe()
+
+        def write():
+            with os.fdopen(write_end, "wb") as fh:
+                fh.write(dataset.read_bytes())
+
+        writer = threading.Thread(target=write)
+        writer.start()
+        try:
+            outs = [tmp_path / "piped.json", tmp_path / "by_path.json"]
+            for gold, out in zip((f"/dev/fd/{read_end}", str(dataset)), outs):
+                assert run(["eval", "--pred", str(PRED), "--gold", gold, "--model", str(MODEL),
+                            "--out", str(out)]) == 0
+        finally:
+            writer.join(timeout=10)
+            os.close(read_end)
+        assert not writer.is_alive()
+        assert outs[0].read_bytes() == outs[1].read_bytes() == METRICS.read_bytes()
+
     def test_eval_requires_schema_source(self, trained, fixture_paths, capsys):
         base, dataset, model = trained
         pred = base / "pred.jsonl"
@@ -441,6 +466,48 @@ class TestPipelineCommands:
             ("model", lambda m: (m["stage1"]["label_set"]["roles"].pop(),
                                  m["stage1"]["label_set"]["groups"]["people.marriage"].pop()),
              ": stage1: the label set has 9 labels, the network 11"),
+            ("model", lambda m: m["stage1"]["config"].pop("keyarg_embed_dim"),
+             ": stage1: missing field 'keyarg_embed_dim'"),
+            ("model", lambda m: m["stage1"]["config"].pop("num_keyarg_labels"),
+             ": stage1: missing field 'num_keyarg_labels'"),
+            ("model", lambda m: m["stage1"]["config"].pop("dropout_rate"),
+             ": stage1: missing field 'dropout_rate'"),
+            ("model", lambda m: m["stage1"]["label_set"].pop("groups"), ": stage1: missing field 'groups'"),
+            ("model", lambda m: m["schemas"][0].pop("importance"), ": missing field 'importance'"),
+            ("model", lambda m: m["schemas"][1].pop("nonkey_args"), ": missing field 'nonkey_args'"),
+            ("corpus", lambda lines: lines[0].update(dep_label="nsubj"),
+             ": sentence 'S1': 'dep_label' needs a list, got str"),
+            ("corpus", lambda lines: lines[0].update(dep_label=["nsubj"] * 16),
+             ": sentence 'S1': 'dep_label' has 16 entries for 17 tokens"),
+            ("corpus-extract", lambda lines: lines[0].update(dep_label=5),
+             ": sentence 'S1': 'dep_label' needs a list, got int"),
+            ("corpus-extract", lambda lines: lines[0].update(dep_label=["nsubj"] * 18),
+             ": sentence 'S1': 'dep_label' has 18 entries for 17 tokens"),
+            ("corpus-extract", lambda lines: lines[0].update(dep_label=[0] * 17),
+             ": sentence 'S1': 'dep_label' needs a list of strings"),
+            ("corpus-bytes", lambda b: b[:40] + b"\xff" + b[40:], ": not UTF-8: invalid start byte (byte 0xff)"),
+            ("tables-bytes", lambda b: b[:40] + b"\xc3(" + b[40:],
+             ": not UTF-8: invalid continuation byte (byte 0xc3)"),
+            ("aliases-bytes", lambda b: b[:4] + b"\xff" + b[4:], ": not UTF-8: invalid start byte (byte 0xff)"),
+            ("dataset-bytes", lambda b: b[:-2] + b"\xff" + b[-2:], ": not UTF-8: invalid start byte (byte 0xff)"),
+            ("gold-bytes", lambda b: b"\xff" + b, ": not UTF-8: invalid start byte (byte 0xff)"),
+            ("pred-bytes", lambda b: b + b"\xff\n", ": not UTF-8: invalid start byte (byte 0xff)"),
+            ("embeddings-bytes", lambda b: b"remedy 0.1 \xff\n", ": not UTF-8: invalid start byte (byte 0xff)"),
+            ("config-bytes", lambda b: b"[gen]\nseed = 1\xff\n", ": not UTF-8: invalid start byte (byte 0xff)"),
+            ("config-bytes", lambda b: b"seed = 1\n", ": File contains no section headers."),
+            ("config-bytes", lambda b: b"[gen]\nseed = 1\nseed = 2\n",
+             "option 'seed' in section 'gen' already exists"),
+            ("config-bytes", lambda b: b"[gen]\nseed = x\n",
+             ": [gen] seed: invalid literal for int() with base 10: 'x'"),
+            ("config-bytes", lambda b: b"[gen]\npartial_ratio = 0.5max_dist = 3\n",
+             ": [gen] partial_ratio: could not convert string to float: '0.5max_dist = 3'"),
+            ("config-bytes", lambda b: b"[gen]\nstrategy = imp_timeseed = 0\n",
+             ": [gen] strategy: 'imp_timeseed = 0' is not one of all, imp, imp_time"),
+            ("config-bytes", lambda b: b"[gen]\nepochs = 5\n",
+             ": [gen] has no setting 'epochs'; its settings are max_dist, partial_ratio, seed, "
+             "strategy, violation_ratio"),
+            ("config-bytes", lambda b: b"[gen]\naliases = fixtures/aliases.tsv\n",
+             ": [gen] has no setting 'aliases'"),
         ],
         ids=["model-config", "model-schemas", "tensor-shape", "table-entries",
              "tables-string-values", "tables-non-object", "tables-non-object-entry",
@@ -460,38 +527,55 @@ class TestPipelineCommands:
              "gold-first-record-without-labels", "model-list-role", "model-list-group-role",
              "model-list-key-arg", "model-list-nonkey-arg", "tables-list-type",
              "tables-list-value", "tables-list-property", "model-list-schema-type",
-             "model-stage2-labels-short", "model-stage1-labels-short"],
+             "model-stage2-labels-short", "model-stage1-labels-short",
+             "model-missing-keyarg-dim", "model-missing-keyarg-labels", "model-missing-dropout",
+             "model-missing-groups", "model-missing-importance", "model-missing-nonkey-args",
+             "corpus-string-dep-labels", "corpus-short-dep-labels", "extract-int-dep-labels",
+             "extract-long-dep-labels", "extract-int-dep-label", "corpus-not-utf8",
+             "tables-not-utf8", "aliases-not-utf8", "dataset-not-utf8", "gold-not-utf8",
+             "pred-not-utf8", "embeddings-not-utf8", "config-not-utf8",
+             "config-no-section", "config-repeated-key", "config-int-value", "config-float-value",
+             "config-strategy-value", "config-unknown-key", "config-aliases-key"],
     )
     def test_malformed_input_named(
         self, trained, fixture_paths, tmp_path, capsys, kind, edit, named
     ):
         _, dataset, _ = trained
         bad = tmp_path / f"bad-{kind}"
+        tables, corpus, out = fixture_paths["tables"], fixture_paths["corpus"], tmp_path / "out"
+        source = {"tables": tables, "aliases": fixture_paths["aliases"], "dataset": dataset,
+                  "report": dataset, "gold": dataset, "pred": PRED, "events": PRED,
+                  "config": None, "embeddings": None}.get(kind.removesuffix("-bytes"), corpus)
         if kind in ("model", "model-data"):
             bad = edited_model(MODEL, tmp_path, **{"header" if kind == "model" else "data": edit})
+        elif kind.endswith("-bytes"):  # `edit` takes and gives the file's bytes
+            bad.write_bytes(edit(pathlib.Path(source).read_bytes() if source else b""))
         elif kind == "tables":
-            payload = read_json(fixture_paths["tables"])
+            payload = read_json(tables)
             edit(payload)
             bad.write_text(json.dumps(payload))
         else:
-            source = {"dataset": dataset, "report": dataset, "gold": dataset, "pred": PRED,
-                      "events": PRED}.get(kind, fixture_paths["corpus"])
             with open(source, "r", encoding="utf-8") as fh:
                 lines = [json.loads(line) for line in fh]
             edit(lines)
             bad.write_text("".join(json.dumps(line) + "\n" for line in lines))
-        tables, corpus, out = fixture_paths["tables"], fixture_paths["corpus"], tmp_path / "out"
         argv = {
             "model": ["extract", "--model", str(bad), "--corpus", corpus],
             "model-data": ["extract", "--model", str(bad), "--corpus", corpus],
             "tables": ["gen", "--tables", str(bad), "--corpus", corpus],
             "corpus": ["gen", "--tables", tables, "--corpus", str(bad)],
+            "corpus-extract": ["extract", "--model", str(MODEL), "--corpus", str(bad)],
+            "aliases": ["gen", "--tables", tables, "--corpus", corpus, "--aliases", str(bad)],
+            "config": ["gen", "--tables", tables, "--corpus", corpus, "--config", str(bad)],
             "dataset": ["train", "--dataset", str(bad), "--tables", tables, "--epochs", "1"],
+            "embeddings": ["train", "--dataset", str(dataset), "--tables", tables, "--epochs", "1",
+                           "--embed-dim", "2", "--hidden1", "2", "--hidden2", "2",
+                           "--embeddings", str(bad)],
             "report": ["report", "--dataset", str(bad)],
             "pred": ["eval", "--pred", str(bad), "--gold", str(dataset), "--model", str(MODEL)],
             "gold": ["eval", "--pred", str(PRED), "--gold", str(bad), "--model", str(MODEL)],
             "events": ["eval", "--pred", str(PRED), "--gold", str(bad), "--model", str(MODEL)],
-        }[kind]
+        }[kind.removesuffix("-bytes")]
         assert run([*argv, "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}")

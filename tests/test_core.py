@@ -104,8 +104,7 @@ def test_sentence_roundtrip_random():
         n = int(rng.integers(1, 12))
         heads = [-1] + [int(rng.integers(0, i)) for i in range(1, n)]
         words = [f"w{int(rng.integers(0, 50))}" for _ in range(n)]
-        labels = [f"dep{int(rng.integers(0, 5))}" for _ in range(n)]
-        s = ParsedSentence.build(f"s{n}", words, heads, labels)
+        s = ParsedSentence.build(f"s{n}", words, heads)
         assert validate_sentence(s) == []
         assert ParsedSentence.from_dict(s.to_dict()) == s
 

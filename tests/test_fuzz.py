@@ -1,12 +1,15 @@
 """Seeded mutation fuzz of every command that reads an input file.
 
-Each draw takes a valid input, replaces one of its JSON values with another
-value (mostly of another kind) or deletes it, and runs the command that reads
-it through `cli.main`, in-process and under an alarm. Of a model, only the
-JSON header line is mutated; the tensor bytes after it stay as they are. A
-draw passes when the command exits 0, or exits 1 with an
-`error: <file>` line that names one of its input files. Anything else (a traceback, another exit code, a run past the
-alarm) is an escape. Each escape found so far is pinned as a named case in
+Each draw takes a valid input, mutates it and runs the command that reads it
+through `cli.main`, in-process and under an alarm. A value mutation replaces
+one of a JSON input's values with another value (mostly of another kind) or
+deletes it; of a model, only the JSON header line is mutated, and the tensor
+bytes after it stay as they are. A byte mutation, run on every input file
+including alias and INI files, puts an invalid UTF-8 byte into the file or
+drops or doubles one of its tabs or newlines. A draw passes when the command
+exits 0, or exits 1 with an `error: <file>` line that names one of its input
+files. Anything else (a traceback, another exit code, a run past the alarm)
+is an escape. Each escape found so far is pinned as a named case in
 `test_cli.py::TestPipelineCommands::test_malformed_input_named`.
 """
 
@@ -61,6 +64,18 @@ def mutate(doc, rng):
     return doc
 
 
+def mutate_bytes(data, rng):
+    """`data` with a 0xff byte (never valid UTF-8) put in, or one of its tabs or newlines
+    dropped or doubled."""
+    marks = [i for i, b in enumerate(data) if b in b"\t\n"]
+    kind = rng.choice(["invalid", "drop", "double"])
+    if kind == "invalid" or not marks:
+        i = rng.randrange(len(data) + 1)
+        return data[:i] + b"\xff" + data[i:]
+    i = rng.choice(marks)
+    return data[:i] + data[i + 1:] if kind == "drop" else data[:i + 1] + data[i:]
+
+
 def _load(path):
     """A JSONL file as a list of its lines' values, or a JSON file as its value, and b"".
     A model (`.bin`) gives its header line's value and the tensor bytes after it."""
@@ -113,38 +128,83 @@ def valid_inputs(tmp_path_factory, fixture_paths):
                      "--out", str(dataset), "--seed", "0"]) == 0
     events = base / "gold_events.jsonl"
     _dump([mentions_from_record(rec, {}) for rec in read_jsonl(str(dataset))], events)
-    return {**fixture_paths, "dataset": str(dataset), "events": str(events),
+    config = base / "run.ini"  # a setting of each command's section, given by no flag below
+    config.write_text("[gen]\nseed = 0\nmax_dist = 3\nstrategy = imp_time\npartial_ratio = 0.5\n"
+                      "violation_ratio = 0.5\n\n[train]\nseed = 0\nlr = 0.05\npatience = 2\n"
+                      "dropout = 0.0\n\n[extract]\ndecoder = viterbi\nlambda_factor = 0.5\n"
+                      "max_solutions = 3\n")
+    return {**fixture_paths, "dataset": str(dataset), "events": str(events), "config": str(config),
             "pred": str(DATA / "model_v1_pred_multi.jsonl"), "model": str(DATA / "model_v3.bin")}
 
 
-# (case, input kind mutated, draws, the command run on the mutated file `bad`)
+def _gen(p, bad):
+    return ["gen", "--tables", p["tables"], "--corpus", bad]
+
+
+def _gen_tables(p, bad):
+    return ["gen", "--tables", bad, "--corpus", p["corpus"]]
+
+
+def _report(p, bad):
+    return ["report", "--dataset", bad]
+
+
+def _eval_pred(p, bad):
+    return ["eval", "--pred", bad, "--gold", p["dataset"], "--model", p["model"]]
+
+
+def _eval_gold(p, bad):
+    return ["eval", "--pred", p["pred"], "--gold", bad, "--model", p["model"]]
+
+
+def _extract(p, bad):
+    return ["extract", "--model", bad, "--corpus", p["corpus"]]
+
+
+# (case, input kind mutated, "value" or "bytes" mutation, draws, the command run on the
+# mutated file `bad`)
 CASES = [
-    ("gen-corpus", "corpus", 150, lambda p, bad: ["gen", "--tables", p["tables"], "--corpus", bad]),
-    ("extract-corpus", "corpus", 75, lambda p, bad: ["extract", "--model", p["model"], "--corpus", bad]),
-    ("gen-tables", "tables", 150, lambda p, bad: ["gen", "--tables", bad, "--corpus", p["corpus"]]),
-    ("train-dataset", "dataset", 40,
+    ("gen-corpus", "corpus", "value", 150, _gen),
+    ("extract-corpus", "corpus", "value", 75,
+     lambda p, bad: ["extract", "--model", p["model"], "--corpus", bad]),
+    ("gen-tables", "tables", "value", 150, _gen_tables),
+    ("train-dataset", "dataset", "value", 40,
      lambda p, bad: ["train", "--dataset", bad, "--tables", p["tables"], *TINY_TRAIN]),
-    ("report-dataset", "dataset", 150, lambda p, bad: ["report", "--dataset", bad]),
-    ("eval-pred", "pred", 300,
-     lambda p, bad: ["eval", "--pred", bad, "--gold", p["dataset"], "--model", p["model"]]),
-    ("eval-gold-dataset", "dataset", 300,
-     lambda p, bad: ["eval", "--pred", p["pred"], "--gold", bad, "--model", p["model"]]),
-    ("eval-gold-events", "events", 300,
-     lambda p, bad: ["eval", "--pred", p["pred"], "--gold", bad, "--model", p["model"]]),
-    ("extract-model-v3", "model", 300,
-     lambda p, bad: ["extract", "--model", bad, "--corpus", p["corpus"]]),
+    ("report-dataset", "dataset", "value", 150, _report),
+    ("eval-pred", "pred", "value", 300, _eval_pred),
+    ("eval-gold-dataset", "dataset", "value", 300, _eval_gold),
+    ("eval-gold-events", "events", "value", 300, _eval_gold),
+    ("extract-model-v3", "model", "value", 300, _extract),
+    ("gen-corpus-bytes", "corpus", "bytes", 60, _gen),
+    ("gen-tables-bytes", "tables", "bytes", 60, _gen_tables),
+    ("gen-aliases-bytes", "aliases", "bytes", 60,
+     lambda p, bad: ["gen", "--tables", p["tables"], "--corpus", p["corpus"], "--aliases", bad]),
+    ("report-dataset-bytes", "dataset", "bytes", 60, _report),
+    ("eval-gold-bytes", "dataset", "bytes", 60, _eval_gold),
+    ("eval-pred-bytes", "pred", "bytes", 60, _eval_pred),
+    ("extract-model-bytes", "model", "bytes", 60, _extract),
+    ("gen-config-bytes", "config", "bytes", 60,
+     lambda p, bad: ["gen", "--config", bad, "--tables", p["tables"], "--corpus", p["corpus"]]),
+    ("train-config-bytes", "config", "bytes", 30,
+     lambda p, bad: ["train", "--config", bad, "--dataset", p["dataset"], "--tables", p["tables"],
+                     *TINY_TRAIN]),
+    ("extract-config-bytes", "config", "bytes", 60,
+     lambda p, bad: ["extract", "--config", bad, "--model", p["model"], "--corpus", p["corpus"]]),
 ]
 
 
-@pytest.mark.parametrize("case, kind, draws, argv", CASES, ids=[c[0] for c in CASES])
-def test_mutated_inputs_fail_by_name(valid_inputs, tmp_path, case, kind, draws, argv):
+@pytest.mark.parametrize("case, kind, mutation, draws, argv", CASES, ids=[c[0] for c in CASES])
+def test_mutated_inputs_fail_by_name(valid_inputs, tmp_path, case, kind, mutation, draws, argv):
     rng = random.Random(f"{SEED}-{case}")
     source = valid_inputs[kind]
     bad = str(tmp_path / ("bad" + pathlib.Path(source).suffix))
     escapes = []
     for draw in range(draws):
-        doc, tensors = _load(source)
-        _dump(mutate(doc, rng), bad, tensors)
+        if mutation == "bytes":
+            pathlib.Path(bad).write_bytes(mutate_bytes(pathlib.Path(source).read_bytes(), rng))
+        else:
+            doc, tensors = _load(source)
+            _dump(mutate(doc, rng), bad, tensors)
         command = argv(valid_inputs, bad)
         inputs = [a for a in command if a == bad or a in valid_inputs.values()]
         escape = run_draw([*command, "--out", str(tmp_path / "out")], inputs)
