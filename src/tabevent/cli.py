@@ -64,9 +64,10 @@ def _apply_config(args: argparse.Namespace, parser_defaults: dict) -> argparse.N
     """Fill unset flags from the [command] section of the INI config file, else the defaults.
 
     The section may hold only the command's settings, each with a value of the setting's type
-    (and one of its flag's choices); anything else is an error naming the file.
+    (and one of its flag's choices), also where a flag overrides it; anything else is an error
+    naming the file.
     """
-    section = {}
+    given = {}
     if getattr(args, "config", None):
         ini = configparser.ConfigParser(interpolation=None)
         with open_text(args.config) as fh:
@@ -74,27 +75,27 @@ def _apply_config(args: argparse.Namespace, parser_defaults: dict) -> argparse.N
                 ini.read_file(fh)
             except configparser.Error as exc:
                 raise ValueError(f"{args.config}: {exc}".replace("\n", " ")) from None
-        if ini.has_section(args.command):
-            section = ini[args.command]
-        for key in section:
+        section = ini[args.command] if ini.has_section(args.command) else {}
+        for key, text in section.items():
             if key not in parser_defaults:
                 raise ValueError(f"{args.config}: [{args.command}] has no setting {key!r}; its "
                                  f"settings are {', '.join(sorted(parser_defaults)) or 'none'}")
+            given[key] = _setting(f"{args.config}: [{args.command}] {key}", text, parser_defaults[key],
+                                  _CHOICES.get(key))
     for key, default in parser_defaults.items():
         if getattr(args, key, None) is None:
-            setattr(args, key, _setting(args, key, section[key], default) if key in section else default)
+            setattr(args, key, given.get(key, default))
     return args
 
 
-def _setting(args: argparse.Namespace, key: str, text: str, default):
-    """The INI value `text` of setting `key` as the type of its default."""
-    where = f"{args.config}: [{args.command}] {key}"
+def _setting(where: str, text: str, default, choices: list | None):
+    """The INI value `text` as the type of `default`, and one of `choices` if there are any."""
     try:
         value = type(default)(text)
     except ValueError as exc:
         raise ValueError(f"{where}: {exc}") from None
-    if key in _CHOICES and value not in _CHOICES[key]:
-        raise ValueError(f"{where}: {value!r} is not one of {', '.join(_CHOICES[key])}")
+    if choices and value not in choices:
+        raise ValueError(f"{where}: {value!r} is not one of {', '.join(choices)}")
     return value
 
 

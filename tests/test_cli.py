@@ -177,6 +177,15 @@ class TestConfigFile:
         assert header2["seed"] == 4
 
 
+    def test_bad_value_refused_where_a_flag_overrides_it(self, tmp_path, fixture_paths, capsys):
+        ini = tmp_path / "run.ini"
+        ini.write_text("[gen]\nseed = x\n")
+        assert run(["gen", "--config", str(ini), "--seed", "4", "--tables", fixture_paths["tables"],
+                    "--corpus", fixture_paths["corpus"], "--out", str(tmp_path / "a.jsonl")]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: {ini}: [gen] seed: invalid literal for int() with base 10: 'x'")
+
+
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory, fixture_paths):
     base = tmp_path_factory.mktemp("cli-train")
