@@ -14,7 +14,7 @@ import contextlib
 import json
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 from . import __version__, evaluation, ilp, oracle, pipeline, supervision
 from .core import open_text, read_corpus, read_jsonl, read_tables, write_jsonl
@@ -60,15 +60,17 @@ def _naming(path: str):
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _apply_config(args: argparse.Namespace, parser_defaults: dict) -> argparse.Namespace:
-    """Fill unset flags from the [command] section of the INI config file, else the defaults.
+def _apply_config(args: argparse.Namespace) -> argparse.Namespace:
+    """Fill unset settings from the [command] section of the INI config file, else the defaults,
+    then make the command's library settings from them into `args.settings`.
 
     The section may hold only the command's settings, each with a value of the setting's type
-    (and one of its flag's choices), also where a flag overrides it; anything else is an error
-    naming the file.
+    (and one of its flag's choices) that the library accepts with the defaults, also where a
+    flag overrides it; anything else is an error naming the file.
     """
-    given = {}
-    if getattr(args, "config", None):
+    defaults, given = args.defaults, {}
+    if args.config:
+        where = f"{args.config}: [{args.command}]"
         ini = configparser.ConfigParser(interpolation=None)
         with open_text(args.config) as fh:
             try:
@@ -77,14 +79,16 @@ def _apply_config(args: argparse.Namespace, parser_defaults: dict) -> argparse.N
                 raise ValueError(f"{args.config}: {exc}".replace("\n", " ")) from None
         section = ini[args.command] if ini.has_section(args.command) else {}
         for key, text in section.items():
-            if key not in parser_defaults:
-                raise ValueError(f"{args.config}: [{args.command}] has no setting {key!r}; its "
-                                 f"settings are {', '.join(sorted(parser_defaults)) or 'none'}")
-            given[key] = _setting(f"{args.config}: [{args.command}] {key}", text, parser_defaults[key],
-                                  _CHOICES.get(key))
-    for key, default in parser_defaults.items():
-        if getattr(args, key, None) is None:
+            if key not in defaults:
+                raise ValueError(f"{where} has no setting {key!r}; its settings are "
+                                 f"{', '.join(sorted(defaults))}")
+            given[key] = _setting(f"{where} {key}", text, defaults[key], _CHOICES.get(key))
+        with _naming(where):
+            args.make({**defaults, **given})
+    for key, default in defaults.items():
+        if getattr(args, key) is None:
             setattr(args, key, given.get(key, default))
+    args.settings = args.make(vars(args))
     return args
 
 
@@ -99,10 +103,11 @@ def _setting(where: str, text: str, default, choices: list | None):
     return value
 
 
-# The settings whose flags take one of a list of names.
+# The settings whose flags take one of a list of names, and those whose flags have a help text.
 _CHOICES = {"strategy": [s.value for s in Strategy], "decoder": ["viterbi", "ilp"]}
+_HELP = {"max_dist": "max dependency hops between key arguments; 0 disables"}
 
-# Each subcommand's defaults are the library's own.
+# Each subcommand's settings, one flag and one INI key each; the defaults are the library's own.
 _GEN = GenerationConfig()
 _STRATEGY = {"strategy": Strategy.IMP_TIME.value}
 _TRAIN = {k: v for k, v in asdict(pipeline.TrainSettings()).items() if k != "embeddings_path"}
@@ -117,29 +122,44 @@ GEN_DEFAULTS = {
 
 TRAIN_DEFAULTS = {**_STRATEGY, **_TRAIN}
 
-EXTRACT_DEFAULTS = {
-    "decoder": "ilp",
+EXTRACT_DEFAULTS = {  # decoder last, next to --multi, with which its flag shares a group
     "lambda_factor": ilp.LAMBDA_FACTOR,
     "max_solutions": ilp.MAX_SOLUTIONS,
+    "decoder": "ilp",
 }
+
+
+# A command's library settings from its setting values; the library refuses a bad value.
+def _generation_config(values: dict) -> GenerationConfig:
+    max_dist = values["max_dist"]
+    return GenerationConfig(max_dep_distance=None if max_dist <= 0 else max_dist,
+                            partial_negative_ratio=values["partial_ratio"],
+                            violation_negative_ratio=values["violation_ratio"])
+
+
+def _train_settings(values: dict) -> pipeline.TrainSettings:
+    return pipeline.TrainSettings(embeddings_path=values.get("embeddings"),
+                                  **{name: values[name] for name in _TRAIN})
+
+
+def _decode_settings(values: dict) -> None:
+    ilp.check_decode_settings(values["lambda_factor"], values["max_solutions"])
+
+
+def _schemas(args: argparse.Namespace, tables: list) -> dict:
+    """The event schemas of `tables`; a fault of the tables names their file."""
+    with _naming(args.tables):
+        return supervision.select_schemas(tables, Strategy(args.strategy))
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
     t0 = time.monotonic()
     tables = read_tables(args.tables)
+    # Schemas are selected first so that the generator's own checks concern the corpus.
+    _schemas(args, tables)
     corpus = read_corpus(args.corpus)
     alias_map = supervision.read_alias_map(args.aliases) if args.aliases else {}
-    cfg = GenerationConfig(
-        max_dep_distance=None if args.max_dist <= 0 else args.max_dist,
-        partial_negative_ratio=args.partial_ratio,
-        violation_negative_ratio=args.violation_ratio,
-        alias_map=alias_map,
-    )
-    strategy = Strategy(args.strategy)
-    # Schemas are selected first so that a fault of the tables names their file;
-    # the generator's own checks then concern the corpus.
-    with _naming(args.tables):
-        supervision.select_schemas(tables, strategy)
+    cfg, strategy = replace(args.settings, alias_map=alias_map), Strategy(args.strategy)
     with _naming(args.corpus):
         records, report = supervision.generate_dataset(tables, corpus, cfg, strategy=strategy, seed=args.seed)
     header = _header(args.seed, "gen")
@@ -156,18 +176,11 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _schemas(args: argparse.Namespace) -> dict:
-    return supervision.select_schemas(read_tables(args.tables), Strategy(args.strategy))
-
-
 def _cmd_train(args: argparse.Namespace) -> int:
     t0 = time.monotonic()
     records = supervision.read_dataset(args.dataset)
-    schemas = _schemas(args)
-    settings = pipeline.TrainSettings(
-        embeddings_path=args.embeddings, **{name: getattr(args, name) for name in _TRAIN}
-    )
-    model, history = pipeline.train_pipeline(records, schemas, settings)
+    schemas = _schemas(args, read_tables(args.tables))
+    model, history = pipeline.train_pipeline(records, schemas, args.settings)
     model.save(args.out, meta=_header(args.seed, "train"))
     inputs = {
         "dataset": args.dataset,
@@ -202,7 +215,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     if args.model:
         schemas = pipeline.ExtractorModel.load(args.model).schemas
     elif args.tables:
-        schemas = _schemas(args)
+        schemas = _schemas(args, read_tables(args.tables))
     else:
         raise ValueError("eval needs --model or --tables to know the key arguments")
     # Gold is in dataset form when its first record has labels; the file is read once, so
@@ -254,6 +267,18 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
+def _add_settings(p: argparse.ArgumentParser, func, defaults: dict, make=lambda values: None,
+                  groups: dict | None = None) -> None:
+    """--config, and a flag for each setting of `defaults` (`--embed-dim` for embed_dim) of the
+    default's type, added to its group in `groups` if it has one."""
+    p.add_argument("--config")
+    for key, default in defaults.items():
+        where = (groups or {}).get(key, p)
+        where.add_argument(f"--{key.replace('_', '-')}", type=type(default), choices=_CHOICES.get(key),
+                           help=_HELP.get(key))
+    p.set_defaults(func=func, defaults=defaults, make=make)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tabevent",
@@ -267,68 +292,42 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--aliases")
     p.add_argument("--out", required=True)
     p.add_argument("--stats")
-    p.add_argument("--config")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--max-dist", dest="max_dist", type=int,
-                   help="max dependency hops between key arguments; 0 disables")
-    p.add_argument("--strategy", choices=_CHOICES["strategy"])
-    p.add_argument("--partial-ratio", dest="partial_ratio", type=float)
-    p.add_argument("--violation-ratio", dest="violation_ratio", type=float)
-    p.set_defaults(func=_cmd_gen, defaults=GEN_DEFAULTS)
+    _add_settings(p, _cmd_gen, GEN_DEFAULTS, _generation_config)
 
     p = sub.add_parser("train", help="train the two-stage extractor")
     p.add_argument("--dataset", required=True)
     p.add_argument("--tables", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--config")
     p.add_argument("--embeddings")
-    p.add_argument("--strategy", choices=_CHOICES["strategy"])
-    p.add_argument("--seed", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--embed-dim", dest="embed_dim", type=int)
-    p.add_argument("--hidden1", type=int)
-    p.add_argument("--hidden2", type=int)
-    p.add_argument("--keyarg-dim", dest="keyarg_dim", type=int)
-    p.add_argument("--dropout", type=float)
-    p.add_argument("--dev-fraction", dest="dev_fraction", type=float)
-    p.add_argument("--patience", type=int)
-    p.set_defaults(func=_cmd_train, defaults=TRAIN_DEFAULTS)
+    _add_settings(p, _cmd_train, TRAIN_DEFAULTS, _train_settings)
 
     p = sub.add_parser("extract", help="run the extractor over a corpus")
     p.add_argument("--model", required=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--config")
     decoders = p.add_mutually_exclusive_group()
-    decoders.add_argument("--decoder", choices=_CHOICES["decoder"])
+    _add_settings(p, _cmd_extract, EXTRACT_DEFAULTS, _decode_settings, {"decoder": decoders})
     decoders.add_argument("--multi", action="store_true",
                           help="enumerate multiple typed events per sentence")
-    p.add_argument("--lambda-factor", dest="lambda_factor", type=float)
-    p.add_argument("--max-solutions", dest="max_solutions", type=int)
-    p.set_defaults(func=_cmd_extract, defaults=EXTRACT_DEFAULTS)
 
     p = sub.add_parser("eval", help="score predictions against references")
     p.add_argument("--pred", required=True)
     p.add_argument("--gold", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--config")
     p.add_argument("--model", help="model file supplying the event schemas")
     p.add_argument("--tables", help="tables file to derive schemas instead")
-    p.add_argument("--strategy", choices=_CHOICES["strategy"])
-    p.set_defaults(func=_cmd_eval, defaults=_STRATEGY)
+    _add_settings(p, _cmd_eval, _STRATEGY)
 
     p = sub.add_parser("oracle", help="run brute-force verification suites")
     p.add_argument("--check", choices=sorted(oracle.CHECKS) + ["all"], default="all")
     p.add_argument("--trials", type=int)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_oracle, defaults={})
+    p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("report", help="summarize generated datasets")
     p.add_argument("--dataset", action="append", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--config")
-    p.set_defaults(func=_cmd_report, defaults={})
+    p.set_defaults(func=_cmd_report)
 
     return parser
 
@@ -337,7 +336,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args = _apply_config(args, args.defaults)
+        if "defaults" in args:  # a command with settings
+            args = _apply_config(args)
         return args.func(args)
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -478,14 +478,20 @@ def write_jsonl(path: str, records: Iterable[Mapping], header: Mapping | None = 
 
 
 def read_corpus(path: str) -> list[ParsedSentence]:
+    """The corpus's sentences; a sentence id names one record, so a repeated one is an error."""
     sentences = []
+    ids: set[str] = set()
     for rec in read_jsonl(path):
         try:
-            sentences.append(ParsedSentence.from_dict(rec))
+            sentence = ParsedSentence.from_dict(rec)
         except KeyError as exc:
             raise ValueError(f"{path}: corpus record missing field {exc}") from exc
         except ValueError as exc:
             raise ValueError(f"{path}: sentence {rec['id']!r}: {exc}") from None
+        if sentence.id in ids:
+            raise ValueError(f"{path}: repeated sentence id {sentence.id!r}")
+        ids.add(sentence.id)
+        sentences.append(sentence)
     return sentences
 
 
@@ -498,15 +504,8 @@ def read_tables(path: str) -> list[EventTable]:
     if isinstance(payload, dict):
         payload = [payload]
     try:
-        tables = [EventTable.from_dict(rec) for rec in _json_list(payload, "a tables file")]
+        return [EventTable.from_dict(rec) for rec in _json_list(payload, "a tables file")]
     except KeyError as exc:
         raise ValueError(f"{path}: table record missing field {exc}") from None
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    # Schemas are keyed by event type, so a second table of a type would be lost.
-    seen: set[str] = set()
-    for table in tables:
-        if table.event_type in seen:
-            raise ValueError(f"{path}: repeated event type {table.event_type!r}")
-        seen.add(table.event_type)
-    return tables

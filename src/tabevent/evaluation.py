@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .core import EventSchema, _json_int, _json_list, _json_object, _json_str, spans_from_tags
+from .core import Argument, EventSchema, _json_int, _json_list, _json_object, _json_str, spans_from_tags
 
 Event = tuple[str, frozenset[tuple[str, tuple[int, int]]]]
 
@@ -148,14 +148,7 @@ def mentions_from_record(rec: Mapping, schemas: Mapping[str, EventSchema]) -> di
         arguments = []
         for role, start, end in spans:
             role_type, _, prop = role.rpartition(":")
-            if role_type != event_type:
-                continue
-            arguments.append(
-                {
-                    "role": prop,
-                    "span": [start, end],
-                    "text": " ".join(tokens[start:end]),
-                }
-            )
+            if role_type == event_type:
+                arguments.append(Argument(prop, start, end).to_dict(tokens))
         events.append({"event_type": event_type, "arguments": arguments})
     return {"sentence_id": rec["sentence_id"], "events": events}

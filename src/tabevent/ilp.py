@@ -44,6 +44,16 @@ LAMBDA_FACTOR = 0.5
 MAX_SOLUTIONS = 10
 
 
+def check_decode_settings(lambda_factor: float, max_solutions: int) -> None:
+    """Refuse a k-best threshold or list size that the search cannot use."""
+    if not (np.isfinite(lambda_factor) and lambda_factor >= 0):
+        raise ValueError("lambda_factor must be non-negative and finite")
+    if isinstance(max_solutions, bool) or not isinstance(max_solutions, (int, np.integer)):
+        raise ValueError(f"max_solutions must be an integer, got {type(max_solutions).__name__}")
+    if max_solutions < 1:
+        raise ValueError("max_solutions must be at least 1")
+
+
 @dataclass
 class DecodeProblem:
     """Inputs to constrained decoding over one sentence."""
@@ -74,16 +84,7 @@ class DecodeProblem:
         # expand the whole lattice.
         if not (np.isfinite(self.emissions).all() and np.isfinite(self.transitions).all()):
             raise ValueError("emissions and transitions must be finite")
-        if not (np.isfinite(self.lambda_factor) and self.lambda_factor >= 0):
-            raise ValueError("lambda_factor must be non-negative and finite")
-        if isinstance(self.max_solutions, bool) or not isinstance(
-            self.max_solutions, (int, np.integer)
-        ):
-            raise ValueError(
-                f"max_solutions must be an integer, got {type(self.max_solutions).__name__}"
-            )
-        if self.max_solutions < 1:
-            raise ValueError("max_solutions must be at least 1")
+        check_decode_settings(self.lambda_factor, self.max_solutions)
 
     @property
     def n(self) -> int:

@@ -9,6 +9,7 @@ it never overwrites a stage-1 key span.
 from __future__ import annotations
 
 import json
+import math
 import os
 import pickle
 import signal
@@ -306,6 +307,17 @@ class TrainSettings:
     keyarg_dim: int = 50
     dropout: float = 0.5
     embeddings_path: str | None = None
+
+    def __post_init__(self) -> None:
+        # Dimensions and dropout are checked by neural.ModelConfig.
+        if self.epochs < 1:
+            raise ValueError("epochs must be at least 1")
+        if self.patience < 0:
+            raise ValueError("patience must be non-negative")
+        if not 0 <= self.dev_fraction < 1:
+            raise ValueError("dev_fraction must be in [0, 1)")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError("lr must be positive and finite")
 
 
 @dataclass

@@ -138,11 +138,21 @@ class TestUsage:
             run(["gen", "--bogus", "x"])
         assert exc.value.code == 2
 
+    def test_report_takes_no_config(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run(["report", "--dataset", "d.jsonl", "--out", str(tmp_path / "r.json"), "--config", "r.ini"])
+        assert exc.value.code == 2
+
     def test_multi_with_decoder_exits_2(self, fixture_paths, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run(["extract", "--model", str(MODEL), "--corpus", fixture_paths["corpus"],
                  "--out", str(tmp_path / "pred.jsonl"), "--multi", "--decoder", "viterbi"])
         assert exc.value.code == 2
+
+
+# The path flags each command requires, given to the tests of settings.
+REQUIRED = {"gen": ["tables", "corpus", "out"], "train": ["dataset", "tables", "out"],
+            "extract": ["model", "corpus", "out"], "eval": ["pred", "gold", "out"]}
 
 
 class TestConfigFile:
@@ -176,6 +186,43 @@ class TestConfigFile:
         header2 = json.loads(out2.read_text().splitlines()[0])["_header"]
         assert header2["seed"] == 4
 
+    @pytest.mark.parametrize("command", ["gen", "train", "extract", "eval"])
+    def test_each_setting_from_the_file_equals_its_flag(self, tmp_path, command):
+        """Each setting, given another value than its default, parses alike from the file and
+        from its flag (`--embed-dim` for `embed_dim`), into the same library settings."""
+        parser = cli.build_parser()
+        paths = [f"--{name}=x" for name in REQUIRED[command]]
+        defaults = parser.parse_args([command, *paths]).defaults
+        assert defaults
+        for key, default in defaults.items():
+            choices = cli._CHOICES.get(key)
+            text = (next(c for c in choices if c != default) if choices
+                    else str(default + 1 if isinstance(default, int) else default / 2))
+            ini = tmp_path / f"{key}.ini"
+            ini.write_text(f"[{command}]\n{key} = {text}\n")
+            given = (["--config", str(ini)], [f"--{key.replace('_', '-')}", text])
+            from_file, from_flag = (cli._apply_config(parser.parse_args([command, *paths, *g])) for g in given)
+            assert getattr(from_file, key) == getattr(from_flag, key) != default
+            assert vars(from_file).keys() - {"config"} == vars(from_flag).keys() - {"config"}
+            assert from_file.settings == from_flag.settings
+
+    @pytest.mark.parametrize("command, lines, flags, message", [
+        ("train", ["epochs = 0"], [], "epochs must be at least 1"),
+        ("train", ["dev_fraction = nan"], [], "dev_fraction must be in [0, 1)"),
+        ("train", ["lr = -1", "epochs = 3"], [], "lr must be positive and finite"),
+        ("extract", ["max_solutions = 0"], [], "max_solutions must be at least 1"),
+        ("extract", ["max_solutions = 0"], ["--max-solutions", "3"], "max_solutions must be at least 1"),
+        ("extract", ["decoder = viterbi", "lambda_factor = -1"], [],
+         "lambda_factor must be non-negative and finite"),
+    ])
+    def test_value_the_library_refuses_named_before_any_input_is_read(self, tmp_path, capsys, command,
+                                                                       lines, flags, message):
+        """Also where a flag overrides the value; the input paths do not exist."""
+        ini = tmp_path / "run.ini"
+        ini.write_text("\n".join([f"[{command}]", *lines]) + "\n")
+        paths = [f"--{name}={tmp_path / 'absent'}" for name in REQUIRED[command]]
+        assert run([command, *paths, "--config", str(ini), *flags]) == 1
+        assert capsys.readouterr().err == f"error: {ini}: [{command}]: {message}\n"
 
     def test_bad_value_refused_where_a_flag_overrides_it(self, tmp_path, fixture_paths, capsys):
         ini = tmp_path / "run.ini"
@@ -310,6 +357,30 @@ class TestPipelineCommands:
             os.close(read_end)
         assert not writer.is_alive()
         assert outs[0].read_bytes() == outs[1].read_bytes() == METRICS.read_bytes()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--epochs", "-1"], "epochs must be at least 1"),
+        (["--epochs", "0"], "epochs must be at least 1"),
+        (["--patience", "-1"], "patience must be non-negative"),
+        (["--dev-fraction", "-0.5"], "dev_fraction must be in [0, 1)"),
+        (["--dev-fraction", "nan"], "dev_fraction must be in [0, 1)"),
+        (["--lr", "-1"], "lr must be positive and finite"),
+    ])
+    def test_train_refuses_settings_that_train_nothing_or_wrongly(self, trained, fixture_paths, tmp_path,
+                                                                  capsys, flags, message):
+        _, dataset, _ = trained
+        out = tmp_path / "model.bin"
+        assert run(["train", "--dataset", str(dataset), "--tables", fixture_paths["tables"],
+                    "--out", str(out), *flags]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_decode_settings_checked_whatever_the_decoder(self, fixture_paths, tmp_path, capsys):
+        out = tmp_path / "pred.jsonl"
+        assert run(["extract", "--model", str(MODEL), "--corpus", fixture_paths["corpus"], "--out", str(out),
+                    "--decoder", "viterbi", "--max-solutions", "0", "--lambda-factor", "-1"]) == 1
+        assert capsys.readouterr().err == "error: lambda_factor must be non-negative and finite\n"
+        assert not out.exists()
 
     def test_eval_requires_schema_source(self, trained, fixture_paths, capsys):
         base, dataset, model = trained
@@ -517,6 +588,20 @@ class TestPipelineCommands:
              "strategy, violation_ratio"),
             ("config-bytes", lambda b: b"[gen]\naliases = fixtures/aliases.tsv\n",
              ": [gen] has no setting 'aliases'"),
+            ("tables-train", lambda t: t[0]["entries"][0]["values"].pop("divisions_formed"),
+             ": count_arg is zero or missing for property 'divisions_formed'"),
+            ("tables-eval", lambda t: t[0]["entries"][0]["values"].pop("divisions_formed"),
+             ": count_arg is zero or missing for property 'divisions_formed'"),
+            ("tables-train", lambda t: t.append({**t[1], "entries": t[1]["entries"][:1]}),
+             ": repeated event type 'people.marriage'"),
+            ("tables-eval-bytes", lambda b: b[:-3], ": invalid JSON: "),
+            ("tables-train-bytes", lambda b: b"[" + b, ": invalid JSON: "),
+            ("corpus-extract", lambda lines: lines.append({**lines[0], "tokens": ["x"], "dep_head": [-1]}),
+             ": repeated sentence id 'S1'"),
+            ("config-bytes", lambda b: b"[gen]\npartial_ratio = -1\n",
+             ": [gen]: partial_negative_ratio must be finite and non-negative"),
+            ("config-bytes", lambda b: b"[gen]\nviolation_ratio = nan\n",
+             ": [gen]: violation_negative_ratio must be finite and non-negative"),
         ],
         ids=["model-config", "model-schemas", "tensor-shape", "table-entries",
              "tables-string-values", "tables-non-object", "tables-non-object-entry",
@@ -544,7 +629,10 @@ class TestPipelineCommands:
              "tables-not-utf8", "aliases-not-utf8", "dataset-not-utf8", "gold-not-utf8",
              "pred-not-utf8", "embeddings-not-utf8", "config-not-utf8",
              "config-no-section", "config-repeated-key", "config-int-value", "config-float-value",
-             "config-strategy-value", "config-unknown-key", "config-aliases-key"],
+             "config-strategy-value", "config-unknown-key", "config-aliases-key",
+             "train-tables-unused-property", "eval-tables-unused-property", "train-tables-repeated-type",
+             "eval-tables-invalid-json", "train-tables-invalid-json", "extract-repeated-sentence-id",
+             "config-negative-ratio", "config-nan-ratio"],
     )
     def test_malformed_input_named(
         self, trained, fixture_paths, tmp_path, capsys, kind, edit, named
@@ -552,14 +640,15 @@ class TestPipelineCommands:
         _, dataset, _ = trained
         bad = tmp_path / f"bad-{kind}"
         tables, corpus, out = fixture_paths["tables"], fixture_paths["corpus"], tmp_path / "out"
-        source = {"tables": tables, "aliases": fixture_paths["aliases"], "dataset": dataset,
+        source = {"tables": tables, "tables-train": tables, "tables-eval": tables,
+                  "aliases": fixture_paths["aliases"], "dataset": dataset,
                   "report": dataset, "gold": dataset, "pred": PRED, "events": PRED,
                   "config": None, "embeddings": None}.get(kind.removesuffix("-bytes"), corpus)
         if kind in ("model", "model-data"):
             bad = edited_model(MODEL, tmp_path, **{"header" if kind == "model" else "data": edit})
         elif kind.endswith("-bytes"):  # `edit` takes and gives the file's bytes
             bad.write_bytes(edit(pathlib.Path(source).read_bytes() if source else b""))
-        elif kind == "tables":
+        elif kind.startswith("tables"):
             payload = read_json(tables)
             edit(payload)
             bad.write_text(json.dumps(payload))
@@ -572,6 +661,8 @@ class TestPipelineCommands:
             "model": ["extract", "--model", str(bad), "--corpus", corpus],
             "model-data": ["extract", "--model", str(bad), "--corpus", corpus],
             "tables": ["gen", "--tables", str(bad), "--corpus", corpus],
+            "tables-train": ["train", "--dataset", str(dataset), "--tables", str(bad), "--epochs", "1"],
+            "tables-eval": ["eval", "--pred", str(PRED), "--gold", str(dataset), "--tables", str(bad)],
             "corpus": ["gen", "--tables", tables, "--corpus", str(bad)],
             "corpus-extract": ["extract", "--model", str(MODEL), "--corpus", str(bad)],
             "aliases": ["gen", "--tables", tables, "--corpus", corpus, "--aliases", str(bad)],
@@ -588,6 +679,8 @@ class TestPipelineCommands:
         assert run([*argv, "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}")
+        if not kind.startswith("config"):  # configparser's own messages quote the file again
+            assert err.count(str(bad)) == 1
         assert named in err
 
     def test_report(self, trained):

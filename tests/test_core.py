@@ -13,6 +13,7 @@ from tabevent.core import (
     TableEntry,
     bio_wellformed,
     normalize_surface,
+    read_corpus,
     read_jsonl,
     spans_from_tags,
     tags_from_spans,
@@ -205,6 +206,14 @@ def test_read_jsonl_reports_file_and_line(tmp_path):
     path.write_text('{"id": 1}\nnot json\n')
     with pytest.raises(ValueError, match=r"bad\.jsonl:2"):
         list(read_jsonl(str(path)))
+
+
+def test_read_corpus_refuses_repeated_sentence_id(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    sentence = {"id": "S1", "tokens": ["a"], "dep_head": [-1]}
+    path.write_text(json.dumps(sentence) + "\n" + json.dumps({**sentence, "tokens": ["b"]}) + "\n")
+    with pytest.raises(ValueError, match=r"corpus\.jsonl: repeated sentence id 'S1'"):
+        read_corpus(str(path))
 
 
 def test_read_jsonl_skips_header(tmp_path):

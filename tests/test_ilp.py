@@ -49,6 +49,17 @@ class TestProblemValidation:
         with pytest.raises(ValueError, match="max_solutions must be an integer"):
             simple_problem(np.zeros((2, 3)), ["a"], max_solutions=bad)
 
+    @pytest.mark.parametrize("lambda_factor, max_solutions, message", [
+        (float("nan"), 1, "lambda_factor must be non-negative and finite"),
+        (float("inf"), 1, "lambda_factor must be non-negative and finite"),
+        (0.0, 0, "max_solutions must be at least 1"),
+    ])
+    def test_decode_settings_checked_without_a_problem(self, lambda_factor, max_solutions, message):
+        with pytest.raises(ValueError, match=message):
+            ilp.check_decode_settings(lambda_factor, max_solutions)
+        with pytest.raises(ValueError, match=message):
+            simple_problem(np.zeros((2, 3)), ["a"], lambda_factor=lambda_factor, max_solutions=max_solutions)
+
     def test_max_solutions_numpy_integer(self):
         prob = simple_problem(np.zeros((2, 3)), ["a"], max_solutions=np.int64(2))
         assert len(ilp.ilp_decode_multi(prob).sequences) == 2

@@ -274,6 +274,25 @@ def fast_settings(**kwargs):
 
 
 class TestTraining:
+    @pytest.mark.parametrize("setting, value, message", [
+        ("epochs", 0, "epochs must be at least 1"),
+        ("epochs", -1, "epochs must be at least 1"),
+        ("patience", -1, "patience must be non-negative"),
+        ("dev_fraction", -0.5, r"dev_fraction must be in \[0, 1\)"),
+        ("dev_fraction", 1.0, r"dev_fraction must be in \[0, 1\)"),
+        ("dev_fraction", float("nan"), r"dev_fraction must be in \[0, 1\)"),
+        ("lr", -1.0, "lr must be positive and finite"),
+        ("lr", 0.0, "lr must be positive and finite"),
+        ("lr", float("inf"), "lr must be positive and finite"),
+        ("lr", float("nan"), "lr must be positive and finite"),
+    ])
+    def test_settings_that_train_nothing_or_wrongly_refused(self, setting, value, message):
+        with pytest.raises(ValueError, match=message):
+            TrainSettings(**{setting: value})
+
+    def test_settings_at_their_bounds_accepted(self):
+        TrainSettings(epochs=1, patience=0, dev_fraction=0.0, lr=1e-12)
+
     def test_empty_dataset(self):
         with pytest.raises(ValueError, match="empty"):
             train_pipeline([], make_schemas())
