@@ -188,8 +188,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
         "embeddings": args.embeddings,
     }
     _write_manifest(args.out, "train", inputs, [args.out], args.seed, t0)
-    last = history["stage1"]["train_nll"][-1] if history["stage1"]["train_nll"] else None
-    print(f"train: stage-1 final train nll {last} -> {args.out}")
+    print(f"train: stage-1 final train nll {history['stage1']['train_nll'][-1]} -> {args.out}")
     return 0
 
 

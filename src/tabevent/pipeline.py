@@ -347,9 +347,7 @@ def _train_tagger(
     order = shuffle_rng.permutation(len(instances))
     n_dev = int(len(instances) * settings.dev_fraction)
     dev_idx = [int(i) for i in order[:n_dev]]
-    train_idx = [int(i) for i in order[n_dev:]]
-    if not train_idx:
-        train_idx, dev_idx = dev_idx, []
+    train_idx = [int(i) for i in order[n_dev:]]  # dev_fraction < 1: not empty unless `instances` is
 
     state = neural.AdamState(params)
     grads = params.zeros_like()
