@@ -76,7 +76,7 @@ def _apply_config(args: argparse.Namespace) -> argparse.Namespace:
             try:
                 ini.read_file(fh)
             except configparser.Error as exc:
-                raise ValueError(f"{args.config}: {exc}".replace("\n", " ")) from None
+                raise ValueError(f"{args.config}:{_ini_fault(exc)}") from None
         section = ini[args.command] if ini.has_section(args.command) else {}
         for key, text in section.items():
             if key not in defaults:
@@ -90,6 +90,18 @@ def _apply_config(args: argparse.Namespace) -> argparse.Namespace:
             setattr(args, key, given.get(key, default))
     args.settings = args.make(vars(args))
     return args
+
+
+def _ini_fault(exc: configparser.Error) -> str:
+    """'<line>: <what>' for an error of `ConfigParser.read_file`, worded from its fields,
+    since its own message quotes the file again."""
+    if isinstance(exc, configparser.MissingSectionHeaderError):
+        return f"{exc.lineno}: {exc.line.strip()!r} comes before any [section] header"
+    if isinstance(exc, configparser.ParsingError):
+        return f"{exc.errors[0][0]}: neither a [section] header nor a 'key = value' line"
+    if isinstance(exc, configparser.DuplicateOptionError):
+        return f"{exc.lineno}: option {exc.option!r} repeated in [{exc.section}]"
+    return f"{exc.lineno}: section [{exc.section}] repeated"  # DuplicateSectionError, the last kind
 
 
 def _setting(where: str, text: str, default, choices: list | None):

@@ -8,8 +8,9 @@ from __future__ import annotations
 
 import contextlib
 import json
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence, TextIO
+from typing import TextIO
 
 OUTSIDE = "O"
 
@@ -54,7 +55,7 @@ class ParsedSentence:
     def from_dict(cls, rec: Mapping) -> "ParsedSentence":
         """The sentence of a corpus record. A `dep_label` is checked, one string per token,
         and not kept: nothing reads it."""
-        sentence_id = str(rec["id"])
+        sentence_id = _json_str(rec["id"], "'id'")
         tokens = _json_strs(rec["tokens"], "'tokens'")
         heads = _json_list(rec["dep_head"], "'dep_head'")
         labels = rec.get("dep_label")
@@ -163,13 +164,15 @@ class TableEntry:
     def from_dict(cls, rec: Mapping) -> "TableEntry":
         if not isinstance(rec, Mapping):
             raise ValueError(f"table entry is not an object: {type(rec).__name__}")
+        entry_id = _json_str(rec["id"], "table entry: 'id'")
         if not isinstance(rec["values"], Mapping):
-            raise ValueError(f"entry {rec['id']}: 'values' is not an object")
-        values = {
-            str(p): tuple(_json_strs(v, f"entry {rec['id']}: property {p!r}"))
-            for p, v in rec["values"].items()
-        }
-        return cls(id=str(rec["id"]), values=values)
+            raise ValueError(f"entry {entry_id}: 'values' is not an object")
+        values = {}
+        for p, v in rec["values"].items():
+            if not (isinstance(v, list) and all(isinstance(x, str) for x in v)):
+                _json_strs(v, f"entry {entry_id}: property {p!r}")
+            values[str(p)] = tuple(v)
+        return cls(id=entry_id, values=values)
 
 
 @dataclass(frozen=True)
@@ -180,20 +183,20 @@ class EventTable:
     entries: tuple[TableEntry, ...]
 
     def __post_init__(self) -> None:
-        if len(set(self.properties)) != len(self.properties):
+        properties = set(self.properties)
+        if len(properties) != len(self.properties):
             raise ValueError(f"table {self.event_type}: duplicate property names")
-        unknown_time = set(self.time_properties) - set(self.properties)
+        unknown_time = set(self.time_properties) - properties
         if unknown_time:
             raise ValueError(
                 f"table {self.event_type}: time_properties {sorted(unknown_time)} "
                 "are not listed properties"
             )
         for entry in self.entries:
-            extra = set(entry.values) - set(self.properties)
-            if extra:
+            if not properties.issuperset(entry.values):
                 raise ValueError(
                     f"table {self.event_type}: entry {entry.id} has unknown "
-                    f"properties {sorted(extra)}"
+                    f"properties {sorted(set(entry.values) - properties)}"
                 )
             for prop, vals in entry.values.items():
                 if not vals:
@@ -481,13 +484,14 @@ def read_corpus(path: str) -> list[ParsedSentence]:
     """The corpus's sentences; a sentence id names one record, so a repeated one is an error."""
     sentences = []
     ids: set[str] = set()
-    for rec in read_jsonl(path):
+    for pos, rec in enumerate(read_jsonl(path)):
         try:
             sentence = ParsedSentence.from_dict(rec)
         except KeyError as exc:
             raise ValueError(f"{path}: corpus record missing field {exc}") from exc
         except ValueError as exc:
-            raise ValueError(f"{path}: sentence {rec['id']!r}: {exc}") from None
+            name = f"sentence {rec['id']!r}" if isinstance(rec["id"], str) else f"record {pos}"
+            raise ValueError(f"{path}: {name}: {exc}") from None
         if sentence.id in ids:
             raise ValueError(f"{path}: repeated sentence id {sentence.id!r}")
         ids.add(sentence.id)

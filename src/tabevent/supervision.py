@@ -4,10 +4,11 @@ Key-argument selection scores each table property, keeps the top half plus
 the best time-related property, and a sentence becomes a positive instance
 of an entry when every key argument value (or alias) appears as a token
 span and all key spans sit within a bounded dependency distance of each
-other. Everything else feeds seeded negative sampling pools. An index of
-every entry's patterns, keyed by their whole normalized token sequence,
-finds a sentence's matches in one pass over it, so matching costs what the
-corpus's tokens hit, not |corpus| x |entries|.
+other. Everything else feeds seeded negative sampling pools. One pass over
+each table value's forms (itself, its canonical form and the surfaces that
+redirect to it) builds an index keyed by each form's normalized token
+sequence; it finds a sentence's matches in one pass over the sentence, so
+matching costs what the corpus's tokens hit, not |corpus| x |entries|.
 """
 
 from __future__ import annotations
@@ -211,28 +212,25 @@ def _redirects(alias_map: Mapping[str, str]) -> dict[str, list[str]]:
     return inverse
 
 
+def _value_forms(n: str, alias_map: Mapping[str, str],
+                 redirects: Mapping[str, list[str]]) -> list[str]:
+    """The forms that match the normalized value `n`: itself, its canonical form
+    and every surface that redirects to it. The rule is not transitive."""
+    forms = [n, alias_map[n]] if n in alias_map else [n]
+    forms += redirects.get(n, ())
+    return forms
+
+
 def entry_surfaces(
     entry: TableEntry, alias_map: Mapping[str, str]
 ) -> dict[str, list[list[str]]]:
-    """Normalized token patterns that match each property of an entry.
-
-    A value matches as itself, as its canonical form and as every surface
-    that redirects to it; the rule is not transitive.
-    """
-    return _entry_surfaces(entry, alias_map, _redirects(alias_map))
-
-
-def _entry_surfaces(
-    entry: TableEntry, alias_map: Mapping[str, str], redirects: Mapping[str, list[str]]
-) -> dict[str, list[list[str]]]:
-    """entry_surfaces with the alias map already inverted, so a run inverts it once."""
+    """Normalized token patterns that match each property of an entry (see `_value_forms`)."""
+    redirects = _redirects(alias_map)
     surfaces = {}
     for prop, values in sorted(entry.values.items()):
-        ns = {normalize_surface(v) for v in values}
-        surfaces[prop] = ns | {alias_map[n] for n in ns if n in alias_map} | {
-            s for n in ns for s in redirects.get(n, ())
-        }
-    return {prop: [s.split() for s in sorted(ss) if s.split()] for prop, ss in surfaces.items()}
+        forms = {f for v in values for f in _value_forms(normalize_surface(v), alias_map, redirects)}
+        surfaces[prop] = [s.split() for s in sorted(forms) if s.split()]
+    return surfaces
 
 
 def find_role_spans(
@@ -243,7 +241,9 @@ def find_role_spans(
     A pattern matches as an exact normalized token sequence; an empty
     pattern matches nothing.
     """
-    index, widths = _pattern_index([surfaces])
+    index, widths = _pattern_index(
+        (0, prop, tuple(pattern)) for prop, patterns in surfaces.items() for pattern in patterns
+    )
     return _scan(sentence.normalized, index, widths).get(0, {})
 
 
@@ -251,16 +251,14 @@ _PatternIndex = dict[tuple[str, ...], list[tuple[int, str]]]
 
 
 def _pattern_index(
-    pattern_sets: Iterable[Mapping[str, Sequence[list[str]]]],
+    patterns: Iterable[tuple[int, str, tuple[str, ...]]],
 ) -> tuple[_PatternIndex, list[int]]:
-    """Each pattern's token tuple -> the (position in `pattern_sets`, property)
-    pairs it belongs to, and the pattern widths in ascending order."""
+    """Each (pattern set, property) pair filed under its pattern's token tuple, and
+    the pattern widths in ascending order. An empty pattern matches nothing."""
     index: _PatternIndex = {}
-    for k, patterns in enumerate(pattern_sets):
-        for prop, ps in patterns.items():
-            for pattern in ps:
-                if pattern:
-                    index.setdefault(tuple(pattern), []).append((k, prop))
+    for k, prop, tokens in patterns:
+        if tokens:
+            index.setdefault(tokens, []).append((k, prop))
     return index, sorted({len(key) for key in index})
 
 
@@ -459,16 +457,23 @@ def _indexed_matcher(
 ) -> Callable[[ParsedSentence], list[tuple[EventTable, TableEntry, dict[str, tuple[int, int]]]]]:
     """A run's matcher: each entry a sentence matches, with its matched spans.
 
-    Builds every entry's patterns, inverting the alias map once, and one
-    index of all of them, by (table, entry) position since entry ids need
-    not be unique. A sentence is scanned once; the entries with a span come
-    back in (table, entry) order. An entry with no span is never labelled,
-    which skips only a `trivial` negative without diagnostics.
+    Inverts the alias map once, then indexes each value's forms
+    (`_value_forms`), normalizing the value once, under its (table, entry)
+    position, since entry ids need not be unique, and property. A pair may
+    repeat under a form that two values share; the scan keeps the first of
+    equal spans, so that changes nothing. A sentence is scanned once; the
+    entries with a span come back in (table, entry) order. An entry with no
+    span is never labelled, which skips only a `trivial` negative without
+    diagnostics.
     """
     redirects = _redirects(cfg.alias_map)
     entries = [(table, entry) for table in tables for entry in table.entries]
     index, widths = _pattern_index(
-        _entry_surfaces(entry, cfg.alias_map, redirects) for _, entry in entries
+        (k, prop, tuple(form.split()))
+        for k, (_, entry) in enumerate(entries)
+        for prop, values in sorted(entry.values.items())
+        for value in values
+        for form in _value_forms(normalize_surface(value), cfg.alias_map, redirects)
     )
 
     def match(sentence: ParsedSentence) -> list:

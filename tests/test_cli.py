@@ -574,9 +574,8 @@ class TestPipelineCommands:
             ("pred-bytes", lambda b: b + b"\xff\n", ": not UTF-8: invalid start byte (byte 0xff)"),
             ("embeddings-bytes", lambda b: b"remedy 0.1 \xff\n", ": not UTF-8: invalid start byte (byte 0xff)"),
             ("config-bytes", lambda b: b"[gen]\nseed = 1\xff\n", ": not UTF-8: invalid start byte (byte 0xff)"),
-            ("config-bytes", lambda b: b"seed = 1\n", ": File contains no section headers."),
-            ("config-bytes", lambda b: b"[gen]\nseed = 1\nseed = 2\n",
-             "option 'seed' in section 'gen' already exists"),
+            ("config-bytes", lambda b: b"seed = 1\n", ":1: 'seed = 1' comes before any [section] header"),
+            ("config-bytes", lambda b: b"[gen]\nseed = 1\nseed = 2\n", ":3: option 'seed' repeated in [gen]"),
             ("config-bytes", lambda b: b"[gen]\nseed = x\n",
              ": [gen] seed: invalid literal for int() with base 10: 'x'"),
             ("config-bytes", lambda b: b"[gen]\npartial_ratio = 0.5max_dist = 3\n",
@@ -602,6 +601,21 @@ class TestPipelineCommands:
              ": [gen]: partial_negative_ratio must be finite and non-negative"),
             ("config-bytes", lambda b: b"[gen]\nviolation_ratio = nan\n",
              ": [gen]: violation_negative_ratio must be finite and non-negative"),
+            ("config-bytes", lambda b: b"[gen]\nseed = 1\n[gen]\n", ":3: section [gen] repeated"),
+            ("config-bytes", lambda b: b"[gen]\nseed = 1\nseed\n",
+             ":3: neither a [section] header nor a 'key = value' line"),
+            ("corpus", lambda lines: lines[0].update(id=None), ": record 0: 'id' needs a string, got NoneType"),
+            ("corpus-extract", lambda lines: lines[1].update(id=7), ": record 1: 'id' needs a string, got int"),
+            ("tables", lambda t: t[1]["entries"][0].update(id=["x"]),
+             ": table entry: 'id' needs a string, got list"),
+            ("tables", lambda t: t[0]["entries"][1]["values"].update(venue=["Paris"]),
+             ": table business.acquisition: entry m.05nb3y7 has unknown properties ['venue']"),
+            ("tables", lambda t: t[1]["entries"][0]["values"].update(venue=[]),
+             ": table people.marriage: entry m.wed1 has an empty value list for venue"),
+            ("tables", lambda t: t[1]["properties"].append("spouse"),
+             ": table people.marriage: duplicate property names"),
+            ("tables", lambda t: t[1].update(time_properties=["date"]),
+             ": table people.marriage: time_properties ['date'] are not listed properties"),
         ],
         ids=["model-config", "model-schemas", "tensor-shape", "table-entries",
              "tables-string-values", "tables-non-object", "tables-non-object-entry",
@@ -632,7 +646,10 @@ class TestPipelineCommands:
              "config-strategy-value", "config-unknown-key", "config-aliases-key",
              "train-tables-unused-property", "eval-tables-unused-property", "train-tables-repeated-type",
              "eval-tables-invalid-json", "train-tables-invalid-json", "extract-repeated-sentence-id",
-             "config-negative-ratio", "config-nan-ratio"],
+             "config-negative-ratio", "config-nan-ratio", "config-repeated-section",
+             "config-no-equals", "corpus-null-id", "extract-int-id", "tables-list-entry-id",
+             "tables-unknown-property", "tables-empty-values", "tables-repeated-property",
+             "tables-unknown-time-property"],
     )
     def test_malformed_input_named(
         self, trained, fixture_paths, tmp_path, capsys, kind, edit, named
@@ -679,8 +696,7 @@ class TestPipelineCommands:
         assert run([*argv, "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}")
-        if not kind.startswith("config"):  # configparser's own messages quote the file again
-            assert err.count(str(bad)) == 1
+        assert err.count(str(bad)) == 1
         assert named in err
 
     def test_report(self, trained):
