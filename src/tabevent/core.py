@@ -161,16 +161,21 @@ class TableEntry:
         return {"id": self.id, "values": {p: list(v) for p, v in self.values.items()}}
 
     @classmethod
-    def from_dict(cls, rec: Mapping) -> "TableEntry":
+    def from_dict(cls, rec: Mapping, where: str) -> "TableEntry":
+        """The entry of a table record; each error starts with `where`, which names the entry."""
         if not isinstance(rec, Mapping):
-            raise ValueError(f"table entry is not an object: {type(rec).__name__}")
-        entry_id = _json_str(rec["id"], "table entry: 'id'")
-        if not isinstance(rec["values"], Mapping):
-            raise ValueError(f"entry {entry_id}: 'values' is not an object")
+            raise ValueError(f"{where} is not an object: {type(rec).__name__}")
+        try:
+            entry_id, raw_values = rec["id"], rec["values"]
+        except KeyError as exc:
+            raise ValueError(f"{where}: missing field {exc}") from None
+        entry_id = _json_str(entry_id, f"{where}: 'id'")
+        if not isinstance(raw_values, Mapping):
+            raise ValueError(f"{where}: 'values' is not an object")
         values = {}
-        for p, v in rec["values"].items():
+        for p, v in raw_values.items():
             if not (isinstance(v, list) and all(isinstance(x, str) for x in v)):
-                _json_strs(v, f"entry {entry_id}: property {p!r}")
+                _json_strs(v, f"{where}: property {p!r}")
             values[str(p)] = tuple(v)
         return cls(id=entry_id, values=values)
 
@@ -192,16 +197,16 @@ class EventTable:
                 f"table {self.event_type}: time_properties {sorted(unknown_time)} "
                 "are not listed properties"
             )
-        for entry in self.entries:
+        for i, entry in enumerate(self.entries):
             if not properties.issuperset(entry.values):
                 raise ValueError(
-                    f"table {self.event_type}: entry {entry.id} has unknown "
+                    f"table {self.event_type}: entry {i} ({entry.id}) has unknown "
                     f"properties {sorted(set(entry.values) - properties)}"
                 )
             for prop, vals in entry.values.items():
                 if not vals:
                     raise ValueError(
-                        f"table {self.event_type}: entry {entry.id} has an empty "
+                        f"table {self.event_type}: entry {i} ({entry.id}) has an empty "
                         f"value list for {prop}"
                     )
 
@@ -226,7 +231,9 @@ class EventTable:
             event_type=event_type,
             properties=tuple(properties),
             time_properties=tuple(time_properties),
-            entries=tuple(map(TableEntry.from_dict, entries)),
+            entries=tuple(
+                TableEntry.from_dict(entry, f"{where}: entry {i}") for i, entry in enumerate(entries)
+            ),
         )
 
 

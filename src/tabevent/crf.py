@@ -117,20 +117,28 @@ def viterbi(P, A) -> tuple[list[int], float]:
 
     Ties resolve to the smallest label index at the latest differing
     position (argmax takes the first maximum, backpointers included).
-    The returned score is recomputed with seq_score on the winning path.
+    The score is read off the lattice: delta_t = (delta_{t-1} + A) + P_t from
+    delta_0 = P_0 is the winning path's left-to-right sum, so it equals
+    seq_score on that path bit for bit.
     """
     P, A = _as_matrices(P, A)
     n, L = P.shape
     delta = P[0].copy()
     back = np.zeros((n, L), dtype=np.intp)
+    scores = np.empty((L, L))
+    columns = np.arange(L)
     for t in range(1, n):
-        scores = delta[:, None] + A
-        back[t] = scores.argmax(axis=0)
-        delta = scores[back[t], np.arange(L)] + P[t]
+        np.add(delta[:, None], A, out=scores)
+        # The argmax's own operand: a max reduction may return the other
+        # zero of a tie between 0.0 and -0.0.
+        delta = scores[scores.argmax(axis=0, out=back[t]), columns]
+        delta += P[t]
     last = int(delta.argmax())
+    score = float(delta[last])
+    rows = back.tolist()
     path = [last]
     for t in range(n - 1, 0, -1):
-        last = int(back[t, last])
+        last = rows[t][last]
         path.append(last)
     path.reverse()
-    return path, seq_score(P, A, path)
+    return path, score

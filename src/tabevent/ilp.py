@@ -16,10 +16,17 @@ near-optimal solutions in order: a finished path is released once no open
 node can still reach its score, so one search returns the k best
 sequences within a score gap of the optimum.
 
-The lattice tables are built once per LabelSet and cached on it. A search
-reads its scores as Python floats and expands each node over the allowed
-successors only; a per-decode memo of the roles still missing per begun
-set prunes paths that can no longer complete a group.
+The search starts from a feasible incumbent, read off the suffix pass:
+the unconstrained best path with the roles of partly begun groups set to
+O. Its score floors the search from the first expansion, which skips
+only nodes the search would never expand.
+
+The lattice tables are built once per LabelSet and cached on it; the
+transitions masked to the lattice, and as Python floats, are built once
+per transition matrix and kept beside them. A search reads its scores as
+Python floats and expands each node over the allowed successors only; a
+per-decode memo of the roles still missing per begun set prunes paths
+that can no longer complete a group.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import crf
-from .core import LabelSequence, LabelSet
+from .core import OUTSIDE, LabelSequence, LabelSet
 
 # Slack for float comparisons between a node's bound, whose suffix part is
 # summed right to left, and the left-to-right scores of the paths below it.
@@ -230,27 +237,102 @@ def _need(begun: int, group_masks: tuple[int, ...]) -> int:
     return most
 
 
+def _transition_tables(prob: DecodeProblem) -> tuple[np.ndarray, list[list[float]]]:
+    """prob's transitions masked to the lattice (-inf where not allowed), and as floats.
+
+    Kept in one slot on the label set, keyed by the transitions' bytes: a
+    model decodes every sentence with one matrix, and a different or
+    in-place-edited matrix is built again rather than served stale.
+    """
+    key = prob.transitions.tobytes()
+    slot = vars(prob.labels).get("_transition_tables")
+    if slot is None or slot[0] != key:
+        allowed_A = np.where(_decode_tables(prob.labels).allowed, prob.transitions, -np.inf)
+        allowed_A.flags.writeable = False
+        slot = (key, allowed_A, prob.transitions.tolist())
+        vars(prob.labels)["_transition_tables"] = slot
+    return slot[1], slot[2]
+
+
+def _suffix(P: np.ndarray, allowed_A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(S, nxt) of the unconstrained suffix pass over emissions P, C4 ignored.
+
+    S[t][l] is the best continuation score over positions t+1..n-1 given
+    label l at t, an admissible bound; nxt[t][l] is the next label it takes.
+    allowed_A is the lattice-masked transition matrix.
+    """
+    n, L = P.shape
+    S = np.zeros((n, L))
+    nxt = np.zeros((n, L), dtype=np.intp)
+    v = np.empty(L)
+    tmp = np.empty((L, L))
+    for t in range(n - 2, -1, -1):
+        np.add(P[t + 1], S[t + 1], out=v)
+        np.add(allowed_A, v, out=tmp)
+        np.maximum.reduce(tmp, axis=1, out=S[t])
+        tmp.argmax(axis=1, out=nxt[t])
+    return S, nxt
+
+
+def _incumbent(
+    labels: LabelSet,
+    P: list[list[float]],
+    A: list[list[float]],
+    S: list[list[float]],
+    nxt: np.ndarray,
+) -> tuple[list[int], float]:
+    """A feasible path and its score, from emissions P, transitions A and `_suffix`'s S and nxt.
+
+    The unconstrained best path, with every tag of each role in a partly
+    begun group set to O until no group is partly begun: groups may share a
+    role, so clearing one group can leave another partly begun. The score
+    is summed left to right, as `_search` sums a path.
+    """
+    tables = _decode_tables(labels)
+    starts = [l for l, ok in enumerate(tables.start_ok) if ok]
+    path = [max(starts, key=lambda l: P[0][l] + S[0][l])]
+    for t in range(len(P) - 1):
+        path.append(int(nxt[t, path[-1]]))
+    while True:
+        begun = 0
+        for l in path:
+            begun |= tables.label_bits[l]
+        partial = 0
+        for mask in tables.group_masks:
+            if begun & mask not in (0, mask):
+                partial |= mask
+        if not partial:
+            break
+        cleared = {role for i, role in enumerate(labels.roles) if partial >> i & 1}
+        outside = labels.index(OUTSIDE)
+        path = [outside if LabelSet.role_of(labels.labels[l]) in cleared else l for l in path]
+    g = P[0][path[0]]
+    for t in range(1, len(P)):
+        g = g + A[path[t - 1]][path[t]] + P[t][path[t]]
+    return path, g
+
+
 def _search(prob: DecodeProblem, gap: float, k: int) -> list[tuple[list[int], float]]:
     """Best-first branch-and-bound over token positions.
 
     Returns up to k feasible (path, score) pairs within `gap` of the
     optimum, by descending score. Ties resolve like Viterbi: smallest label
     index at the latest differing position.
+
+    The search prunes from its first expansion against a feasible incumbent
+    of score g0 <= g*: until the optimum completes, best-first order never
+    expands a node below g* - gap - _EPS, and afterwards it prunes every such
+    node, so the floor skips only nodes that would never be expanded.
     """
     n, L = prob.emissions.shape
     tables = _decode_tables(prob.labels)
     succ, label_bits, group_masks = tables.succ, tables.label_bits, tables.group_masks
-
-    # suffix[t][l]: best achievable continuation score from position t+1..n-1
-    # given label l at position t, ignoring C4 (admissible bound).
-    neg_inf = float("-inf")
-    allowed_A = np.where(tables.allowed, prob.transitions, neg_inf)
-    suffix = np.zeros((n, L))
-    for t in range(n - 2, -1, -1):
-        np.max(allowed_A + (prob.emissions[t + 1] + suffix[t + 1]), axis=1, out=suffix[t])
+    allowed_A, A = _transition_tables(prob)
+    suffix, nxt = _suffix(prob.emissions, allowed_A)
     # The search reads Python floats: the same sums as on numpy scalars,
     # bit for bit, at a fraction of the cost per node.
-    P, A, S = prob.emissions.tolist(), prob.transitions.tolist(), suffix.tolist()
+    P, S = prob.emissions.tolist(), suffix.tolist()
+    _, g0 = _incumbent(prob.labels, P, A, S, nxt)
     need: dict[int, int] = {}  # begun-role bitmask -> _need, for this decode
 
     # Open nodes are (-f, node id, position, label, g, begun-role bitmask);
@@ -258,19 +340,20 @@ def _search(prob: DecodeProblem, gap: float, k: int) -> list[tuple[list[int], fl
     # summed left to right, emission then transition, like crf.seq_score.
     nodes: list[tuple[int, int]] = []
     heap: list[tuple[float, int, int, int, float, int]] = []
+    floor = g0 - gap - _EPS  # nodes below this cannot come within gap of the best path
     for l in range(L):
-        begun = label_bits[l]
-        if not tables.start_ok[l] or _need(begun, group_masks) > n - 1:
-            continue
         g = P[0][l]
+        f = g + S[0][l]
+        begun = label_bits[l]
+        if not tables.start_ok[l] or f < floor or _need(begun, group_masks) > n - 1:
+            continue
         nodes.append((l, -1))
-        heapq.heappush(heap, (-(g + S[0][l]), len(nodes) - 1, 0, l, g, begun))
+        heapq.heappush(heap, (-f, len(nodes) - 1, 0, l, g, begun))
 
     # Finished paths wait as (-score, reversed path) until no open node can
     # still reach their score; then the smallest entry is the next result.
     done: list[tuple[float, tuple[int, ...]]] = []
     results: list[tuple[list[int], float]] = []
-    floor = neg_inf  # nodes below this cannot come within gap of the best path
     while len(results) < k:
         if done and (not heap or -heap[0][0] < -done[0][0] - _EPS):
             neg_score, reversed_path = heapq.heappop(done)

@@ -112,7 +112,11 @@ def check_ilp_multi(trials: int = 500, seed: int = 0) -> OracleReport:
 
 
 def check_viterbi(trials: int = 500, seed: int = 0) -> OracleReport:
-    """Unconstrained Viterbi must match exhaustive argmax, ties included."""
+    """Unconstrained Viterbi must match exhaustive argmax, ties included.
+
+    Odd trials draw emissions and transitions from {-1, 0, 1}, so many
+    paths tie and both the tie-break and the lattice's score are checked.
+    """
     rng = np.random.default_rng(seed)
     report = OracleReport("viterbi-vs-enumeration", trials)
     for trial in range(trials):
@@ -120,6 +124,9 @@ def check_viterbi(trials: int = 500, seed: int = 0) -> OracleReport:
         L = int(rng.integers(1, 6))
         P = rng.normal(size=(n, L))
         A = rng.normal(size=(L, L))
+        if trial % 2:
+            P = rng.integers(-1, 2, size=P.shape)
+            A = rng.integers(-1, 2, size=A.shape)
         path, score = crf.viterbi(P, A)
         best_score = float("-inf")
         best_path: tuple[int, ...] | None = None

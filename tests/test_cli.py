@@ -434,9 +434,10 @@ class TestPipelineCommands:
              "stage2: 'layout' entry ['proj.W'] is not a [name, shape] pair"),
             ("tables", lambda t: t[1].pop("entries"), "table record missing field 'entries'"),
             ("tables", lambda t: t[0]["entries"][0]["values"].update(date="2004"),
-             "entry m.07bh4j7: property 'date' needs a list, got str"),
+             "table business.acquisition: entry 0: property 'date' needs a list, got str"),
             ("tables", lambda t: t.append(1), "table record is not an object: int"),
-            ("tables", lambda t: t[0]["entries"].append(1), "table entry is not an object: int"),
+            ("tables", lambda t: t[0]["entries"].append(1),
+             "table business.acquisition: entry 2 is not an object: int"),
             ("model", lambda m: m.update(stage1=5), "stage1: stage record needs an object, got int"),
             ("model", lambda m: m.update(schemas=[1]), ": schema record needs an object, got int"),
             ("model", lambda m: m["stage1"].update(label_set=3),
@@ -535,7 +536,7 @@ class TestPipelineCommands:
             ("tables", lambda t: t[0].update(event_type=["business.acquisition"]),
              ": table record: 'event_type' needs a string, got list"),
             ("tables", lambda t: t[0]["entries"][1]["values"].update(date=[["March", "2010"]]),
-             ": entry m.05nb3y7: property 'date' needs a list of strings"),
+             ": table business.acquisition: entry 1: property 'date' needs a list of strings"),
             ("tables", lambda t: (t[1]["properties"].append(["officiant"]),
                                   t[1]["entries"][0]["values"].update({"['officiant']": ["x"]})),
              ": table people.marriage: 'properties' needs a list of strings"),
@@ -607,15 +608,17 @@ class TestPipelineCommands:
             ("corpus", lambda lines: lines[0].update(id=None), ": record 0: 'id' needs a string, got NoneType"),
             ("corpus-extract", lambda lines: lines[1].update(id=7), ": record 1: 'id' needs a string, got int"),
             ("tables", lambda t: t[1]["entries"][0].update(id=["x"]),
-             ": table entry: 'id' needs a string, got list"),
+             ": table people.marriage: entry 0: 'id' needs a string, got list"),
             ("tables", lambda t: t[0]["entries"][1]["values"].update(venue=["Paris"]),
-             ": table business.acquisition: entry m.05nb3y7 has unknown properties ['venue']"),
+             ": table business.acquisition: entry 1 (m.05nb3y7) has unknown properties ['venue']"),
             ("tables", lambda t: t[1]["entries"][0]["values"].update(venue=[]),
-             ": table people.marriage: entry m.wed1 has an empty value list for venue"),
+             ": table people.marriage: entry 0 (m.wed1) has an empty value list for venue"),
             ("tables", lambda t: t[1]["properties"].append("spouse"),
              ": table people.marriage: duplicate property names"),
             ("tables", lambda t: t[1].update(time_properties=["date"]),
              ": table people.marriage: time_properties ['date'] are not listed properties"),
+            ("tables", lambda t: t[1]["entries"][0].pop("values"),
+             ": table people.marriage: entry 0: missing field 'values'"),
         ],
         ids=["model-config", "model-schemas", "tensor-shape", "table-entries",
              "tables-string-values", "tables-non-object", "tables-non-object-entry",
@@ -649,7 +652,7 @@ class TestPipelineCommands:
              "config-negative-ratio", "config-nan-ratio", "config-repeated-section",
              "config-no-equals", "corpus-null-id", "extract-int-id", "tables-list-entry-id",
              "tables-unknown-property", "tables-empty-values", "tables-repeated-property",
-             "tables-unknown-time-property"],
+             "tables-unknown-time-property", "tables-entry-missing-values"],
     )
     def test_malformed_input_named(
         self, trained, fixture_paths, tmp_path, capsys, kind, edit, named

@@ -143,6 +143,38 @@ class TestIlpDecode:
         assert got.tags == ("O",) and got.score == 1.5
 
 
+def incumbent(prob):
+    """ilp._incumbent's path and score, from the tables `_search` builds for prob."""
+    allowed_A, A = ilp._transition_tables(prob)
+    S, nxt = ilp._suffix(prob.emissions, allowed_A)
+    return ilp._incumbent(prob.labels, prob.emissions.tolist(), A, S.tolist(), nxt)
+
+
+class TestIncumbent:
+    def test_feasible_and_at_most_the_optimum(self):
+        rng = np.random.default_rng(6)
+        overlapping = 0
+        for _ in range(300):
+            prob = oracle.random_problem(rng, max_len=8, max_labels=9, n_groups=3)
+            groups = list(prob.labels.groups.values())
+            overlapping += any(g & h for i, g in enumerate(groups) for h in groups[i + 1:])
+            path, score = incumbent(prob)
+            assert ilp.check_constraints([prob.labels.labels[l] for l in path], prob.labels) == []
+            assert score == crf.seq_score(prob.emissions, prob.transitions, path)
+            assert score <= ilp.ilp_decode(prob).score
+        assert overlapping >= 100
+
+    def test_clears_until_no_group_is_partly_begun(self):
+        # Viterbi begins r1 and r2, so only {r0, r2} is partly begun. Clearing
+        # r0 and r2 leaves {r1, r2} partly begun, so r1 is cleared too.
+        labels = LabelSet(["r0", "r1", "r2"], {"a": {"r2"}, "b": {"r1", "r2"}, "c": {"r0", "r2"}})
+        P = np.zeros((2, len(labels)))
+        P[0, labels.index("B-r1")] = P[1, labels.index("B-r2")] = 3.0
+        prob = DecodeProblem(P, np.zeros((len(labels), len(labels))), labels)
+        assert crf.viterbi(P, prob.transitions)[0] == [labels.index("B-r1"), labels.index("B-r2")]
+        assert incumbent(prob) == ([0, 0], 0.0)
+
+
 class TestBruteForce:
     def test_too_large(self):
         labels = LabelSet(["a", "b", "c", "d"])  # 9 labels
@@ -315,6 +347,19 @@ class TestDecodeTables:
             tables.start_ok[2] = True
         with pytest.raises(dataclasses.FrozenInstanceError):
             tables.succ = ()
+
+    def test_transitions_edited_in_place(self):
+        rng = np.random.default_rng(7)
+        changed = 0
+        for _ in range(20):
+            prob = oracle.random_problem(rng, max_len=6, max_labels=9, n_groups=3)
+            before = ilp.ilp_decode_multi(prob)
+            prob.transitions[...] = rng.normal(size=prob.transitions.shape)
+            got = ilp.ilp_decode_multi(prob)
+            labels = LabelSet(prob.labels.roles, prob.labels.groups)
+            assert got == ilp.ilp_decode_multi(DecodeProblem(prob.emissions, prob.transitions, labels))
+            changed += got != before
+        assert changed >= 10
 
     def test_no_module_level_growth(self):
         def module_sizes():
