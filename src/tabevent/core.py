@@ -494,11 +494,10 @@ def read_corpus(path: str) -> list[ParsedSentence]:
     for pos, rec in enumerate(read_jsonl(path)):
         try:
             sentence = ParsedSentence.from_dict(rec)
-        except KeyError as exc:
-            raise ValueError(f"{path}: corpus record missing field {exc}") from exc
-        except ValueError as exc:
-            name = f"sentence {rec['id']!r}" if isinstance(rec["id"], str) else f"record {pos}"
-            raise ValueError(f"{path}: {name}: {exc}") from None
+        except (KeyError, ValueError) as exc:
+            name = f"sentence {rec['id']!r}" if isinstance(rec.get("id"), str) else f"record {pos}"
+            fault = f"missing field {exc}" if isinstance(exc, KeyError) else exc
+            raise ValueError(f"{path}: {name}: {fault}") from None
         if sentence.id in ids:
             raise ValueError(f"{path}: repeated sentence id {sentence.id!r}")
         ids.add(sentence.id)
@@ -514,9 +513,13 @@ def read_tables(path: str) -> list[EventTable]:
             raise ValueError(f"{path}: invalid JSON: {exc}") from exc
     if isinstance(payload, dict):
         payload = [payload]
-    try:
-        return [EventTable.from_dict(rec) for rec in _json_list(payload, "a tables file")]
-    except KeyError as exc:
-        raise ValueError(f"{path}: table record missing field {exc}") from None
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    tables = []
+    for pos, rec in enumerate(_json_list(payload, f"{path}: a tables file")):
+        try:
+            tables.append(EventTable.from_dict(rec))
+        except KeyError as exc:  # a table without its type is named by position
+            name = rec["event_type"] if "event_type" in rec else pos
+            raise ValueError(f"{path}: table {name}: missing field {exc}") from None
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    return tables

@@ -21,12 +21,12 @@ the unconstrained best path with the roles of partly begun groups set to
 O. Its score floors the search from the first expansion, which skips
 only nodes the search would never expand.
 
-The lattice tables are built once per LabelSet and cached on it; the
-transitions masked to the lattice, and as Python floats, are built once
-per transition matrix and kept beside them. A search reads its scores as
-Python floats and expands each node over the allowed successors only; a
-per-decode memo of the roles still missing per begun set prunes paths
-that can no longer complete a group.
+One lattice is built per label set and transition matrix and kept on the
+label set: the start labels, each label's allowed successors, the role
+bits, the transitions masked to the lattice and the transitions as Python
+floats. A search reads its scores as Python floats and expands each node
+over the allowed successors only; a per-decode memo of the roles still
+missing per begun set prunes paths that can no longer complete a group.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import crf
 from .core import OUTSIDE, LabelSequence, LabelSet
 
 # Slack for float comparisons between a node's bound, whose suffix part is
@@ -170,31 +169,41 @@ def _group_masks(labels: LabelSet) -> tuple[np.ndarray, list[int]]:
 
 
 @dataclass(frozen=True)
-class _DecodeTables:
-    """Per-LabelSet lattice tables for `_search`, built once and read-only.
+class _Lattice:
+    """One model's lattice for `_search`: a label set under one transition matrix.
 
-    succ[l] lists, ascending, the labels allowed right after label l;
+    key is the matrix's bytes. starts lists, ascending, the labels a path
+    may begin with, and succ[l] the labels allowed right after label l;
     label_bits[l] is the role bit a B- tag begins (0 otherwise), and
-    group_masks holds one role bitmask per event type.
+    group_masks holds one role bitmask per event type. allowed_A is the
+    matrix with -inf off the lattice (read-only), and A the matrix as
+    Python floats.
     """
 
-    start_ok: tuple[bool, ...]
-    allowed: np.ndarray
+    key: bytes
+    starts: tuple[int, ...]
     succ: tuple[tuple[int, ...], ...]
     label_bits: tuple[int, ...]
     group_masks: tuple[int, ...]
+    allowed_A: np.ndarray
+    A: tuple[tuple[float, ...], ...]
 
 
-def _decode_tables(labels: LabelSet) -> _DecodeTables:
-    """The label set's decode tables, cached on it at the first decode.
+def _lattice(prob: DecodeProblem) -> _Lattice:
+    """prob's lattice, kept in one slot on its label set.
 
-    Built from the tags directly rather than from transition_lattice and
+    Keyed by the transitions' bytes: a model decodes every sentence with one
+    matrix, and a different or in-place-edited matrix is built again rather
+    than served stale. A LabelSet is never changed after construction. Built
+    from the tags directly rather than from transition_lattice and
     _group_masks, which the brute-force oracle keeps using, so the oracle
-    checks these tables too. A LabelSet is never changed after construction.
+    checks this lattice too.
     """
-    tables = vars(labels).get("_decode_tables")
-    if tables is not None:
-        return tables
+    labels, transitions = prob.labels, prob.transitions
+    key = transitions.tobytes()
+    lattice = vars(labels).get("_lattice")
+    if lattice is not None and lattice.key == key:
+        return lattice
     tags = labels.labels
     roles = [LabelSet.role_of(tag) for tag in tags]
     inside = [tag.startswith("I-") for tag in tags]
@@ -204,14 +213,14 @@ def _decode_tables(labels: LabelSet) -> _DecodeTables:
         tuple(j for j in range(len(tags)) if not inside[j] or roles[j] == roles[i])
         for i in range(len(tags))
     )
-    allowed = np.zeros((len(tags), len(tags)), dtype=bool)
+    allowed_A = np.full_like(transitions, -np.inf)
     for i, row in enumerate(succ):
-        allowed[i, list(row)] = True
-    allowed.flags.writeable = False
+        allowed_A[i, list(row)] = transitions[i, list(row)]
+    allowed_A.flags.writeable = False
     role_bit = {role: 1 << i for i, role in enumerate(labels.roles)}
-    tables = _DecodeTables(
-        start_ok=tuple(not x for x in inside),
-        allowed=allowed,
+    lattice = _Lattice(
+        key=key,
+        starts=tuple(j for j, x in enumerate(inside) if not x),
         succ=succ,
         label_bits=tuple(
             role_bit[role] if tag.startswith("B-") else 0 for tag, role in zip(tags, roles)
@@ -219,9 +228,11 @@ def _decode_tables(labels: LabelSet) -> _DecodeTables:
         group_masks=tuple(
             sum(role_bit[role] for role in group) for _, group in sorted(labels.groups.items())
         ),
+        allowed_A=allowed_A,
+        A=tuple(map(tuple, transitions.tolist())),
     )
-    vars(labels)["_decode_tables"] = tables
-    return tables
+    vars(labels)["_lattice"] = lattice
+    return lattice
 
 
 def _need(begun: int, group_masks: tuple[int, ...]) -> int:
@@ -235,23 +246,6 @@ def _need(begun: int, group_masks: tuple[int, ...]) -> int:
         if part and part != mask:
             most = max(most, (mask & ~part).bit_count())
     return most
-
-
-def _transition_tables(prob: DecodeProblem) -> tuple[np.ndarray, list[list[float]]]:
-    """prob's transitions masked to the lattice (-inf where not allowed), and as floats.
-
-    Kept in one slot on the label set, keyed by the transitions' bytes: a
-    model decodes every sentence with one matrix, and a different or
-    in-place-edited matrix is built again rather than served stale.
-    """
-    key = prob.transitions.tobytes()
-    slot = vars(prob.labels).get("_transition_tables")
-    if slot is None or slot[0] != key:
-        allowed_A = np.where(_decode_tables(prob.labels).allowed, prob.transitions, -np.inf)
-        allowed_A.flags.writeable = False
-        slot = (key, allowed_A, prob.transitions.tolist())
-        vars(prob.labels)["_transition_tables"] = slot
-    return slot[1], slot[2]
 
 
 def _suffix(P: np.ndarray, allowed_A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -277,28 +271,26 @@ def _suffix(P: np.ndarray, allowed_A: np.ndarray) -> tuple[np.ndarray, np.ndarra
 def _incumbent(
     labels: LabelSet,
     P: list[list[float]],
-    A: list[list[float]],
+    lattice: _Lattice,
     S: list[list[float]],
     nxt: np.ndarray,
 ) -> tuple[list[int], float]:
-    """A feasible path and its score, from emissions P, transitions A and `_suffix`'s S and nxt.
+    """A feasible path and its score, from emissions P, the lattice and `_suffix`'s S and nxt.
 
     The unconstrained best path, with every tag of each role in a partly
     begun group set to O until no group is partly begun: groups may share a
     role, so clearing one group can leave another partly begun. The score
     is summed left to right, as `_search` sums a path.
     """
-    tables = _decode_tables(labels)
-    starts = [l for l, ok in enumerate(tables.start_ok) if ok]
-    path = [max(starts, key=lambda l: P[0][l] + S[0][l])]
+    path = [max(lattice.starts, key=lambda l: P[0][l] + S[0][l])]
     for t in range(len(P) - 1):
         path.append(int(nxt[t, path[-1]]))
     while True:
         begun = 0
         for l in path:
-            begun |= tables.label_bits[l]
+            begun |= lattice.label_bits[l]
         partial = 0
-        for mask in tables.group_masks:
+        for mask in lattice.group_masks:
             if begun & mask not in (0, mask):
                 partial |= mask
         if not partial:
@@ -306,7 +298,7 @@ def _incumbent(
         cleared = {role for i, role in enumerate(labels.roles) if partial >> i & 1}
         outside = labels.index(OUTSIDE)
         path = [outside if LabelSet.role_of(labels.labels[l]) in cleared else l for l in path]
-    g = P[0][path[0]]
+    A, g = lattice.A, P[0][path[0]]
     for t in range(1, len(P)):
         g = g + A[path[t - 1]][path[t]] + P[t][path[t]]
     return path, g
@@ -324,15 +316,14 @@ def _search(prob: DecodeProblem, gap: float, k: int) -> list[tuple[list[int], fl
     expands a node below g* - gap - _EPS, and afterwards it prunes every such
     node, so the floor skips only nodes that would never be expanded.
     """
-    n, L = prob.emissions.shape
-    tables = _decode_tables(prob.labels)
-    succ, label_bits, group_masks = tables.succ, tables.label_bits, tables.group_masks
-    allowed_A, A = _transition_tables(prob)
-    suffix, nxt = _suffix(prob.emissions, allowed_A)
+    n = prob.n
+    lattice = _lattice(prob)
+    succ, label_bits, group_masks, A = lattice.succ, lattice.label_bits, lattice.group_masks, lattice.A
+    suffix, nxt = _suffix(prob.emissions, lattice.allowed_A)
     # The search reads Python floats: the same sums as on numpy scalars,
     # bit for bit, at a fraction of the cost per node.
     P, S = prob.emissions.tolist(), suffix.tolist()
-    _, g0 = _incumbent(prob.labels, P, A, S, nxt)
+    _, g0 = _incumbent(prob.labels, P, lattice, S, nxt)
     need: dict[int, int] = {}  # begun-role bitmask -> _need, for this decode
 
     # Open nodes are (-f, node id, position, label, g, begun-role bitmask);
@@ -341,11 +332,11 @@ def _search(prob: DecodeProblem, gap: float, k: int) -> list[tuple[list[int], fl
     nodes: list[tuple[int, int]] = []
     heap: list[tuple[float, int, int, int, float, int]] = []
     floor = g0 - gap - _EPS  # nodes below this cannot come within gap of the best path
-    for l in range(L):
+    for l in lattice.starts:
         g = P[0][l]
         f = g + S[0][l]
         begun = label_bits[l]
-        if not tables.start_ok[l] or f < floor or _need(begun, group_masks) > n - 1:
+        if f < floor or _need(begun, group_masks) > n - 1:
             continue
         nodes.append((l, -1))
         heapq.heappush(heap, (-f, len(nodes) - 1, 0, l, g, begun))
@@ -420,7 +411,7 @@ def ilp_decode_multi(prob: DecodeProblem) -> MultiDecodeResult:
 
 
 def _enumerate_feasible(prob: DecodeProblem) -> tuple[np.ndarray, np.ndarray]:
-    """All feasible label index sequences (rows) with vectorized scores."""
+    """All feasible label index sequences (rows) with their scores."""
     P, A = prob.emissions, prob.transitions
     n, L = P.shape
     total = L**n
@@ -445,9 +436,10 @@ def _enumerate_feasible(prob: DecodeProblem) -> tuple[np.ndarray, np.ndarray]:
         ok &= (part == 0) | (part == mask)
 
     seqs = seqs[ok]
-    scores = P[np.arange(n)[None, :], seqs].sum(axis=1)
-    if n > 1:
-        scores = scores + A[seqs[:, :-1], seqs[:, 1:]].sum(axis=1)
+    # Left to right, emission then transition, as crf.seq_score sums a path.
+    scores = P[0, seqs[:, 0]]
+    for i in range(1, n):
+        scores = scores + A[seqs[:, i - 1], seqs[:, i]] + P[i, seqs[:, i]]
     return seqs, scores
 
 
@@ -455,27 +447,11 @@ def brute_force_decode(prob: DecodeProblem, ranking: bool = False):
     """Exhaustive feasible-set oracle.
 
     Returns the best feasible LabelSequence, or with ranking=True the full
-    feasible list sorted by descending canonical score (ties in the same
-    latest-position order the branch-and-bound uses).
+    feasible list sorted by descending score, ties in the order the
+    branch-and-bound uses: smallest label at the latest differing position.
     """
-    P, A = prob.emissions, prob.transitions
     seqs, scores = _enumerate_feasible(prob)
-    if ranking:
-        rescored = [
-            (crf.seq_score(P, A, list(row)), tuple(int(v) for v in row))
-            for row in seqs
-        ]
-        rescored.sort(key=lambda item: (-item[0], tuple(reversed(item[1]))))
-        return [_to_sequence(prob, list(path), s) for s, path in rescored]
-    # Rescore only the near-optimal rows canonically, then tie-break.
-    top = scores.max()
-    candidates = [
-        (crf.seq_score(P, A, list(row)), tuple(int(v) for v in row))
-        for row in seqs[scores >= top - 1e-6]
-    ]
-    best = max(s for s, _ in candidates)
-    winner = min(
-        (path for s, path in candidates if s == best),
-        key=lambda p: tuple(reversed(p)),
-    )
-    return _to_sequence(prob, list(winner), best)
+    order = np.lexsort((*seqs.T, -scores))[: None if ranking else 1]
+    tags = np.array(prob.labels.labels, dtype=object)[seqs[order]].tolist()
+    ranked = [LabelSequence(tuple(t), s) for t, s in zip(tags, scores[order].tolist())]
+    return ranked if ranking else ranked[0]

@@ -480,8 +480,9 @@ def load_embeddings(
 ) -> np.ndarray:
     """Embedding matrix for `vocab` from a text vector file.
 
-    Each line is a token followed by embed_dim space-separated reals.
-    Tokens absent from the file keep seeded random rows.
+    Each line is a token followed by embed_dim space-separated reals, finite
+    where the token is in the vocabulary, or an error names the line. Tokens
+    absent from the file keep seeded random rows.
     """
     matrix = rng.uniform(-_INIT_SCALE, _INIT_SCALE, size=(len(vocab), embed_dim))
     with open_text(path) as fh:
@@ -495,5 +496,11 @@ def load_embeddings(
                     f"{path}:{lineno}: expected {embed_dim} values, got {len(values)}"
                 )
             if token in vocab:
-                matrix[vocab[token]] = np.asarray([float(v) for v in values])
+                try:
+                    row = np.asarray([float(v) for v in values])
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: {exc}") from None
+                if not np.isfinite(row).all():
+                    raise ValueError(f"{path}:{lineno}: {token!r} has a value that is not finite")
+                matrix[vocab[token]] = row
     return matrix

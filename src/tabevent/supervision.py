@@ -221,39 +221,13 @@ def _value_forms(n: str, alias_map: Mapping[str, str],
     return forms
 
 
-def entry_surfaces(
-    entry: TableEntry, alias_map: Mapping[str, str]
-) -> dict[str, list[list[str]]]:
-    """Normalized token patterns that match each property of an entry (see `_value_forms`)."""
-    redirects = _redirects(alias_map)
-    surfaces = {}
-    for prop, values in sorted(entry.values.items()):
-        forms = {f for v in values for f in _value_forms(normalize_surface(v), alias_map, redirects)}
-        surfaces[prop] = [s.split() for s in sorted(forms) if s.split()]
-    return surfaces
-
-
-def find_role_spans(
-    sentence: ParsedSentence, surfaces: Mapping[str, Sequence[list[str]]]
-) -> dict[str, tuple[int, int]]:
-    """Each property's longest, then leftmost, pattern occurrence in the sentence.
-
-    A pattern matches as an exact normalized token sequence; an empty
-    pattern matches nothing.
-    """
-    index, widths = _pattern_index(
-        (0, prop, tuple(pattern)) for prop, patterns in surfaces.items() for pattern in patterns
-    )
-    return _scan(sentence.normalized, index, widths).get(0, {})
-
-
 _PatternIndex = dict[tuple[str, ...], list[tuple[int, str]]]
 
 
 def _pattern_index(
     patterns: Iterable[tuple[int, str, tuple[str, ...]]],
 ) -> tuple[_PatternIndex, list[int]]:
-    """Each (pattern set, property) pair filed under its pattern's token tuple, and
+    """Each (entry position, property) pair filed under its pattern's token tuple, and
     the pattern widths in ascending order. An empty pattern matches nothing."""
     index: _PatternIndex = {}
     for k, prop, tokens in patterns:
@@ -265,7 +239,7 @@ def _pattern_index(
 def _scan(
     norm: tuple[str, ...], index: _PatternIndex, widths: Sequence[int]
 ) -> dict[int, dict[str, tuple[int, int]]]:
-    """One pass over a sentence's normalized tokens: per pattern set that matches,
+    """One pass over a sentence's normalized tokens: per entry position that matches,
     each property's longest, then leftmost, span.
 
     Starts run left to right and widths upwards, so a later span replaces a

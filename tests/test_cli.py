@@ -432,7 +432,7 @@ class TestPipelineCommands:
             ("model", lambda m: m.pop("schemas"), ": missing field 'schemas'"),
             ("model", lambda m: next(e for e in m["stage2"]["layout"] if e[0] == "proj.W").pop(),
              "stage2: 'layout' entry ['proj.W'] is not a [name, shape] pair"),
-            ("tables", lambda t: t[1].pop("entries"), "table record missing field 'entries'"),
+            ("tables", lambda t: t[1].pop("entries"), ": table people.marriage: missing field 'entries'"),
             ("tables", lambda t: t[0]["entries"][0]["values"].update(date="2004"),
              "table business.acquisition: entry 0: property 'date' needs a list, got str"),
             ("tables", lambda t: t.append(1), "table record is not an object: int"),
@@ -619,6 +619,15 @@ class TestPipelineCommands:
              ": table people.marriage: time_properties ['date'] are not listed properties"),
             ("tables", lambda t: t[1]["entries"][0].pop("values"),
              ": table people.marriage: entry 0: missing field 'values'"),
+            ("embeddings-bytes", lambda b: b"remedy 0.1 x\n", ":1: could not convert string to float: 'x'"),
+            ("embeddings-bytes", lambda b: b"remedy nan 0.1\n", ":1: 'remedy' has a value that is not finite"),
+            ("corpus", lambda lines: lines[0].pop("tokens"), ": sentence 'S1': missing field 'tokens'"),
+            ("corpus-extract", lambda lines: lines[2].pop("dep_head"),
+             ": sentence 'S3': missing field 'dep_head'"),
+            ("corpus", lambda lines: lines[1].pop("id"), ": record 1: missing field 'id'"),
+            ("tables", lambda t: t[0].pop("properties"),
+             ": table business.acquisition: missing field 'properties'"),
+            ("tables", lambda t: t[0].pop("event_type"), ": table 0: missing field 'event_type'"),
         ],
         ids=["model-config", "model-schemas", "tensor-shape", "table-entries",
              "tables-string-values", "tables-non-object", "tables-non-object-entry",
@@ -652,7 +661,10 @@ class TestPipelineCommands:
              "config-negative-ratio", "config-nan-ratio", "config-repeated-section",
              "config-no-equals", "corpus-null-id", "extract-int-id", "tables-list-entry-id",
              "tables-unknown-property", "tables-empty-values", "tables-repeated-property",
-             "tables-unknown-time-property", "tables-entry-missing-values"],
+             "tables-unknown-time-property", "tables-entry-missing-values",
+             "embeddings-not-a-number", "embeddings-nan", "corpus-missing-tokens",
+             "extract-missing-heads", "corpus-missing-id", "tables-missing-properties",
+             "tables-missing-type"],
     )
     def test_malformed_input_named(
         self, trained, fixture_paths, tmp_path, capsys, kind, edit, named

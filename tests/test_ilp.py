@@ -144,10 +144,10 @@ class TestIlpDecode:
 
 
 def incumbent(prob):
-    """ilp._incumbent's path and score, from the tables `_search` builds for prob."""
-    allowed_A, A = ilp._transition_tables(prob)
-    S, nxt = ilp._suffix(prob.emissions, allowed_A)
-    return ilp._incumbent(prob.labels, prob.emissions.tolist(), A, S.tolist(), nxt)
+    """ilp._incumbent's path and score, from the lattice `_search` builds for prob."""
+    lattice = ilp._lattice(prob)
+    S, nxt = ilp._suffix(prob.emissions, lattice.allowed_A)
+    return ilp._incumbent(prob.labels, prob.emissions.tolist(), lattice, S.tolist(), nxt)
 
 
 class TestIncumbent:
@@ -182,6 +182,22 @@ class TestBruteForce:
         A = np.zeros((len(labels), len(labels)))
         with pytest.raises(ValueError, match="too large"):
             ilp.brute_force_decode(DecodeProblem(P, A, labels))
+
+    def test_ranking_pinned_to_seq_score_and_path_order(self):
+        rng = np.random.default_rng(8)
+        for trial in range(400):
+            prob = oracle.random_problem(rng, max_len=6, max_labels=7, n_groups=3)
+            if trial % 2:
+                P = rng.integers(-1, 2, size=prob.emissions.shape)
+                A = rng.integers(-1, 2, size=prob.transitions.shape)
+                prob = DecodeProblem(P, A, prob.labels)
+            ranked = ilp.brute_force_decode(prob, ranking=True)
+            paths = [[prob.labels.index(tag) for tag in seq.tags] for seq in ranked]
+            for seq, path in zip(ranked, paths):
+                assert seq.score.hex() == crf.seq_score(prob.emissions, prob.transitions, path).hex()
+            keys = [(-seq.score, path[::-1]) for seq, path in zip(ranked, paths)]
+            assert keys == sorted(keys)
+            assert ilp.brute_force_decode(prob) == ranked[0]
 
     def test_ranking_sorted(self):
         prob = two_type_problem()
@@ -317,36 +333,45 @@ class TestBitIdentity:
 class TestDecodeTables:
     def test_built_once_per_label_set(self):
         labels = LabelSet(["a", "b"], {"t": {"a", "b"}})
-        assert ilp._decode_tables(labels) is ilp._decode_tables(labels)
-        assert ilp._decode_tables(LabelSet(["a", "b"])) is not ilp._decode_tables(labels)
+        A = np.arange(25.0).reshape(5, 5)
+        first = ilp._lattice(DecodeProblem(np.zeros((2, 5)), A, labels))
+        assert ilp._lattice(DecodeProblem(np.ones((3, 5)), A.copy(), labels)) is first
+        assert ilp._lattice(DecodeProblem(np.zeros((2, 5)), A + 1, labels)) is not first
+        assert ilp._lattice(DecodeProblem(np.zeros((2, 5)), A, LabelSet(["a", "b"]))) is not first
 
     def test_match_lattice_and_masks(self):
         rng = np.random.default_rng(4)
         for _ in range(50):
             labels = oracle.random_label_set(rng, max_labels=9, n_groups=3)
-            tables = ilp._decode_tables(labels)
+            A = rng.normal(size=(len(labels), len(labels)))
+            lattice = ilp._lattice(DecodeProblem(np.zeros((1, len(labels))), A, labels))
             start_ok, allowed = ilp.transition_lattice(labels)
             label_bits, group_masks = ilp._group_masks(labels)
-            assert tables.start_ok == tuple(start_ok.tolist())
-            assert np.array_equal(tables.allowed, allowed)
-            assert tables.succ == tuple(tuple(np.flatnonzero(row).tolist()) for row in allowed)
-            assert tables.label_bits == tuple(label_bits.tolist())
-            assert tables.group_masks == tuple(group_masks)
+            assert lattice.key == A.tobytes()
+            assert lattice.starts == tuple(np.flatnonzero(start_ok).tolist())
+            assert lattice.succ == tuple(tuple(np.flatnonzero(row).tolist()) for row in allowed)
+            assert lattice.label_bits == tuple(label_bits.tolist())
+            assert lattice.group_masks == tuple(group_masks)
+            assert np.array_equal(lattice.allowed_A, np.where(allowed, A, -np.inf))
+            assert lattice.A == tuple(map(tuple, A.tolist()))
 
     def test_read_only(self):
-        tables = ilp._decode_tables(LabelSet(["a", "b"], {"t": {"a", "b"}}))
+        labels = LabelSet(["a", "b"], {"t": {"a", "b"}})
+        lattice = ilp._lattice(DecodeProblem(np.zeros((1, 5)), np.zeros((5, 5)), labels))
         with pytest.raises(ValueError):
-            tables.allowed[0, 2] = True
+            lattice.allowed_A[0, 2] = 0.0
         with pytest.raises(TypeError):
-            tables.succ[0] = ()
+            lattice.succ[0] = ()
         with pytest.raises(TypeError):
-            tables.label_bits[1] = 0
+            lattice.label_bits[1] = 0
         with pytest.raises(TypeError):
-            tables.group_masks[0] = 0
+            lattice.group_masks[0] = 0
         with pytest.raises(TypeError):
-            tables.start_ok[2] = True
+            lattice.starts[0] = 2
+        with pytest.raises(TypeError):
+            lattice.A[0] = ()
         with pytest.raises(dataclasses.FrozenInstanceError):
-            tables.succ = ()
+            lattice.succ = ()
 
     def test_transitions_edited_in_place(self):
         rng = np.random.default_rng(7)

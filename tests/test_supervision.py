@@ -22,8 +22,6 @@ from tabevent.supervision import (
     ImportanceStats,
     Strategy,
     dep_distance,
-    entry_surfaces,
-    find_role_spans,
     generate_dataset,
     importance_score,
     label_sentence,
@@ -41,7 +39,10 @@ def stats_of(count_cvt, count_arg, count_cvt_arg):
 
 
 def spans_of(sentence, entry, alias_map=None):
-    return find_role_spans(sentence, entry_surfaces(entry, alias_map or {}))
+    """The spans gen's matcher finds for one entry in one sentence."""
+    table = EventTable("t", tuple(sorted(entry.values)), (), (entry,))
+    match = supervision._indexed_matcher([table], GenerationConfig(alias_map=alias_map or {}))
+    return {prop: span for _, _, spans in match(sentence) for prop, span in spans.items()}
 
 
 class TestImportanceScore:
@@ -185,15 +186,18 @@ class TestMatching:
         # ms -> microsoft <- msft: MS matches its canonical form, not MSFT
         aliases = {"ms": "microsoft", "msft": "microsoft"}
         entry = TableEntry("e", {"acquiring_company": ("MS",)})
-        assert entry_surfaces(entry, aliases) == {"acquiring_company": [["microsoft"], ["ms"]]}
-        hit = ParsedSentence.build("x", ["Microsoft", "bought", "it"], [1, -1, 1])
+        for surface in ("Microsoft", "MS"):
+            hit = ParsedSentence.build("x", [surface, "bought", "it"], [1, -1, 1])
+            assert spans_of(hit, entry, aliases) == {"acquiring_company": (0, 1)}
         miss = ParsedSentence.build("y", ["MSFT", "bought", "it"], [1, -1, 1])
-        assert spans_of(hit, entry, aliases) == {"acquiring_company": (0, 1)}
         assert spans_of(miss, entry, aliases) == {}
 
     def test_empty_surfaces_skipped(self):
         entry = TableEntry("e", {"place": ("", "  ", "New  York")})
-        assert entry_surfaces(entry, {}) == {"place": [["new", "york"]]}
+        hit = ParsedSentence.build("x", ["in", "new", "YORK"], [-1, 2, 0])
+        miss = ParsedSentence.build("y", ["in", "York"], [-1, 0])
+        assert spans_of(hit, entry) == {"place": (1, 3)}
+        assert spans_of(miss, entry) == {}
 
     def test_longest_match_wins(self):
         entry = TableEntry("e", {"place": ("York", "New York City")})
@@ -631,20 +635,14 @@ class TestIndexedMatching:
         pairs = candidates = 0
         for seed in range(250):
             tables, corpus, cfg, strategy, gen_seed = random_draw(seed)
-            for table in tables:
-                for entry in table.entries:
-                    patterns = entry_surfaces(entry, cfg.alias_map)
-                    assert patterns == reference_entry_surfaces(entry, cfg.alias_map)
-                    for sentence in corpus:
-                        assert find_role_spans(sentence, patterns) == reference_find_role_spans(
-                            sentence, patterns
-                        )
+            match, reference = supervision._indexed_matcher(tables, cfg), all_pairs_matcher(tables, cfg)
+            for sentence in corpus:
+                assert match(sentence) == [hit for hit in reference(sentence) if hit[2]]
             got = generate_dataset(tables, corpus, cfg, strategy, gen_seed)
             with monkeypatch.context() as m:
                 m.setattr(supervision, "_indexed_matcher", all_pairs_matcher)
                 want = generate_dataset(tables, corpus, cfg, strategy, gen_seed)
             assert got == want, f"draw {seed}"
-            match = supervision._indexed_matcher(tables, cfg)
             pairs += len(corpus) * sum(len(t.entries) for t in tables)
             candidates += sum(len(match(s)) for s in corpus)
             reasons.update(got[1]["negatives"]["pool_sizes"], positive=got[1]["positives"])
@@ -654,26 +652,31 @@ class TestIndexedMatching:
 
     def test_pattern_tried_only_where_first_token_occurs(self):
         s = ParsedSentence.build("x", ["new", "new", "york", "new"], [-1, 0, 1, 0])
-        assert find_role_spans(s, {"p": [["new", "york"], ["york", "new"]]}) == {"p": (1, 3)}
-        assert find_role_spans(s, {"p": [["new", "york", "new", "new", "york"]]}) == {}
-        assert find_role_spans(s, {"p": [[]]}) == {}
+        assert spans_of(s, TableEntry("e", {"p": ("new york", "york new")})) == {"p": (1, 3)}
+        assert spans_of(s, TableEntry("e", {"p": ("new york new new york",)})) == {}
+        assert spans_of(s, TableEntry("e", {"p": ("",)})) == {}
 
     @staticmethod
     def spans(monkeypatch, tables, sentences, alias_map=None):
-        """Each (entry, sentence)'s spans, in table, entry and sentence order, after
-        checking them against the reference and the run against the all-pairs one."""
+        """Each (entry, sentence)'s spans from the run's matcher, in table, entry and
+        sentence order, after checking the matcher and the run against the all-pairs ones."""
         cfg = GenerationConfig(max_dep_distance=None, alias_map=alias_map or {})
         corpus = [
             ParsedSentence.build(f"s{i}", tokens, [-1, *range(len(tokens) - 1)])
             for i, tokens in enumerate(sentences)
         ]
-        found = []
-        for table in tables:
-            for entry in table.entries:
-                patterns = entry_surfaces(entry, cfg.alias_map)
-                for sentence in corpus:
-                    found.append(find_role_spans(sentence, patterns))
-                    assert found[-1] == reference_find_role_spans(sentence, patterns)
+        match, reference = supervision._indexed_matcher(tables, cfg), all_pairs_matcher(tables, cfg)
+        by_sentence = []
+        for sentence in corpus:
+            hits = match(sentence)
+            assert hits == [hit for hit in reference(sentence) if hit[2]]
+            by_sentence.append({id(entry): spans for _, entry, spans in hits})
+        found = [
+            spans.get(id(entry), {})
+            for table in tables
+            for entry in table.entries
+            for spans in by_sentence
+        ]
         got = generate_dataset(tables, corpus, cfg, Strategy.ALL, 0)
         monkeypatch.setattr(supervision, "_indexed_matcher", all_pairs_matcher)
         assert got == generate_dataset(tables, corpus, cfg, Strategy.ALL, 0)
