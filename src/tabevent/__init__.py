@@ -5,4 +5,12 @@ training data, trains a two-stage BLSTM-CRF tagger, and decodes with an
 exact constrained search that enforces key-argument co-occurrence.
 """
 
+import os
+
+# One BLAS thread unless the caller set a count: a threaded gemm sums in another
+# order, so the model bytes would depend on the host's cores. This takes effect
+# only if numpy is not imported yet; this package imports it after these lines.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 __version__ = "0.1.0"

@@ -366,42 +366,78 @@ def backward(cache: dict, dP: np.ndarray, grads: Parameters) -> None:
 # Optimizer: adaptive per-parameter steps with first/second moment estimates.
 # ---------------------------------------------------------------------------
 
+_BLOCK = 1 << 16  # floats per block of the step: 512 KB each of p, g, m, v and scratch
+
+
 class AdamState:
-    """Step count, moments and a scratch buffer laid out like the parameters."""
+    """Step count, moments laid out like the parameters, and one block of scratch."""
 
     def __init__(self, params: Parameters) -> None:
         self.t = 0
         self.m, self.v = params.zeros_like(), params.zeros_like()
-        self.scratch = np.empty_like(params.flat)
+        self.scratch = np.empty(min(_BLOCK, params.flat.size))
 
 
 def sgd_step(params: Parameters, grads: Parameters, state: AdamState, lr: float) -> None:
-    """One Adam update of the whole buffer, in place; embeddings update like any parameter.
+    """One Adam update of the whole buffer, in place.
 
     The operations and their order are those of m = beta1*m + (1-beta1)*g, v = beta2*v +
     (1-beta2)*g*g, p = p - lr*m_hat/(sqrt(v_hat)+eps) on separate arrays: bit-identical.
-    `grads` is spent: it holds scratch values afterwards.
+    They run block by block, so that each block's arrays stay in one core's cache.
+    An `embeddings` table first in the buffer and larger than one block gets the
+    gradient terms only on its rows with a nonzero gradient, on copies scattered back;
+    its other rows take only the decay and the update. That is exact: on a zero row the
+    terms add +-0.0 to m and +0.0 to v, which changes no bit, since neither moment is
+    ever -0.0 (a sum is -0.0 only if both terms are, and the decays keep a nonzero
+    value nonzero). `grads` is spent: it holds scratch values afterwards.
     """
     if grads.layout != params.layout or state.m.layout != params.layout:
         raise ValueError("sgd_step needs one gradient per parameter and a state made for them")
-    g, m, v, a = grads.flat, state.m.flat, state.v.flat, state.scratch
-    if not np.isfinite(g).all():
+    p, g, m, v = params.flat, grads.flat, state.m.flat, state.v.flat
+    name, shape = params.layout[0]
+    # The row rule covers the buffer's first table_size floats: the table, if it spans blocks.
+    table_size = math.prod(shape) if name == "embeddings" and len(shape) == 2 else 0
+    table_size = table_size if table_size > _BLOCK else 0
+    if table_size:
+        rows = np.flatnonzero(grads[name].any(axis=1))
+        g_rows = grads[name][rows]
+    if (table_size and not np.isfinite(g_rows).all()) or not np.isfinite(g[table_size:]).all():
         bad = next(name for name, arr in grads.items() if not np.isfinite(arr).all())
         raise ValueError(f"non-finite gradient for parameter {bad!r}")
     state.t += 1
+    step = lr, 1.0 - _BETA1**state.t, 1.0 - _BETA2**state.t
+    if table_size:
+        tensors = params[name], state.m[name], state.v[name]
+        copies = [arr[rows] for arr in tensors]
+        _adam_block(*copies, g_rows, np.empty_like(g_rows), *step)
+    for start, stop in ((0, table_size), (table_size, g.size)):
+        for s in range(start, stop, _BLOCK):
+            b = slice(s, min(s + _BLOCK, stop))
+            _adam_block(p[b], m[b], v[b], g[b], state.scratch[:b.stop - s], *step,
+                        gradient_terms=start == table_size)
+    if table_size:
+        for arr, copy in zip(tensors, copies):
+            arr[rows] = copy
+    params.step += 1
+
+
+def _adam_block(p, m, v, g, a, lr: float, c1: float, c2: float, gradient_terms: bool = True) -> None:
+    """Adam on one block in place, given the bias corrections c1 and c2; g and a are
+    spent as scratch. Without the gradient terms, only the decay and the update."""
     m *= _BETA1
-    m += np.multiply(g, 1.0 - _BETA1, out=a)
+    if gradient_terms:
+        m += np.multiply(g, 1.0 - _BETA1, out=a)
     v *= _BETA2
-    np.multiply(g, 1.0 - _BETA2, out=a)
-    v += np.multiply(a, g, out=a)
-    # The gradient is spent: g now holds lr * m_hat and a the denominator.
-    np.divide(m, 1.0 - _BETA1**state.t, out=g)
+    if gradient_terms:
+        np.multiply(g, 1.0 - _BETA2, out=a)
+        v += np.multiply(a, g, out=a)
+    # g now holds lr * m_hat and a the denominator.
+    np.divide(m, c1, out=g)
     g *= lr
-    np.divide(v, 1.0 - _BETA2**state.t, out=a)
+    np.divide(v, c2, out=a)
     np.sqrt(a, out=a)
     a += _EPS
-    params.flat -= np.divide(g, a, out=g)
-    params.step += 1
+    p -= np.divide(g, a, out=g)
 
 
 # ---------------------------------------------------------------------------

@@ -309,7 +309,6 @@ class TrainSettings:
     embeddings_path: str | None = None
 
     def __post_init__(self) -> None:
-        # Dimensions and dropout are checked by neural.ModelConfig.
         if self.epochs < 1:
             raise ValueError("epochs must be at least 1")
         if self.patience < 0:
@@ -318,6 +317,13 @@ class TrainSettings:
             raise ValueError("dev_fraction must be in [0, 1)")
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ValueError("lr must be positive and finite")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
+        for name in ("embed_dim", "hidden1", "hidden2", "keyarg_dim"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
+        if not 0 <= self.dropout < 1:
+            raise ValueError("dropout must be in [0, 1)")
 
 
 @dataclass

@@ -628,6 +628,16 @@ class TestPipelineCommands:
             ("tables", lambda t: t[0].pop("properties"),
              ": table business.acquisition: missing field 'properties'"),
             ("tables", lambda t: t[0].pop("event_type"), ": table 0: missing field 'event_type'"),
+            ("train-flags", ["--seed", "-1"], "seed must be non-negative"),
+            ("train-flags", ["--keyarg-dim", "0"], "keyarg_dim must be at least 1"),
+            ("train-flags", ["--hidden2", "0"], "hidden2 must be at least 1"),
+            ("train-flags", ["--embed-dim", "-2"], "embed_dim must be at least 1"),
+            ("train-flags", ["--dropout", "1.0"], r"dropout must be in [0, 1)"),
+            ("config-train-bytes", lambda b: b"[train]\nseed = -1\n", ": [train]: seed must be non-negative"),
+            ("config-train-bytes", lambda b: b"[train]\nkeyarg_dim = 0\n",
+             ": [train]: keyarg_dim must be at least 1"),
+            ("config-train-bytes", lambda b: b"[train]\nhidden1 = 0\n", ": [train]: hidden1 must be at least 1"),
+            ("config-train-bytes", lambda b: b"[train]\ndropout = 1.0\n", ": [train]: dropout must be in [0, 1)"),
         ],
         ids=["model-config", "model-schemas", "tensor-shape", "table-entries",
              "tables-string-values", "tables-non-object", "tables-non-object-entry",
@@ -664,7 +674,10 @@ class TestPipelineCommands:
              "tables-unknown-time-property", "tables-entry-missing-values",
              "embeddings-not-a-number", "embeddings-nan", "corpus-missing-tokens",
              "extract-missing-heads", "corpus-missing-id", "tables-missing-properties",
-             "tables-missing-type"],
+             "tables-missing-type", "flag-negative-seed", "flag-zero-keyarg-dim",
+             "flag-zero-hidden2", "flag-negative-embed-dim", "flag-dropout-one",
+             "config-negative-seed", "config-zero-keyarg-dim", "config-zero-hidden1",
+             "config-dropout-one"],
     )
     def test_malformed_input_named(
         self, trained, fixture_paths, tmp_path, capsys, kind, edit, named
@@ -672,10 +685,15 @@ class TestPipelineCommands:
         _, dataset, _ = trained
         bad = tmp_path / f"bad-{kind}"
         tables, corpus, out = fixture_paths["tables"], fixture_paths["corpus"], tmp_path / "out"
+        if kind == "train-flags":  # `edit` holds the flags, refused before the unwritten dataset is read
+            assert run(["train", "--dataset", str(bad), "--tables", tables, *edit, "--out", str(out)]) == 1
+            assert capsys.readouterr().err == f"error: {named}\n"
+            return
         source = {"tables": tables, "tables-train": tables, "tables-eval": tables,
                   "aliases": fixture_paths["aliases"], "dataset": dataset,
                   "report": dataset, "gold": dataset, "pred": PRED, "events": PRED,
-                  "config": None, "embeddings": None}.get(kind.removesuffix("-bytes"), corpus)
+                  "config": None, "config-train": None,
+                  "embeddings": None}.get(kind.removesuffix("-bytes"), corpus)
         if kind in ("model", "model-data"):
             bad = edited_model(MODEL, tmp_path, **{"header" if kind == "model" else "data": edit})
         elif kind.endswith("-bytes"):  # `edit` takes and gives the file's bytes
@@ -699,6 +717,7 @@ class TestPipelineCommands:
             "corpus-extract": ["extract", "--model", str(MODEL), "--corpus", str(bad)],
             "aliases": ["gen", "--tables", tables, "--corpus", corpus, "--aliases", str(bad)],
             "config": ["gen", "--tables", tables, "--corpus", corpus, "--config", str(bad)],
+            "config-train": ["train", "--dataset", str(dataset), "--tables", tables, "--config", str(bad)],
             "dataset": ["train", "--dataset", str(bad), "--tables", tables, "--epochs", "1"],
             "embeddings": ["train", "--dataset", str(dataset), "--tables", tables, "--epochs", "1",
                            "--embed-dim", "2", "--hidden1", "2", "--hidden2", "2",

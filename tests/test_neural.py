@@ -486,6 +486,57 @@ class TestSgdStep:
                 assert np.array_equal(state.m[name], ref_m[name]), name
                 assert np.array_equal(state.v[name], ref_v[name]), name
 
+    def test_row_rule_equals_rebinding_adam(self):
+        """An `embeddings` table over one block takes the gradient terms only on rows with a
+        nonzero gradient; params and moments still equal Adam on separate arrays, bit for bit,
+        and a NaN in a table row is refused before anything changes."""
+        rng = np.random.default_rng(12)
+        width = 7  # rows straddle the block boundaries
+        n_rows = 2 * neural._BLOCK // width + 3
+        shapes = {"embeddings": (n_rows, width), "W": (40, 30), "b": (40,)}
+        start = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+        params = Parameters(start)
+        state, buffer = AdamState(params), params.zeros_like()
+        ref = {name: arr.copy() for name, arr in start.items()}
+        ref_m = {name: np.zeros(shape) for name, shape in shapes.items()}
+        ref_v = {name: np.zeros(shape) for name, shape in shapes.items()}
+        lr, beta1, beta2, eps = 0.01, 0.9, 0.999, 1e-8
+        # Steps 1-4 touch the first and last rows, the rows next to each block boundary and
+        # 30 drawn rows; later steps touch 30 other rows each, so the first ones go to zero.
+        edges = [0, n_rows - 1, *(b // width + d for b in (neural._BLOCK, 2 * neural._BLOCK)
+                                  for d in (-1, 0, 1))]
+        for t in range(1, 13):
+            grads = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+            touched = rng.choice(n_rows, size=30, replace=False)
+            grads["embeddings"] = np.zeros(shapes["embeddings"])
+            grads["embeddings"][touched] = rng.normal(size=(30, width))
+            if t <= 4:
+                grads["embeddings"][edges] = rng.normal(size=(len(edges), width))
+            grads["embeddings"][touched[0]] = -0.0
+            for name, g in grads.items():
+                buffer[name][...] = g
+            neural.sgd_step(params, buffer, state, lr=lr)
+            for name, g in grads.items():
+                ref_m[name] = beta1 * ref_m[name] + (1.0 - beta1) * g
+                ref_v[name] = beta2 * ref_v[name] + (1.0 - beta2) * g * g
+                m_hat = ref_m[name] / (1.0 - beta1**t)
+                v_hat = ref_v[name] / (1.0 - beta2**t)
+                ref[name] = ref[name] - lr * m_hat / (np.sqrt(v_hat) + eps)
+            for name in shapes:
+                assert params[name].tobytes() == ref[name].tobytes(), (t, name)
+                assert state.m[name].tobytes() == ref_m[name].tobytes(), (t, name)
+                assert state.v[name].tobytes() == ref_v[name].tobytes(), (t, name)
+        assert params.flat.size > 2 * neural._BLOCK
+        before = params.flat.copy(), state.m.flat.copy(), state.v.flat.copy()
+        buffer.flat[:] = rng.normal(size=buffer.flat.size)
+        buffer["embeddings"][:-1] = 0.0
+        buffer["embeddings"][-1, 3] = np.nan
+        with pytest.raises(ValueError, match="non-finite gradient for parameter 'embeddings'"):
+            neural.sgd_step(params, buffer, state, lr=lr)
+        assert state.t == 12 and params.step == 12
+        for got, want in zip((params.flat, state.m.flat, state.v.flat), before):
+            assert got.tobytes() == want.tobytes()
+
     def test_missing_gradient_rejected(self):
         params = Parameters({"x": np.zeros(1), "y": np.zeros(2)})
         with pytest.raises(ValueError, match="one gradient per parameter"):

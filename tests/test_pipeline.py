@@ -1,4 +1,5 @@
 import base64
+import hashlib
 import json
 import os
 import pathlib
@@ -9,7 +10,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tabevent import crf, ilp, neural, pipeline
+from corpusgen import build_learn_corpus
+from tabevent import crf, ilp, neural, pipeline, supervision
 from tabevent.core import EventSchema, LabelSequence, ParsedSentence
 from tabevent.pipeline import (
     ExtractorModel,
@@ -21,6 +23,7 @@ from tabevent.pipeline import (
     stage2,
     train_pipeline,
 )
+from tabevent.supervision import GenerationConfig
 
 DATA = pathlib.Path(__file__).resolve().parent / "data"
 MODEL = DATA / "model_v3.bin"
@@ -285,13 +288,22 @@ class TestTraining:
         ("lr", 0.0, "lr must be positive and finite"),
         ("lr", float("inf"), "lr must be positive and finite"),
         ("lr", float("nan"), "lr must be positive and finite"),
+        ("seed", -1, "seed must be non-negative"),
+        ("embed_dim", 0, "embed_dim must be at least 1"),
+        ("hidden1", 0, "hidden1 must be at least 1"),
+        ("hidden2", -1, "hidden2 must be at least 1"),
+        ("keyarg_dim", 0, "keyarg_dim must be at least 1"),
+        ("dropout", 1.0, r"dropout must be in \[0, 1\)"),
+        ("dropout", -0.1, r"dropout must be in \[0, 1\)"),
+        ("dropout", float("nan"), r"dropout must be in \[0, 1\)"),
     ])
     def test_settings_that_train_nothing_or_wrongly_refused(self, setting, value, message):
         with pytest.raises(ValueError, match=message):
             TrainSettings(**{setting: value})
 
     def test_settings_at_their_bounds_accepted(self):
-        TrainSettings(epochs=1, patience=0, dev_fraction=0.0, lr=1e-12)
+        TrainSettings(epochs=1, patience=0, dev_fraction=0.0, lr=1e-12, seed=0, embed_dim=1,
+                      hidden1=1, hidden2=1, keyarg_dim=1, dropout=0.0)
 
     def test_empty_dataset(self):
         with pytest.raises(ValueError, match="empty"):
@@ -314,6 +326,23 @@ class TestTraining:
             model.save(str(tmp_path / f"{k}.json"))
             blobs.append((tmp_path / f"{k}.json").read_bytes())
         assert blobs[0] == blobs[1]
+
+    def test_pinned_bytes_with_tables_over_one_block(self, tmp_path):
+        """sha256 of a model whose embedding tables span more than one block of sgd_step, so
+        its row rule runs; pinned from the dense step. The hidden sizes keep every product
+        below the sizes at which BLAS threads change bits."""
+        corpus, train, _ = build_learn_corpus(seed=7)
+        records, _ = supervision.generate_dataset(corpus.tables, train, GenerationConfig(), seed=0)
+        stats = supervision.collect_stats(corpus.tables)
+        schemas = {t.event_type: supervision.select_key_args(t, stats) for t in corpus.tables}
+        settings = TrainSettings(epochs=2, lr=0.01, dev_fraction=0.1, embed_dim=700, hidden1=3,
+                                 hidden2=3, keyarg_dim=4, dropout=0.5)
+        model, _ = train_pipeline(records, schemas, settings)
+        for stage in (model.stage1, model.stage2):
+            assert stage.params["embeddings"].size > neural._BLOCK
+        model.save(str(tmp_path / "model.bin"))
+        assert hashlib.sha256((tmp_path / "model.bin").read_bytes()).hexdigest() == (
+            "489cb00996309caa8d1a691ec94358ff383a65f2416c798abe85ee417ce31be0")
 
     def test_overfit_reproduces_nonkey_annotation(self, fixture_dataset, fixture_schemas, fixture_corpus):
         records, _ = fixture_dataset
