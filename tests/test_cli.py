@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import pathlib
@@ -6,6 +7,7 @@ import threading
 import pytest
 from test_pipeline import edited_model, tensor_offset
 
+import tabevent
 from tabevent import cli
 from tabevent.core import read_jsonl
 from tabevent.pipeline import ExtractorModel
@@ -148,6 +150,14 @@ class TestUsage:
             run(["extract", "--model", str(MODEL), "--corpus", fixture_paths["corpus"],
                  "--out", str(tmp_path / "pred.jsonl"), "--multi", "--decoder", "viterbi"])
         assert exc.value.code == 2
+
+    def test_import_sets_unset_or_empty_blas_threads_to_one(self, monkeypatch):
+        monkeypatch.setenv("OMP_NUM_THREADS", "")
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        monkeypatch.setenv("MKL_NUM_THREADS", "3")
+        importlib.reload(tabevent)
+        assert [os.environ[var] for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                                            "MKL_NUM_THREADS")] == ["1", "1", "3"]
 
 
 # The path flags each command requires, given to the tests of settings.
