@@ -235,8 +235,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     if gold and "labels" in gold[0]:
         gold = [evaluation.mentions_from_record(rec, schemas)
                 for rec in supervision.check_dataset(gold, args.gold)]
-    events = evaluation._aligned(read_jsonl(args.pred), gold, (args.pred, args.gold))
-    metrics = evaluation._score_all(*events, schemas)
+    metrics = evaluation.score_all_standards(read_jsonl(args.pred), gold, schemas, (args.pred, args.gold))
     _write_json(args.out, metrics, _header(None, "eval"))
     inputs = {"pred": args.pred, "gold": args.gold}
     _write_manifest(args.out, "eval", inputs, [args.out], None, t0)

@@ -362,20 +362,25 @@ class LabelSequence:
         return len(self.tags)
 
 
+def orphan_insides(tags: Iterable) -> Iterator[int]:
+    """Positions of I- tags with no live span of their role (C3), lazily; a non-string is no I- tag."""
+    prev = None
+    for i, tag in enumerate(tags):
+        if isinstance(tag, str) and tag.startswith("I-") and prev not in (f"B-{tag[2:]}", tag):
+            yield i
+        prev = tag
+
+
 def bio_wellformed(tags: Sequence[str], label_set: LabelSet) -> bool:
-    """True iff no I-role tag starts the sequence or follows a foreign tag."""
+    """True iff no I-role tag starts the sequence or follows a foreign tag; an unknown tag up to the
+    first such I- tag raises."""
     if len(tags) == 0:
         raise ValueError("empty tag sequence")
-    prev: str | None = None
-    for tag in tags:
+    first = next(orphan_insides(tags), len(tags))
+    for tag in tags[: first + 1]:
         if tag not in label_set:
             raise ValueError(f"unknown tag: {tag!r}")
-        if tag.startswith("I-"):
-            role = tag[2:]
-            if prev not in (f"B-{role}", f"I-{role}"):
-                return False
-        prev = tag
-    return True
+    return first == len(tags)
 
 
 def spans_from_tags(tags: Sequence[str]) -> list[tuple[str, int, int]]:

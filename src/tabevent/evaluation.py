@@ -63,17 +63,6 @@ def _events_by_sentence(records: Iterable[Mapping], where: str) -> dict[str, lis
     return events
 
 
-def _aligned(
-    pred: Iterable[Mapping], gold: Iterable[Mapping], where: tuple[str, str] = ("predictions", "gold")
-) -> tuple[dict[str, list[Event]], dict[str, list[Event]]]:
-    """Both sides read; every predicted sentence must be a gold one."""
-    pred_events, gold_events = _events_by_sentence(pred, where[0]), _events_by_sentence(gold, where[1])
-    stray = sorted(pred_events.keys() - gold_events.keys())
-    if stray:
-        raise ValueError(f"{where[0]}: predictions for sentences absent from the gold set: {stray[:5]}")
-    return pred_events, gold_events
-
-
 Keys = Callable[[list[Event]], Iterable[tuple[str, object]]]
 
 
@@ -107,10 +96,21 @@ def _count(pred: Mapping[str, list[Event]], gold: Mapping[str, list[Event]], key
     return out
 
 
-def _score_all(
-    pred: Mapping[str, list[Event]], gold: Mapping[str, list[Event]], schemas: Mapping[str, EventSchema]
+def score_all_standards(
+    pred: Iterable[Mapping],
+    gold: Iterable[Mapping],
+    schemas: Mapping[str, EventSchema],
+    where: tuple[str, str] = ("predictions", "gold"),
 ) -> dict:
-    return {name: _count(pred, gold, keys) for name, keys in _standards(schemas).items()}
+    """The scores of each standard, keyed by its name.
+
+    Every predicted sentence must be a gold one; an input error names its side by `where`.
+    """
+    pred_events, gold_events = _events_by_sentence(pred, where[0]), _events_by_sentence(gold, where[1])
+    stray = sorted(pred_events.keys() - gold_events.keys())
+    if stray:
+        raise ValueError(f"{where[0]}: predictions for sentences absent from the gold set: {stray[:5]}")
+    return {name: _count(pred_events, gold_events, keys) for name, keys in _standards(schemas).items()}
 
 
 def score_key_args(
@@ -122,16 +122,7 @@ def score_key_args(
 
     An event of a type without a schema is never correct.
     """
-    return _count(*_aligned(pred, gold), _standards(schemas)["key_argument_detection"])
-
-
-def score_all_standards(
-    pred: Sequence[Mapping],
-    gold: Sequence[Mapping],
-    schemas: Mapping[str, EventSchema],
-) -> dict:
-    """The scores of each standard, keyed by its name."""
-    return _score_all(*_aligned(pred, gold), schemas)
+    return score_all_standards(pred, gold, schemas)["key_argument_detection"]
 
 
 def mentions_from_record(rec: Mapping, schemas: Mapping[str, EventSchema]) -> dict:

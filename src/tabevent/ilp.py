@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import OUTSIDE, LabelSequence, LabelSet
+from .core import OUTSIDE, LabelSequence, LabelSet, orphan_insides
 
 # Slack for float comparisons between a node's bound, whose suffix part is
 # summed right to left, and the left-to-right scores of the paths below it.
@@ -130,13 +130,8 @@ def check_constraints(tags, labels: LabelSet) -> list[str]:
             violations.append(f"C1: unknown tag {tag!r} at position {i}")
     if violations:
         return violations
-    prev = None
-    for i, tag in enumerate(tags):
-        if tag.startswith("I-"):
-            role = tag[2:]
-            if prev not in (f"B-{role}", f"I-{role}"):
-                violations.append(f"C3: I-{role} at position {i} has no live {role} span")
-        prev = tag
+    for i in orphan_insides(tags):
+        violations.append(f"C3: {tags[i]} at position {i} has no live {tags[i][2:]} span")
     begun = {t[2:] for t in tags if t.startswith("B-")}
     for event_type, group in sorted(labels.groups.items()):
         present = group & begun
@@ -410,48 +405,51 @@ def ilp_decode_multi(prob: DecodeProblem) -> MultiDecodeResult:
     )
 
 
-def _enumerate_feasible(prob: DecodeProblem) -> tuple[np.ndarray, np.ndarray]:
-    """All feasible label index sequences (rows) with their scores."""
-    P, A = prob.emissions, prob.transitions
-    n, L = P.shape
+def _all_paths(n: int, L: int) -> np.ndarray:
+    """Every path of n labels out of L, one per row, in counting order (last position fastest)."""
     total = L**n
     if total > _BRUTE_FORCE_LIMIT:
-        raise ValueError(
-            f"instance too large for brute force: {L}^{n} > {_BRUTE_FORCE_LIMIT}"
-        )
-    start_ok, allowed = transition_lattice(prob.labels)
-    label_bits, group_masks = _group_masks(prob.labels)
-
+        raise ValueError(f"instance too large for brute force: {L}^{n} > {_BRUTE_FORCE_LIMIT}")
     powers = L ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    seqs = (np.arange(total, dtype=np.int64)[:, None] // powers[None, :]) % L
+    return (np.arange(total, dtype=np.int64)[:, None] // powers[None, :]) % L
 
-    ok = start_ok[seqs[:, 0]].copy()
-    for i in range(n - 1):
-        ok &= allowed[seqs[:, i], seqs[:, i + 1]]
-    bits = np.zeros(total, dtype=np.int64)
-    for i in range(n):
-        bits |= label_bits[seqs[:, i]]
-    for mask in group_masks:
-        part = bits & mask
-        ok &= (part == 0) | (part == mask)
 
-    seqs = seqs[ok]
-    # Left to right, emission then transition, as crf.seq_score sums a path.
+def _path_scores(P: np.ndarray, A: np.ndarray, seqs: np.ndarray) -> np.ndarray:
+    """Each row's score, left to right, emission then transition, as crf.seq_score sums a path."""
     scores = P[0, seqs[:, 0]]
-    for i in range(1, n):
+    for i in range(1, seqs.shape[1]):
         scores = scores + A[seqs[:, i - 1], seqs[:, i]] + P[i, seqs[:, i]]
-    return seqs, scores
+    return scores
+
+
+def _ranked(seqs: np.ndarray, scores: np.ndarray) -> np.ndarray:
+    """Row order by descending score, ties to the smallest label at the latest differing position.
+
+    Viterbi and the branch-and-bound break ties so.
+    """
+    return np.lexsort((*seqs.T, -scores))
 
 
 def brute_force_decode(prob: DecodeProblem, ranking: bool = False):
     """Exhaustive feasible-set oracle.
 
     Returns the best feasible LabelSequence, or with ranking=True the full
-    feasible list sorted by descending score, ties in the order the
-    branch-and-bound uses: smallest label at the latest differing position.
+    feasible list sorted by descending score, ties in `_ranked`'s order.
     """
-    seqs, scores = _enumerate_feasible(prob)
-    order = np.lexsort((*seqs.T, -scores))[: None if ranking else 1]
+    seqs = _all_paths(*prob.emissions.shape)
+    start_ok, allowed = transition_lattice(prob.labels)
+    label_bits, group_masks = _group_masks(prob.labels)
+    ok = start_ok[seqs[:, 0]].copy()
+    bits = label_bits[seqs[:, 0]]
+    for i in range(1, prob.n):
+        ok &= allowed[seqs[:, i - 1], seqs[:, i]]
+        bits |= label_bits[seqs[:, i]]
+    for mask in group_masks:
+        part = bits & mask
+        ok &= (part == 0) | (part == mask)
+    seqs = seqs[ok]  # only feasible paths are scored
+    scores = _path_scores(prob.emissions, prob.transitions, seqs)
+    order = _ranked(seqs, scores)[: None if ranking else 1]
     tags = np.array(prob.labels.labels, dtype=object)[seqs[order]].tolist()
     ranked = [LabelSequence(tuple(t), s) for t, s in zip(tags, scores[order].tolist())]
     return ranked if ranking else ranked[0]

@@ -8,7 +8,6 @@ acceptance tests both run these.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
@@ -128,20 +127,14 @@ def check_viterbi(trials: int = 500, seed: int = 0) -> OracleReport:
             P = rng.integers(-1, 2, size=P.shape)
             A = rng.integers(-1, 2, size=A.shape)
         path, score = crf.viterbi(P, A)
-        best_score = float("-inf")
-        best_path: tuple[int, ...] | None = None
-        for cand in itertools.product(range(L), repeat=n):
-            s = crf.seq_score(P, A, list(cand))
-            key = tuple(reversed(cand))
-            if s > best_score or (
-                s == best_score and key < tuple(reversed(best_path))
-            ):
-                best_score = s
-                best_path = cand
-        if tuple(path) != best_path or score != best_score:
+        seqs = ilp._all_paths(n, L)
+        scores = ilp._path_scores(P, A, seqs)  # exact on the integer draws too
+        best = ilp._ranked(seqs, scores)[0]
+        best_path, best_score = seqs[best].tolist(), float(scores[best])
+        if path != best_path or score != best_score:
             report.failures.append(
                 f"trial {trial}: viterbi {score} {path} vs enumeration "
-                f"{best_score} {list(best_path)}"
+                f"{best_score} {best_path}"
             )
     return report
 
@@ -156,9 +149,7 @@ def check_partition(trials: int = 200, seed: int = 0, rel_tol: float = 1e-9) -> 
         P = rng.normal(size=(n, L))
         A = rng.normal(size=(L, L))
         got = crf.log_partition(P, A)
-        scores = np.array(
-            [crf.seq_score(P, A, list(c)) for c in itertools.product(range(L), repeat=n)]
-        )
+        scores = ilp._path_scores(P, A, ilp._all_paths(n, L))
         m = scores.max()
         want = float(m + np.log(np.exp(scores - m).sum()))
         rel = abs(got - want) / max(1.0, abs(want))
@@ -293,5 +284,9 @@ def run_checks(names, trials: int | None = None, seed: int = 0) -> list[OracleRe
     unknown = [name for name in names if name not in CHECKS]
     if unknown:
         raise ValueError(f"unknown check {unknown[0]!r}; choose from {sorted(CHECKS)}")
+    if trials is not None and trials < 1:
+        raise ValueError("trials must be at least 1")
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
     extra = {} if trials is None else {"trials": trials}
     return [CHECKS[name](seed=seed, **extra) for name in names]

@@ -8,7 +8,7 @@ import pytest
 from test_pipeline import edited_model, tensor_offset
 
 import tabevent
-from tabevent import cli
+from tabevent import cli, oracle
 from tabevent.core import read_jsonl
 from tabevent.pipeline import ExtractorModel
 
@@ -758,6 +758,21 @@ class TestOracleCommand:
 
     def test_ilp_check_passes(self):
         assert run(["oracle", "--check", "ilp", "--trials", "15"]) == 0
+
+    @pytest.mark.parametrize(
+        "flags,named",
+        [
+            (["--trials", "0"], "trials must be at least 1"),
+            (["--trials", "-3"], "trials must be at least 1"),
+            (["--seed", "-1"], "seed must be non-negative"),
+        ],
+        ids=["zero-trials", "negative-trials", "negative-seed"],
+    )
+    def test_settings_refused_by_name(self, capsys, flags, named):
+        assert run(["oracle", "--check", "ilp", *flags]) == 1
+        assert capsys.readouterr() == ("", f"error: {named}\n")
+        with pytest.raises(ValueError, match=f"^{named}$"):
+            oracle.run_checks(["ilp"], **{flags[0][2:]: int(flags[1])})
 
     def test_gradient_checks_take_seed_and_trials(self, capsys):
         for check in ("crf-gradients", "blstm-gradients"):

@@ -186,3 +186,36 @@ def test_gradient_check_seed_picks_instances(monkeypatch):
     assert np.array_equal(first_instance(0), today)
     assert not np.array_equal(first_instance(1), today)
     assert not np.array_equal(first_instance(1), first_instance(2))
+
+
+class TestOraclesBite:
+    """Each exhaustive check reports a fault planted in the code it checks."""
+
+    def test_viterbi_ties_toward_larger_label(self, monkeypatch):
+        real = crf.viterbi
+
+        def larger_ties(P, A):  # Viterbi over the labels in reverse order: ties go to the larger
+            P, A = np.asarray(P, dtype=float), np.asarray(A, dtype=float)
+            path, score = real(P[:, ::-1], A[::-1, ::-1])
+            return [P.shape[1] - 1 - label for label in path], score
+
+        monkeypatch.setattr(crf, "viterbi", larger_ties)
+        report = oracle.check_viterbi(trials=100, seed=1)
+        trials = [int(f.split()[1].rstrip(":")) for f in report.failures]
+        assert len(trials) > 10
+        assert all(t % 2 for t in trials)  # only the {-1, 0, 1} draws tie
+
+    def test_viterbi_score_one_ulp_off(self, monkeypatch):
+        real = crf.viterbi
+
+        def ulp_off(P, A):
+            path, score = real(P, A)
+            return path, float(np.nextafter(score, np.inf))
+
+        monkeypatch.setattr(crf, "viterbi", ulp_off)
+        assert len(oracle.check_viterbi(trials=100, seed=1).failures) == 100
+
+    def test_partition_off_by_one_in_a_million(self, monkeypatch):
+        real = crf.log_partition
+        monkeypatch.setattr(crf, "log_partition", lambda P, A: real(P, A) * (1 + 1e-6))
+        assert len(oracle.check_partition(trials=100, seed=2).failures) >= 90

@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import hashlib
+import itertools
 import weakref
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 
 from corpusgen import c4_violation_problem, two_type_problem
 from tabevent import crf, ilp, oracle
-from tabevent.core import LabelSet
+from tabevent.core import LabelSet, bio_wellformed
 from tabevent.ilp import DecodeProblem
 
 
@@ -198,6 +199,22 @@ class TestBruteForce:
             keys = [(-seq.score, path[::-1]) for seq, path in zip(ranked, paths)]
             assert keys == sorted(keys)
             assert ilp.brute_force_decode(prob) == ranked[0]
+
+    def test_helpers_match_the_path_loop(self):
+        """The enumerator, scorer and tie order against one seq_score call per itertools path."""
+        rng = np.random.default_rng(9)
+        for trial in range(300):
+            n, L = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+            P, A = rng.normal(size=(n, L)), rng.normal(size=(L, L))
+            if trial % 2:
+                P, A = rng.integers(-1, 2, size=P.shape) * 1.0, rng.integers(-1, 2, size=A.shape) * 1.0
+            seqs = ilp._all_paths(n, L)
+            loop = list(itertools.product(range(L), repeat=n))
+            assert [tuple(row) for row in seqs.tolist()] == loop
+            scores = ilp._path_scores(P, A, seqs)
+            assert [s.hex() for s in scores.tolist()] == [crf.seq_score(P, A, y).hex() for y in loop]
+            keys = [(-crf.seq_score(P, A, y), y[::-1]) for y in loop]
+            assert [loop[i] for i in ilp._ranked(seqs, scores)] == [y for _, y in sorted(zip(keys, loop))]
 
     def test_ranking_sorted(self):
         prob = two_type_problem()
@@ -405,3 +422,104 @@ class TestDecodeTables:
         assert module_sizes() == before
         gc.collect()
         assert not any(ref() is not None for ref in refs)
+
+
+class TestOraclesBite:
+    """The exhaustive ilp checks report a fault planted in the decoder."""
+
+    def test_ilp_decode_second_best(self, monkeypatch):
+        def second_best(prob):
+            path, score = ilp._search(prob, float("inf"), 2)[-1]
+            return ilp._to_sequence(prob, path, score)
+
+        monkeypatch.setattr(ilp, "ilp_decode", second_best)
+        assert len(oracle.check_ilp(trials=100, seed=1).failures) >= 90
+
+    def test_ilp_decode_multi_truncated_flipped(self, monkeypatch):
+        real = ilp.ilp_decode_multi
+
+        def flipped(prob):
+            res = real(prob)
+            return ilp.MultiDecodeResult(res.sequences, not res.truncated)
+
+        monkeypatch.setattr(ilp, "ilp_decode_multi", flipped)
+        assert len(oracle.check_ilp_multi(trials=100, seed=1).failures) == 100
+
+
+# Rule C3's two scans as they were before they shared `core.orphan_insides`, verbatim: the
+# references for TestOneC3Scan.
+def _bio_wellformed_before(tags, label_set):
+    """True iff no I-role tag starts the sequence or follows a foreign tag."""
+    if len(tags) == 0:
+        raise ValueError("empty tag sequence")
+    prev = None
+    for tag in tags:
+        if tag not in label_set:
+            raise ValueError(f"unknown tag: {tag!r}")
+        if tag.startswith("I-"):
+            role = tag[2:]
+            if prev not in (f"B-{role}", f"I-{role}"):
+                return False
+        prev = tag
+    return True
+
+
+def _check_constraints_before(tags, labels):
+    tags = [t for t in tags]
+    violations = []
+    for i, tag in enumerate(tags):
+        if tag not in labels:
+            violations.append(f"C1: unknown tag {tag!r} at position {i}")
+    if violations:
+        return violations
+    prev = None
+    for i, tag in enumerate(tags):
+        if tag.startswith("I-"):
+            role = tag[2:]
+            if prev not in (f"B-{role}", f"I-{role}"):
+                violations.append(f"C3: I-{role} at position {i} has no live {role} span")
+        prev = tag
+    begun = {t[2:] for t in tags if t.startswith("B-")}
+    for event_type, group in sorted(labels.groups.items()):
+        present = group & begun
+        if present and present != group:
+            missing = sorted(group - present)
+            violations.append(
+                f"C4: event type {event_type} has key roles {sorted(present)} "
+                f"without {missing}"
+            )
+    return violations
+
+
+def _outcome(check, *args):
+    try:
+        return "value", check(*args)
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+class TestOneC3Scan:
+    def test_matches_the_two_scans_before(self):
+        rng = np.random.default_rng(11)
+        seen = dict.fromkeys(["empty", "unknown", "orphan", "both", "unknown-first", "orphan-first", "c4"], 0)
+        for _ in range(3000):
+            labels = oracle.random_label_set(rng, max_labels=9, n_groups=3)
+            pool = [*labels.labels, "B-zzz", "I-zzz", "X", None]
+            weights = np.array([4.0] * len(labels) + [1.0] * 4)
+            n = int(rng.integers(0, 8))
+            tags = [pool[i] for i in rng.choice(len(pool), size=n, p=weights / weights.sum())]
+            want = _check_constraints_before(tags, labels)
+            assert ilp.check_constraints(tags, labels) == want
+            assert _outcome(bio_wellformed, tags, labels) == _outcome(_bio_wellformed_before, tags, labels)
+
+            unknown = [i for i, t in enumerate(tags) if t not in labels]
+            orphan = [i for i, t in enumerate(tags) if isinstance(t, str) and t.startswith("I-")
+                      and (i == 0 or tags[i - 1] not in (f"B-{t[2:]}", t))]
+            seen["empty"] += not tags
+            seen["unknown"] += bool(unknown)
+            seen["orphan"] += bool(orphan)
+            seen["both"] += bool(unknown and orphan)
+            seen["unknown-first"] += bool(unknown and orphan) and unknown[0] < orphan[0]
+            seen["orphan-first"] += bool(unknown and orphan) and orphan[0] < unknown[0]
+            seen["c4"] += any(v.startswith("C4") for v in want)
+        assert min(seen.values()) >= 50, seen
