@@ -116,8 +116,9 @@ def _setting(where: str, text: str, default, choices: list | None):
 
 
 # The settings whose flags take one of a list of names, and those whose flags have a help text.
-_CHOICES = {"strategy": [s.value for s in Strategy], "decoder": ["viterbi", "ilp"]}
-_HELP = {"max_dist": "max dependency hops between key arguments; 0 disables"}
+_CHOICES = {"strategy": [s.value for s in Strategy], "decoder": pipeline.DECODERS}
+_HELP = {"max_dist": "max dependency hops between key arguments; 0 disables",
+         "decoder": "ilp_multi lists the near-optimal sequences, for several typed events"}
 
 # Each subcommand's settings, one flag and one INI key each; the defaults are the library's own.
 _GEN = GenerationConfig()
@@ -134,7 +135,7 @@ GEN_DEFAULTS = {
 
 TRAIN_DEFAULTS = {**_STRATEGY, **_TRAIN}
 
-EXTRACT_DEFAULTS = {  # decoder last, next to --multi, with which its flag shares a group
+EXTRACT_DEFAULTS = {
     "lambda_factor": ilp.LAMBDA_FACTOR,
     "max_solutions": ilp.MAX_SOLUTIONS,
     "decoder": "ilp",
@@ -208,13 +209,12 @@ def _cmd_extract(args: argparse.Namespace) -> int:
     t0 = time.monotonic()
     model = pipeline.ExtractorModel.load(args.model)
     corpus = read_corpus(args.corpus)
-    decoder = "ilp_multi" if args.multi else args.decoder
     records = [
-        pipeline.extract_sentence(s, model, decoder, args.lambda_factor, args.max_solutions)
+        pipeline.extract_sentence(s, model, args.decoder, args.lambda_factor, args.max_solutions)
         for s in corpus
     ]
     write_jsonl(args.out, records, header=_header(None, "extract"))
-    inputs = {"model": args.model, "corpus": args.corpus, "decoder": decoder}
+    inputs = {"model": args.model, "corpus": args.corpus, "decoder": args.decoder}
     _write_manifest(args.out, "extract", inputs, [args.out], None, t0)
     n_events = sum(len(r["events"]) for r in records)
     print(f"extract: {n_events} events over {len(records)} sentences -> {args.out}")
@@ -277,15 +277,13 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_settings(p: argparse.ArgumentParser, func, defaults: dict, make=lambda values: None,
-                  groups: dict | None = None) -> None:
+def _add_settings(p: argparse.ArgumentParser, func, defaults: dict, make=lambda values: None) -> None:
     """--config, and a flag for each setting of `defaults` (`--embed-dim` for embed_dim) of the
-    default's type, added to its group in `groups` if it has one."""
+    default's type."""
     p.add_argument("--config")
     for key, default in defaults.items():
-        where = (groups or {}).get(key, p)
-        where.add_argument(f"--{key.replace('_', '-')}", type=type(default), choices=_CHOICES.get(key),
-                           help=_HELP.get(key))
+        p.add_argument(f"--{key.replace('_', '-')}", type=type(default), choices=_CHOICES.get(key),
+                       help=_HELP.get(key))
     p.set_defaults(func=func, defaults=defaults, make=make)
 
 
@@ -315,10 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
-    decoders = p.add_mutually_exclusive_group()
-    _add_settings(p, _cmd_extract, EXTRACT_DEFAULTS, _decode_settings, {"decoder": decoders})
-    decoders.add_argument("--multi", action="store_true",
-                          help="enumerate multiple typed events per sentence")
+    _add_settings(p, _cmd_extract, EXTRACT_DEFAULTS, _decode_settings)
 
     p = sub.add_parser("eval", help="score predictions against references")
     p.add_argument("--pred", required=True)

@@ -62,30 +62,23 @@ def seq_score(P, A, y: Sequence[int]) -> float:
 def log_partition(P, A) -> float:
     """log sum over all label paths of exp(seq_score), by the forward pass."""
     P, A = _as_matrices(P, A)
-    return _logsumexp(_forward(P, A)[-1])
+    return _logsumexp(_forward(P, A)[-1] + P[-1])
 
 
 def _forward(P: np.ndarray, A: np.ndarray) -> np.ndarray:
-    """Forward log-scores: alpha[t, j] = logsumexp_i(alpha[t-1, i] + A[i, j]) + P[t, j]."""
+    """Log-sum scores into each position, its emission left out: into[0] = 0 and
+    into[t, j] = logsumexp_i(into[t-1, i] + P[t-1, i] + A[i, j]), so alpha is into + P.
+
+    Run on P[::-1] and A.T and reversed, it is the backward table. numpy lays `column + A.T`
+    out column-major, so each log-sum sums along memory, as a right-to-left loop does.
+    """
     n, L = P.shape
-    alpha = np.empty((n, L))
-    alpha[0] = P[0]
+    into = np.zeros((n, L))
     for t in range(1, n):
-        scores = alpha[t - 1][:, None] + A
+        scores = (into[t - 1] + P[t - 1])[:, None] + A
         m = scores.max(axis=0)
-        alpha[t] = m + np.log(np.exp(scores - m[None, :]).sum(axis=0)) + P[t]
-    return alpha
-
-
-def _forward_backward(P: np.ndarray, A: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    n, L = P.shape
-    alpha = _forward(P, A)
-    beta = np.zeros((n, L))
-    for t in range(n - 2, -1, -1):
-        scores = A + (P[t + 1] + beta[t + 1])[None, :]
-        m = scores.max(axis=1)
-        beta[t] = m + np.log(np.exp(scores - m[:, None]).sum(axis=1))
-    return alpha, beta, _logsumexp(alpha[n - 1])
+        into[t] = m + np.log(np.exp(scores - m[None, :]).sum(axis=0))
+    return into
 
 
 def nll_loss_and_grads(P, A, gold: Sequence[int]):
@@ -97,7 +90,9 @@ def nll_loss_and_grads(P, A, gold: Sequence[int]):
     P, A = _as_matrices(P, A)
     n, L = P.shape
     gold = _check_labels(gold, n, L)
-    alpha, beta, log_z = _forward_backward(P, A)
+    alpha = _forward(P, A) + P
+    beta = _forward(P[::-1], A.T)[::-1]
+    log_z = _logsumexp(alpha[-1])
     loss = log_z - seq_score(P, A, gold)
 
     dP = np.exp(alpha + beta - log_z)
@@ -112,6 +107,27 @@ def nll_loss_and_grads(P, A, gold: Sequence[int]):
     return float(loss), dP, dA
 
 
+def best_into(P: np.ndarray, A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Best scores into each position, its emission left out, and their back pointers:
+    into[t, j] = max_i (into[t-1, i] + P[t-1, i]) + A[i, j] and back[t, j] the first such i.
+
+    into[0] is -0.0, the additive identity, so into[0] + P[0] is P[0] bit for bit. Each
+    maximum is read off its argmax, as a max reduction may return the other zero of a tie.
+    Run on P[::-1] and A.T and reversed, into[t, j] is the best score over t+1.. given j at t.
+    """
+    n, L = P.shape
+    into = np.full((n, L), -0.0)
+    back = np.zeros((n, L), dtype=np.intp)
+    prev = np.empty(L)
+    scores = np.empty_like(A)  # A's layout, so that A.T's columns lie along memory
+    columns = np.arange(L)
+    for t in range(1, n):
+        np.add(into[t - 1], P[t - 1], out=prev)
+        np.add(prev[:, None], A, out=scores)
+        into[t] = scores[scores.argmax(axis=0, out=back[t]), columns]
+    return into, back
+
+
 def viterbi(P, A) -> tuple[list[int], float]:
     """Highest-scoring label path and its score.
 
@@ -122,22 +138,13 @@ def viterbi(P, A) -> tuple[list[int], float]:
     seq_score on that path bit for bit.
     """
     P, A = _as_matrices(P, A)
-    n, L = P.shape
-    delta = P[0].copy()
-    back = np.zeros((n, L), dtype=np.intp)
-    scores = np.empty((L, L))
-    columns = np.arange(L)
-    for t in range(1, n):
-        np.add(delta[:, None], A, out=scores)
-        # The argmax's own operand: a max reduction may return the other
-        # zero of a tie between 0.0 and -0.0.
-        delta = scores[scores.argmax(axis=0, out=back[t]), columns]
-        delta += P[t]
+    into, back = best_into(P, A)
+    delta = into[-1] + P[-1]
     last = int(delta.argmax())
     score = float(delta[last])
     rows = back.tolist()
     path = [last]
-    for t in range(n - 1, 0, -1):
+    for t in range(len(rows) - 1, 0, -1):
         last = rows[t][last]
         path.append(last)
     path.reverse()

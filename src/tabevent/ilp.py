@@ -36,6 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import crf
 from .core import OUTSIDE, LabelSequence, LabelSet, orphan_insides
 
 # Slack for float comparisons between a node's bound, whose suffix part is
@@ -243,26 +244,6 @@ def _need(begun: int, group_masks: tuple[int, ...]) -> int:
     return most
 
 
-def _suffix(P: np.ndarray, allowed_A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(S, nxt) of the unconstrained suffix pass over emissions P, C4 ignored.
-
-    S[t][l] is the best continuation score over positions t+1..n-1 given
-    label l at t, an admissible bound; nxt[t][l] is the next label it takes.
-    allowed_A is the lattice-masked transition matrix.
-    """
-    n, L = P.shape
-    S = np.zeros((n, L))
-    nxt = np.zeros((n, L), dtype=np.intp)
-    v = np.empty(L)
-    tmp = np.empty((L, L))
-    for t in range(n - 2, -1, -1):
-        np.add(P[t + 1], S[t + 1], out=v)
-        np.add(allowed_A, v, out=tmp)
-        np.maximum.reduce(tmp, axis=1, out=S[t])
-        tmp.argmax(axis=1, out=nxt[t])
-    return S, nxt
-
-
 def _incumbent(
     labels: LabelSet,
     P: list[list[float]],
@@ -270,7 +251,7 @@ def _incumbent(
     S: list[list[float]],
     nxt: np.ndarray,
 ) -> tuple[list[int], float]:
-    """A feasible path and its score, from emissions P, the lattice and `_suffix`'s S and nxt.
+    """A feasible path and its score, from emissions P, the lattice and `_search`'s S and nxt.
 
     The unconstrained best path, with every tag of each role in a partly
     begun group set to O until no group is partly begun: groups may share a
@@ -314,10 +295,13 @@ def _search(prob: DecodeProblem, gap: float, k: int) -> list[tuple[list[int], fl
     n = prob.n
     lattice = _lattice(prob)
     succ, label_bits, group_masks, A = lattice.succ, lattice.label_bits, lattice.group_masks, lattice.A
-    suffix, nxt = _suffix(prob.emissions, lattice.allowed_A)
+    # The suffix pass, C4 ignored, is Viterbi's loop on the reversed sentence and lattice:
+    # S[t][l], the best score over t+1..n-1 given l at t, is an admissible bound, and
+    # nxt[t][l] is the next label it takes.
+    into, back = crf.best_into(prob.emissions[::-1], lattice.allowed_A.T)
     # The search reads Python floats: the same sums as on numpy scalars,
     # bit for bit, at a fraction of the cost per node.
-    P, S = prob.emissions.tolist(), suffix.tolist()
+    P, S, nxt = prob.emissions.tolist(), into[::-1].tolist(), back[::-1]
     _, g0 = _incumbent(prob.labels, P, lattice, S, nxt)
     need: dict[int, int] = {}  # begun-role bitmask -> _need, for this decode
 
@@ -430,12 +414,8 @@ def _ranked(seqs: np.ndarray, scores: np.ndarray) -> np.ndarray:
     return np.lexsort((*seqs.T, -scores))
 
 
-def brute_force_decode(prob: DecodeProblem, ranking: bool = False):
-    """Exhaustive feasible-set oracle.
-
-    Returns the best feasible LabelSequence, or with ranking=True the full
-    feasible list sorted by descending score, ties in `_ranked`'s order.
-    """
+def _feasible_ranked(prob: DecodeProblem) -> tuple[np.ndarray, np.ndarray]:
+    """Every path of prob that meets C1-C4, one per row, and their scores, in `_ranked`'s order."""
     seqs = _all_paths(*prob.emissions.shape)
     start_ok, allowed = transition_lattice(prob.labels)
     label_bits, group_masks = _group_masks(prob.labels)
@@ -449,7 +429,18 @@ def brute_force_decode(prob: DecodeProblem, ranking: bool = False):
         ok &= (part == 0) | (part == mask)
     seqs = seqs[ok]  # only feasible paths are scored
     scores = _path_scores(prob.emissions, prob.transitions, seqs)
-    order = _ranked(seqs, scores)[: None if ranking else 1]
-    tags = np.array(prob.labels.labels, dtype=object)[seqs[order]].tolist()
-    ranked = [LabelSequence(tuple(t), s) for t, s in zip(tags, scores[order].tolist())]
+    order = _ranked(seqs, scores)
+    return seqs[order], scores[order]
+
+
+def brute_force_decode(prob: DecodeProblem, ranking: bool = False):
+    """Exhaustive feasible-set oracle.
+
+    Returns the best feasible LabelSequence, or with ranking=True the full
+    feasible list sorted by descending score, ties in `_ranked`'s order.
+    """
+    seqs, scores = _feasible_ranked(prob)
+    cut = None if ranking else 1
+    tags = np.array(prob.labels.labels, dtype=object)[seqs[:cut]].tolist()
+    ranked = [LabelSequence(tuple(t), s) for t, s in zip(tags, scores[:cut].tolist())]
     return ranked if ranking else ranked[0]

@@ -12,9 +12,9 @@ from tabevent import cli, oracle
 from tabevent.core import read_jsonl
 from tabevent.pipeline import ExtractorModel
 
-# A model (embed/hidden1/hidden2/keyarg dims 4/4/4/2, 5 epochs at lr 0.05, seed 0, on the
-# README's gen output for fixtures/), written by `train` in model format 1 and converted to
-# format 3 by `load` and `save` with its `meta`; and what `extract --multi` wrote from it on
+# A model (embed/hidden1/hidden2/keyarg dims 4/4/4/2, 5 epochs at lr 0.05, seed 0, on the README's
+# gen output for fixtures/), written by `train` in model format 1 and converted to format 3 by
+# `load` and `save` with its `meta`; and what `extract` wrote from it with the k-best decoder on
 # fixtures/s1s4_corpus.jsonl when format 1 was the format `train` wrote. The metrics are what
 # `eval` wrote for that output against the README's gen output, with the model's schemas, when
 # events were paired greedily by argument overlap.
@@ -143,12 +143,6 @@ class TestUsage:
     def test_report_takes_no_config(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run(["report", "--dataset", "d.jsonl", "--out", str(tmp_path / "r.json"), "--config", "r.ini"])
-        assert exc.value.code == 2
-
-    def test_multi_with_decoder_exits_2(self, fixture_paths, tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            run(["extract", "--model", str(MODEL), "--corpus", fixture_paths["corpus"],
-                 "--out", str(tmp_path / "pred.jsonl"), "--multi", "--decoder", "viterbi"])
         assert exc.value.code == 2
 
     def test_import_sets_unset_or_empty_blas_threads_to_one(self, monkeypatch):
@@ -327,15 +321,23 @@ class TestPipelineCommands:
                 "--model", str(model),
                 "--corpus", fixture_paths["corpus"],
                 "--out", str(pred),
-                "--multi",
+                "--decoder", "ilp_multi",
             ]
         ) == 0
-        assert (base / "pred_multi.jsonl.manifest.json").exists()
+        assert read_json(base / "pred_multi.jsonl.manifest.json")["inputs"]["decoder"] == "ilp_multi"
 
     def test_extract_matches_committed_output(self, fixture_paths, tmp_path):
         out = tmp_path / "pred.jsonl"
         assert run(["extract", "--model", str(MODEL), "--corpus", fixture_paths["corpus"],
-                    "--out", str(out), "--multi"]) == 0
+                    "--out", str(out), "--decoder", "ilp_multi"]) == 0
+        assert out.read_bytes() == PRED.read_bytes()
+
+    def test_extract_ini_decoder_matches_committed_output(self, fixture_paths, tmp_path):
+        """The k-best decoder named in the INI file, as a run's manifest names it."""
+        ini, out = tmp_path / "run.ini", tmp_path / "pred.jsonl"
+        ini.write_text("[extract]\ndecoder = ilp_multi\n")
+        assert run(["extract", "--config", str(ini), "--model", str(MODEL),
+                    "--corpus", fixture_paths["corpus"], "--out", str(out)]) == 0
         assert out.read_bytes() == PRED.read_bytes()
 
     def test_eval_matches_committed_metrics(self, gen_out, tmp_path):

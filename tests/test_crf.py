@@ -166,6 +166,106 @@ class TestViterbi:
             assert score <= crf.log_partition(P, A) + 1e-12
 
 
+def chain_draws(seed, count):
+    """(P, A, gold) with 1-40 tokens and 1-45 labels; every third draw is integer-valued,
+    so paths tie and scores hold zeros of both signs."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        n, L = int(rng.integers(1, 41)), int(rng.integers(1, 46))
+        if k % 3 == 2:
+            sign = float(rng.choice([-1.0, 1.0]))  # -1.0 * 0 is -0.0
+            P, A = sign * rng.integers(-2, 3, size=(n, L)), sign * rng.integers(-2, 3, size=(L, L))
+        else:
+            P, A = 3 * rng.normal(size=(n, L)), rng.normal(size=(L, L))
+        yield P, A, [int(g) for g in rng.integers(0, L, size=n)]
+
+
+# The loops that `_forward` and `best_into` replaced, kept verbatim as references.
+def reference_forward(P, A):
+    n, L = P.shape
+    alpha = np.empty((n, L))
+    alpha[0] = P[0]
+    for t in range(1, n):
+        scores = alpha[t - 1][:, None] + A
+        m = scores.max(axis=0)
+        alpha[t] = m + np.log(np.exp(scores - m[None, :]).sum(axis=0)) + P[t]
+    return alpha
+
+
+def reference_forward_backward(P, A):
+    n, L = P.shape
+    alpha = reference_forward(P, A)
+    beta = np.zeros((n, L))
+    for t in range(n - 2, -1, -1):
+        scores = A + (P[t + 1] + beta[t + 1])[None, :]
+        m = scores.max(axis=1)
+        beta[t] = m + np.log(np.exp(scores - m[:, None]).sum(axis=1))
+    return alpha, beta, crf._logsumexp(alpha[n - 1])
+
+
+def reference_nll_loss_and_grads(P, A, gold):
+    n, L = P.shape
+    alpha, beta, log_z = reference_forward_backward(P, A)
+    loss = log_z - crf.seq_score(P, A, gold)
+
+    dP = np.exp(alpha + beta - log_z)
+    for t, g in enumerate(gold):
+        dP[t, g] -= 1.0
+
+    dA = np.zeros((L, L))
+    for t in range(n - 1):
+        pair = alpha[t][:, None] + A + (P[t + 1] + beta[t + 1])[None, :] - log_z
+        dA += np.exp(pair)
+        dA[gold[t], gold[t + 1]] -= 1.0
+    return float(loss), dP, dA
+
+
+def reference_viterbi(P, A):
+    n, L = P.shape
+    delta = P[0].copy()
+    back = np.zeros((n, L), dtype=np.intp)
+    scores = np.empty((L, L))
+    columns = np.arange(L)
+    for t in range(1, n):
+        np.add(delta[:, None], A, out=scores)
+        delta = scores[scores.argmax(axis=0, out=back[t]), columns]
+        delta += P[t]
+    last = int(delta.argmax())
+    score = float(delta[last])
+    rows = back.tolist()
+    path = [last]
+    for t in range(n - 1, 0, -1):
+        last = rows[t][last]
+        path.append(last)
+    path.reverse()
+    return path, score
+
+
+class TestOneLoopEachWay:
+    """The backward table is the forward loop on the reversed sentence: the same bytes as the
+    right-to-left loop it replaced. Ties, zeros of both signs and 8 or more labels (where a
+    row-major copy of the reversed scores sums in another order) all occur."""
+
+    def test_loss_gradients_and_partition_keep_their_bytes(self):
+        for P, A, gold in chain_draws(11, 2100):
+            loss, dP, dA = crf.nll_loss_and_grads(P, A, gold)
+            want_loss, want_dP, want_dA = reference_nll_loss_and_grads(P, A, gold)
+            assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+            assert dP.tobytes() == want_dP.tobytes() and dA.tobytes() == want_dA.tobytes()
+            beta = crf._forward(P[::-1], A.T)[::-1]
+            assert beta.tobytes() == reference_forward_backward(P, A)[1].tobytes()
+            want_log_z = crf._logsumexp(reference_forward(P, A)[-1])
+            assert np.float64(crf.log_partition(P, A)).tobytes() == np.float64(want_log_z).tobytes()
+
+    def test_viterbi_keeps_its_bytes(self):
+        zeros = [(-np.zeros((n, 2)), -np.zeros((2, 2)), None) for n in (1, 3)]  # scores -0.0
+        for P, A, _ in [*chain_draws(12, 2100), *zeros]:
+            path, score = crf.viterbi(P, A)
+            want_path, want_score = reference_viterbi(P, A)
+            assert path == want_path
+            assert np.float64(score).tobytes() == np.float64(want_score).tobytes()
+
+
 def test_gradient_check_seed_picks_instances(monkeypatch):
     """Seed 0 draws what default_rng(1000 + trial) draws; another seed draws anew."""
     seen = []
@@ -182,7 +282,9 @@ def test_gradient_check_seed_picks_instances(monkeypatch):
         assert oracle.check_crf_gradients(trials=1, seed=seed).ok
         return seen[0]
 
-    today = np.random.default_rng(1000).normal(size=(4, 3))
+    rng = np.random.default_rng(1000)
+    n, L = int(rng.integers(1, 10)), int(rng.integers(1, 7))
+    today = rng.normal(size=(n, L))
     assert np.array_equal(first_instance(0), today)
     assert not np.array_equal(first_instance(1), today)
     assert not np.array_equal(first_instance(1), first_instance(2))
@@ -219,3 +321,19 @@ class TestOraclesBite:
         real = crf.log_partition
         monkeypatch.setattr(crf, "log_partition", lambda P, A: real(P, A) * (1 + 1e-6))
         assert len(oracle.check_partition(trials=100, seed=2).failures) >= 90
+
+    def test_crf_gradients_dA_without_its_last_position(self, monkeypatch):
+        real = crf.nll_loss_and_grads
+
+        def drops_last(P, A, gold):  # dA leaves out the pair (n-2, n-1)
+            loss, dP, dA = real(P, A, gold)
+            if len(gold) > 1:
+                pair = (crf._forward(P, A) + P)[-2][:, None] + A + P[-1] - crf.log_partition(P, A)
+                dA = dA - np.exp(pair)
+                dA[gold[-2], gold[-1]] += 1.0
+            return loss, dP, dA
+
+        monkeypatch.setattr(crf, "nll_loss_and_grads", drops_last)
+        report = oracle.check_crf_gradients(trials=40, seed=1)
+        assert len(report.failures) > 25
+        assert all("n=1," not in failure for failure in report.failures)

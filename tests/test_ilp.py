@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from corpusgen import c4_violation_problem, two_type_problem
+from test_crf import chain_draws
 from tabevent import crf, ilp, oracle
 from tabevent.core import LabelSet, bio_wellformed
 from tabevent.ilp import DecodeProblem
@@ -144,11 +145,45 @@ class TestIlpDecode:
         assert got.tags == ("O",) and got.score == 1.5
 
 
+def suffix_pass(P, allowed_A):
+    """(S, nxt) as `_search` takes them: Viterbi's loop on the reversed sentence and lattice."""
+    into, back = crf.best_into(P[::-1], allowed_A.T)
+    return into[::-1], back[::-1]
+
+
 def incumbent(prob):
     """ilp._incumbent's path and score, from the lattice `_search` builds for prob."""
     lattice = ilp._lattice(prob)
-    S, nxt = ilp._suffix(prob.emissions, lattice.allowed_A)
+    S, nxt = suffix_pass(prob.emissions, lattice.allowed_A)
     return ilp._incumbent(prob.labels, prob.emissions.tolist(), lattice, S.tolist(), nxt)
+
+
+def reference_suffix(P, allowed_A):
+    """The right-to-left loop that `suffix_pass` replaced, kept verbatim as a reference."""
+    n, L = P.shape
+    S = np.zeros((n, L))
+    nxt = np.zeros((n, L), dtype=np.intp)
+    v = np.empty(L)
+    tmp = np.empty((L, L))
+    for t in range(n - 2, -1, -1):
+        np.add(P[t + 1], S[t + 1], out=v)
+        np.add(allowed_A, v, out=tmp)
+        np.maximum.reduce(tmp, axis=1, out=S[t])
+        tmp.argmax(axis=1, out=nxt[t])
+    return S, nxt
+
+
+class TestSuffixPass:
+    def test_matches_the_right_to_left_loop(self):
+        """The same bound and next labels on 2,100 `chain_draws`, with -inf in none, 30% or
+        70% of the transitions. S is compared by value: np.maximum.reduce may return the
+        other zero of a tie."""
+        rng = np.random.default_rng(14)
+        for P, A, _ in chain_draws(13, 2100):
+            allowed_A = np.where(rng.random(size=A.shape) < rng.choice([0.0, 0.3, 0.7]), -np.inf, A)
+            S, nxt = suffix_pass(P, allowed_A)
+            want_S, want_nxt = reference_suffix(P, allowed_A)
+            assert np.array_equal(S, want_S) and np.array_equal(nxt, want_nxt)
 
 
 class TestIncumbent:
