@@ -111,20 +111,26 @@ def best_into(P: np.ndarray, A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Best scores into each position, its emission left out, and their back pointers:
     into[t, j] = max_i (into[t-1, i] + P[t-1, i]) + A[i, j] and back[t, j] the first such i.
 
-    into[0] is -0.0, the additive identity, so into[0] + P[0] is P[0] bit for bit. Each
-    maximum is read off its argmax, as a max reduction may return the other zero of a tie.
+    into[0] is -0.0, the additive identity, so into[0] + P[0] is P[0] bit for bit. Each step
+    lays its scores out as (j, i), from a contiguous copy of A.T, so every argmax runs along
+    memory and each maximum is a gather of the flat index it names. The bytes are those of the
+    (i, j) layout: each score has the same two operands (addition commutes), argmax takes
+    the first maximum along either axis, and the gather reads that same element. It is read
+    off the argmax, as a max reduction may return the other zero of a tie.
     Run on P[::-1] and A.T and reversed, into[t, j] is the best score over t+1.. given j at t.
     """
     n, L = P.shape
     into = np.full((n, L), -0.0)
     back = np.zeros((n, L), dtype=np.intp)
     prev = np.empty(L)
-    scores = np.empty_like(A)  # A's layout, so that A.T's columns lie along memory
-    columns = np.arange(L)
+    AT = np.ascontiguousarray(A.T)  # no copy when A is the transpose of a C-ordered matrix
+    scores = np.empty((L, L))
+    flat = scores.reshape(-1)
+    rows = L * np.arange(L)  # flat index of each row's first score
     for t in range(1, n):
         np.add(into[t - 1], P[t - 1], out=prev)
-        np.add(prev[:, None], A, out=scores)
-        into[t] = scores[scores.argmax(axis=0, out=back[t]), columns]
+        np.add(AT, prev, out=scores)
+        into[t] = flat[scores.argmax(axis=1, out=back[t]) + rows]
     return into, back
 
 

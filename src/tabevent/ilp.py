@@ -25,14 +25,18 @@ One lattice is built per label set and transition matrix and kept on the
 label set: the start labels, each label's allowed successors, the role
 bits, the transitions masked to the lattice and the transitions as Python
 floats. A search reads its scores as Python floats and expands each node
-over the allowed successors only; a per-decode memo of the roles still
+over the allowed successors only; a memo on the lattice of the roles still
 missing per begun set prunes paths that can no longer complete a group.
+
+A search pushes at most NODE_BUDGET x n x L nodes. Past that it returns
+the best paths it has finished, or the incumbent, and says that they are
+not proven optimal.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,6 +53,8 @@ _BRUTE_FORCE_LIMIT = 10**7
 # sentence length of the optimum, at most MAX_SOLUTIONS of them.
 LAMBDA_FACTOR = 0.5
 MAX_SOLUTIONS = 10
+# Nodes one search may push, per token and label, before it returns what it has.
+NODE_BUDGET = 200
 
 
 def check_decode_settings(lambda_factor: float, max_solutions: int) -> None:
@@ -100,8 +106,12 @@ class DecodeProblem:
 
 @dataclass
 class MultiDecodeResult:
+    """truncated says that a further sequence within the gap was cut; exact is false when the
+    search ran out of its node budget, so the sequences are not proven the best."""
+
     sequences: list[LabelSequence]
     truncated: bool = False
+    exact: bool = True
 
 
 def transition_lattice(labels: LabelSet) -> tuple[np.ndarray, np.ndarray]:
@@ -173,7 +183,8 @@ class _Lattice:
     label_bits[l] is the role bit a B- tag begins (0 otherwise), and
     group_masks holds one role bitmask per event type. allowed_A is the
     matrix with -inf off the lattice (read-only), and A the matrix as
-    Python floats.
+    Python floats. need memoizes `_need` per begun-role bitmask, filled on
+    first use.
     """
 
     key: bytes
@@ -183,6 +194,7 @@ class _Lattice:
     group_masks: tuple[int, ...]
     allowed_A: np.ndarray
     A: tuple[tuple[float, ...], ...]
+    need: dict[int, int] = field(default_factory=dict, compare=False)
 
 
 def _lattice(prob: DecodeProblem) -> _Lattice:
@@ -280,12 +292,16 @@ def _incumbent(
     return path, g
 
 
-def _search(prob: DecodeProblem, gap: float, k: int) -> list[tuple[list[int], float]]:
+def _search(prob: DecodeProblem, gap: float, k: int) -> tuple[list[tuple[list[int], float]], bool]:
     """Best-first branch-and-bound over token positions.
 
     Returns up to k feasible (path, score) pairs within `gap` of the
-    optimum, by descending score. Ties resolve like Viterbi: smallest label
-    index at the latest differing position.
+    optimum, by descending score, and True. Ties resolve like Viterbi:
+    smallest label index at the latest differing position.
+
+    Once it has pushed NODE_BUDGET x n x L nodes, it returns the pairs it
+    released, then the finished paths still waiting, best first and within
+    `gap` of the first; with none, the incumbent. Then the flag is False.
 
     The search prunes from its first expansion against a feasible incumbent
     of score g0 <= g*: until the optimum completes, best-first order never
@@ -302,8 +318,9 @@ def _search(prob: DecodeProblem, gap: float, k: int) -> list[tuple[list[int], fl
     # The search reads Python floats: the same sums as on numpy scalars,
     # bit for bit, at a fraction of the cost per node.
     P, S, nxt = prob.emissions.tolist(), into[::-1].tolist(), back[::-1]
-    _, g0 = _incumbent(prob.labels, P, lattice, S, nxt)
-    need: dict[int, int] = {}  # begun-role bitmask -> _need, for this decode
+    path0, g0 = _incumbent(prob.labels, P, lattice, S, nxt)
+    need = lattice.need
+    budget = NODE_BUDGET * n * len(succ)
 
     # Open nodes are (-f, node id, position, label, g, begun-role bitmask);
     # nodes[id] = (label, parent id) rebuilds the path. g is the prefix score
@@ -346,6 +363,10 @@ def _search(prob: DecodeProblem, gap: float, k: int) -> list[tuple[list[int], fl
                 reversed_path.append(label)
             heapq.heappush(done, (-g, tuple(reversed_path)))
             continue
+        if len(nodes) > budget:
+            found = results + [(list(reversed(p)), -neg) for neg, p in sorted(done)]
+            found = [(p, s) for p, s in found if found[0][1] - s <= gap]
+            return found[:k] or [(path0, g0)], False
         t += 1
         remaining = n - t - 1  # positions strictly after the child's
         A_l, P_t, S_t = A[l], P[t], S[t]
@@ -362,7 +383,7 @@ def _search(prob: DecodeProblem, gap: float, k: int) -> list[tuple[list[int], fl
                 continue
             nodes.append((nl, nid))
             heapq.heappush(heap, (-nf, len(nodes) - 1, t, nl, ng, nbegun))
-    return results
+    return results, True
 
 
 def _to_sequence(prob: DecodeProblem, path: list[int], score: float) -> LabelSequence:
@@ -371,7 +392,7 @@ def _to_sequence(prob: DecodeProblem, path: list[int], score: float) -> LabelSeq
 
 def ilp_decode(prob: DecodeProblem) -> LabelSequence:
     """Optimal feasible label sequence under C1-C4."""
-    path, score = _search(prob, 0.0, 1)[0]
+    path, score = _search(prob, 0.0, 1)[0][0]
     return _to_sequence(prob, path, score)
 
 
@@ -380,12 +401,14 @@ def ilp_decode_multi(prob: DecodeProblem) -> MultiDecodeResult:
 
     Returns, best first, the feasible sequences whose gap to the best is at
     most lambda_factor * sentence length, keeping at most max_solutions;
-    truncated says that a further sequence within the gap was cut.
+    truncated says that a further sequence within the gap was cut, and exact
+    is False when the node budget ran out first.
     """
-    found = _search(prob, prob.lambda_factor * prob.n, prob.max_solutions + 1)
+    found, exact = _search(prob, prob.lambda_factor * prob.n, prob.max_solutions + 1)
     return MultiDecodeResult(
         sequences=[_to_sequence(prob, p, s) for p, s in found[: prob.max_solutions]],
         truncated=len(found) > prob.max_solutions,
+        exact=exact,
     )
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import BinaryIO, Mapping, Sequence
 
 import numpy as np
@@ -33,7 +34,7 @@ _INIT_SCALE = 0.08
 _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator floor
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelConfig:
     vocab: dict[str, int]
     num_labels: int
@@ -62,6 +63,11 @@ class ModelConfig:
     @property
     def uses_keyargs(self) -> bool:
         return self.keyarg_embed_dim > 0
+
+    @cached_property
+    def layout(self) -> tuple:
+        """`expected_shapes` as a `Parameters.layout`, built on first use: the fields are frozen."""
+        return tuple(expected_shapes(self).items())
 
     def token_id(self, surface_normalized: str) -> int:
         return self.vocab.get(surface_normalized, self.vocab[UNK])
@@ -289,7 +295,8 @@ def forward(
     elif keyarg_ids is not None:
         raise ValueError("model was not configured with key-argument features")
 
-    _check_param_shapes(params, expected_shapes(cfg))
+    if params.layout != cfg.layout:
+        _check_param_shapes(params, expected_shapes(cfg))
     emb = params["embeddings"]
     x = emb[token_ids]
     if cfg.uses_keyargs:
@@ -467,7 +474,7 @@ def read_flat(fh: BinaryIO, layout, cfg: ModelConfig) -> Parameters:
     the tensor. Data that the rest of `fh` cannot hold is found before the buffer is
     allocated, so a header cannot make a small file claim a large allocation.
     """
-    shapes = expected_shapes(cfg)
+    shapes = dict(cfg.layout)
     for entry in _json_list(layout, "'layout'"):
         if not (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str)
                 and isinstance(entry[1], list)):
@@ -490,7 +497,7 @@ def read_flat(fh: BinaryIO, layout, cfg: ModelConfig) -> Parameters:
     while done < len(view) and (n := fh.readinto(view[done:])):
         done += n
     _check_fits(shapes, done)
-    params = _parameters_from_flat(flat.astype(np.float64, copy=False), tuple(shapes.items()), 0)
+    params = _parameters_from_flat(flat.astype(np.float64, copy=False), cfg.layout, 0)
     _check_finite(params)
     return params
 

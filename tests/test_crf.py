@@ -266,6 +266,65 @@ class TestOneLoopEachWay:
             assert np.float64(score).tobytes() == np.float64(want_score).tobytes()
 
 
+# `best_into` as it was when it laid each step's scores out as (i, j), verbatim: the reference
+# for TestBestIntoLayout.
+def reference_best_into(P, A):
+    n, L = P.shape
+    into = np.full((n, L), -0.0)
+    back = np.zeros((n, L), dtype=np.intp)
+    prev = np.empty(L)
+    scores = np.empty_like(A)  # A's layout, so that A.T's columns lie along memory
+    columns = np.arange(L)
+    for t in range(1, n):
+        np.add(into[t - 1], P[t - 1], out=prev)
+        np.add(prev[:, None], A, out=scores)
+        into[t] = scores[scores.argmax(axis=0, out=back[t]), columns]
+    return into, back
+
+
+def last_of_ties_best_into(P, A):
+    """The reference with each argmax taken over the labels in reverse: ties go to the last."""
+    n, L = P.shape
+    into = np.full((n, L), -0.0)
+    back = np.zeros((n, L), dtype=np.intp)
+    for t in range(1, n):
+        scores = (into[t - 1] + P[t - 1])[:, None] + A
+        back[t] = L - 1 - scores[::-1].argmax(axis=0)
+        into[t] = scores[back[t], np.arange(L)]
+    return into, back
+
+
+class TestBestIntoLayout:
+    """The (j, i) layout of the max loop keeps the bytes of into and back: on `chain_draws`
+    with -inf in none, 30% or 70% of the transitions, run forward and as the suffix pass runs
+    it, on (P[::-1], A.T); one token and one label included."""
+
+    @staticmethod
+    def mismatches(best_into):
+        rng = np.random.default_rng(15)
+        edges = [(rng.normal(size=(1, 7)), rng.normal(size=(7, 7))),
+                 (rng.normal(size=(9, 1)), rng.normal(size=(1, 1))),
+                 (-np.zeros((1, 1)), np.zeros((1, 1)))]
+        draws = [(P, A) for P, A, _ in chain_draws(16, 2100)] + edges
+        count, masks = 0, set()
+        for P, A in draws:
+            share = float(rng.choice([0.0, 0.3, 0.7]))
+            masks.add(share)
+            A = np.where(rng.random(size=A.shape) < share, -np.inf, A)
+            for args in ((P, A), (P[::-1], A.T)):
+                into, back = best_into(*args)
+                want_into, want_back = reference_best_into(*args)
+                count += into.tobytes() != want_into.tobytes() or back.tobytes() != want_back.tobytes()
+        assert masks == {0.0, 0.3, 0.7}
+        return count
+
+    def test_same_bytes_as_the_row_major_loop(self):
+        assert self.mismatches(crf.best_into) == 0
+
+    def test_taking_the_last_tied_maximum_shows(self):
+        assert self.mismatches(last_of_ties_best_into) > 0
+
+
 def test_gradient_check_seed_picks_instances(monkeypatch):
     """Seed 0 draws what default_rng(1000 + trial) draws; another seed draws anew."""
     seen = []

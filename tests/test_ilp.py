@@ -2,6 +2,8 @@ import dataclasses
 import gc
 import hashlib
 import itertools
+import time
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -382,6 +384,85 @@ class TestBitIdentity:
         assert digest.hexdigest() == want
 
 
+def flat_six_type_problem():
+    """6 event types x 3 key roles, 20 tokens, every score near 0: so many paths tie within
+    the bound that a search without a node budget ran out of memory here."""
+    roles = [f"t{i}:r{j}" for i in range(6) for j in range(3)]
+    labels = LabelSet(roles, {f"t{i}": roles[3 * i : 3 * i + 3] for i in range(6)})
+    rng = np.random.default_rng(0)
+    L = len(labels)
+    return DecodeProblem(rng.normal(0, 0.01, size=(20, L)), rng.normal(0, 0.01, size=(L, L)), labels)
+
+
+class TestNodeBudget:
+    @pytest.mark.parametrize("decoder", ["ilp", "ilp_multi"])
+    def test_flat_scores_over_six_groups_end_feasible(self, decoder):
+        """Under 2 s untraced, and a tracemalloc peak under 200 MB in a second decode."""
+        prob = flat_six_type_problem()
+
+        def decode():
+            return [ilp.ilp_decode(prob)] if decoder == "ilp" else ilp.ilp_decode_multi(prob).sequences
+
+        start = time.perf_counter()
+        sequences = decode()
+        assert time.perf_counter() - start < 2.0
+        assert sequences
+        for seq in sequences:
+            assert ilp.check_constraints(seq.tags, prob.labels) == []
+            assert seq.score == crf.seq_score(prob.emissions, prob.transitions,
+                                              [prob.labels.index(tag) for tag in seq.tags])
+        tracemalloc.start()
+        try:
+            decode()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 200e6
+
+    def test_says_when_it_ran_out(self):
+        assert not ilp.ilp_decode_multi(flat_six_type_problem()).exact
+        assert ilp.ilp_decode_multi(two_type_problem()).exact
+
+    def test_not_reached_on_the_pinned_draws(self):
+        """TestBitIdentity's draws; its typed ones push at most 103 nodes per token and label."""
+        for prob in itertools.chain(_random_problems(np.random.default_rng(1), 2000, ties=False),
+                                    _random_problems(np.random.default_rng(2), 600, ties=True),
+                                    _typed_problems(np.random.default_rng(3), 40)):
+            assert ilp._search(prob, prob.lambda_factor * prob.n, prob.max_solutions + 1)[1]
+
+    def test_no_budget_returns_the_incumbent(self, monkeypatch):
+        """With no node to spare, the first expansion ends the search; one token needs none."""
+        monkeypatch.setattr(ilp, "NODE_BUDGET", 0)
+        rng = np.random.default_rng(8)
+        for _ in range(100):
+            prob = oracle.random_problem(rng, max_len=8, max_labels=9, n_groups=3)
+            found, exact = ilp._search(prob, 2.0 * prob.n, 5)
+            assert exact if prob.n == 1 else (found, exact) == ([incumbent(prob)], False)
+
+    def test_over_budget_returns_finished_paths_best_first(self, monkeypatch):
+        """Feasible paths by descending score, within the gap of the first, which is at least the
+        incumbent. Paths still waiting on a tie are returned too: on integer scores some lists
+        are neither the incumbent nor the first results of the search without a budget."""
+        draws = list(_random_problems(np.random.default_rng(2), 300, ties=True))
+        exact_results = [ilp._search(prob, prob.lambda_factor * prob.n, prob.max_solutions + 1)[0]
+                         for prob in draws]
+        monkeypatch.setattr(ilp, "NODE_BUDGET", 2)
+        cut, with_waiting = 0, 0
+        for prob, full in zip(draws, exact_results):
+            gap = prob.lambda_factor * prob.n
+            found, exact = ilp._search(prob, gap, prob.max_solutions + 1)
+            scores = [score for _, score in found]
+            assert 1 <= len(found) <= prob.max_solutions + 1
+            assert scores == sorted(scores, reverse=True) and scores[0] - scores[-1] <= gap
+            assert scores[0] >= incumbent(prob)[1]
+            for path, score in found:
+                assert ilp.check_constraints([prob.labels.labels[l] for l in path], prob.labels) == []
+                assert score == crf.seq_score(prob.emissions, prob.transitions, path)
+            cut += not exact
+            with_waiting += found not in (full[: len(found)], [incumbent(prob)])
+        assert cut >= 50 and with_waiting >= 10
+
+
 class TestDecodeTables:
     def test_built_once_per_label_set(self):
         labels = LabelSet(["a", "b"], {"t": {"a", "b"}})
@@ -464,7 +545,7 @@ class TestOraclesBite:
 
     def test_ilp_decode_second_best(self, monkeypatch):
         def second_best(prob):
-            path, score = ilp._search(prob, float("inf"), 2)[-1]
+            path, score = ilp._search(prob, float("inf"), 2)[0][-1]
             return ilp._to_sequence(prob, path, score)
 
         monkeypatch.setattr(ilp, "ilp_decode", second_best)
