@@ -28,9 +28,10 @@ floats. A search reads its scores as Python floats and expands each node
 over the allowed successors only; a memo on the lattice of the roles still
 missing per begun set prunes paths that can no longer complete a group.
 
-A search pushes at most NODE_BUDGET x n x L nodes. Past that it returns
-the best paths it has finished, or the incumbent, and says that they are
-not proven optimal.
+A search pushes at most NODE_BUDGET x n x L nodes and never more than
+NODE_CAP, about 300 MB of nodes whatever the sentence's length. Past that
+it returns the best paths it has finished, or the incumbent, and says that
+they are not proven optimal.
 """
 
 from __future__ import annotations
@@ -53,8 +54,10 @@ _BRUTE_FORCE_LIMIT = 10**7
 # sentence length of the optimum, at most MAX_SOLUTIONS of them.
 LAMBDA_FACTOR = 0.5
 MAX_SOLUTIONS = 10
-# Nodes one search may push, per token and label, before it returns what it has.
+# Nodes one search may push, per token and label and at most NODE_CAP in all, before it
+# returns what it has.
 NODE_BUDGET = 200
+NODE_CAP = 10**6
 
 
 def check_decode_settings(lambda_factor: float, max_solutions: int) -> None:
@@ -114,18 +117,24 @@ class MultiDecodeResult:
     exact: bool = True
 
 
-def transition_lattice(labels: LabelSet) -> tuple[np.ndarray, np.ndarray]:
-    """(start_ok, allowed) boolean masks implementing the C3 rules."""
+def transition_lattice(labels: LabelSet) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:
+    """(start_ok, allowed, label_bits, group_masks): the C3 masks, each label's began-role bit
+    (B- tags only; roles numbered by position in labels.roles) and each group's role bitmask."""
     L = len(labels)
+    role_bit = {role: 1 << i for i, role in enumerate(labels.roles)}
     start_ok = np.ones(L, dtype=bool)
     allowed = np.ones((L, L), dtype=bool)
+    label_bits = np.zeros(L, dtype=np.int64)
     for j, tag in enumerate(labels.labels):
         if tag.startswith("I-"):
             role = tag[2:]
             start_ok[j] = False
             for i, prev in enumerate(labels.labels):
                 allowed[i, j] = prev in (f"B-{role}", f"I-{role}")
-    return start_ok, allowed
+        elif tag.startswith("B-"):
+            label_bits[j] = role_bit[tag[2:]]
+    group_masks = [sum(role_bit[role] for role in group) for _, group in sorted(labels.groups.items())]
+    return start_ok, allowed, label_bits, group_masks
 
 
 def check_constraints(tags, labels: LabelSet) -> list[str]:
@@ -153,25 +162,6 @@ def check_constraints(tags, labels: LabelSet) -> list[str]:
                 f"without {missing}"
             )
     return violations
-
-
-def _group_masks(labels: LabelSet) -> tuple[np.ndarray, list[int]]:
-    """Per-label began-role bit and per-group role bitmask.
-
-    Roles are numbered by position in labels.roles; only B- tags set bits.
-    """
-    role_bit = {role: 1 << i for i, role in enumerate(labels.roles)}
-    label_bits = np.zeros(len(labels), dtype=np.int64)
-    for j, tag in enumerate(labels.labels):
-        if tag.startswith("B-"):
-            label_bits[j] = role_bit[tag[2:]]
-    group_masks = []
-    for _, group in sorted(labels.groups.items()):
-        mask = 0
-        for role in group:
-            mask |= role_bit[role]
-        group_masks.append(mask)
-    return label_bits, group_masks
 
 
 @dataclass(frozen=True)
@@ -203,9 +193,8 @@ def _lattice(prob: DecodeProblem) -> _Lattice:
     Keyed by the transitions' bytes: a model decodes every sentence with one
     matrix, and a different or in-place-edited matrix is built again rather
     than served stale. A LabelSet is never changed after construction. Built
-    from the tags directly rather than from transition_lattice and
-    _group_masks, which the brute-force oracle keeps using, so the oracle
-    checks this lattice too.
+    from the tags directly rather than from transition_lattice, which the
+    brute-force oracle keeps using, so the oracle checks this lattice too.
     """
     labels, transitions = prob.labels, prob.transitions
     key = transitions.tobytes()
@@ -299,7 +288,7 @@ def _search(prob: DecodeProblem, gap: float, k: int) -> tuple[list[tuple[list[in
     optimum, by descending score, and True. Ties resolve like Viterbi:
     smallest label index at the latest differing position.
 
-    Once it has pushed NODE_BUDGET x n x L nodes, it returns the pairs it
+    Past its node budget (NODE_BUDGET, NODE_CAP), it returns the pairs it
     released, then the finished paths still waiting, best first and within
     `gap` of the first; with none, the incumbent. Then the flag is False.
 
@@ -320,7 +309,7 @@ def _search(prob: DecodeProblem, gap: float, k: int) -> tuple[list[tuple[list[in
     P, S, nxt = prob.emissions.tolist(), into[::-1].tolist(), back[::-1]
     path0, g0 = _incumbent(prob.labels, P, lattice, S, nxt)
     need = lattice.need
-    budget = NODE_BUDGET * n * len(succ)
+    budget = min(NODE_BUDGET * n * len(succ), NODE_CAP)
 
     # Open nodes are (-f, node id, position, label, g, begun-role bitmask);
     # nodes[id] = (label, parent id) rebuilds the path. g is the prefix score
@@ -440,8 +429,7 @@ def _ranked(seqs: np.ndarray, scores: np.ndarray) -> np.ndarray:
 def _feasible_ranked(prob: DecodeProblem) -> tuple[np.ndarray, np.ndarray]:
     """Every path of prob that meets C1-C4, one per row, and their scores, in `_ranked`'s order."""
     seqs = _all_paths(*prob.emissions.shape)
-    start_ok, allowed = transition_lattice(prob.labels)
-    label_bits, group_masks = _group_masks(prob.labels)
+    start_ok, allowed, label_bits, group_masks = transition_lattice(prob.labels)
     ok = start_ok[seqs[:, 0]].copy()
     bits = label_bits[seqs[:, 0]]
     for i in range(1, prob.n):

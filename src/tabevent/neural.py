@@ -135,14 +135,13 @@ def expected_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-def _check_param_shapes(params: Mapping[str, np.ndarray], shapes: Mapping[str, tuple]) -> None:
-    for name, shape in shapes.items():
-        if name not in params:
+def _check_shapes(got: Mapping[str, tuple], cfg: ModelConfig) -> None:
+    """An error naming the first tensor of `cfg.layout` that `got`, shapes by name, lacks or misshapes."""
+    for name, shape in cfg.layout:
+        if name not in got:
             raise ValueError(f"missing parameter {name!r}")
-        if params[name].shape != shape:
-            raise ValueError(
-                f"parameter {name!r} has shape {params[name].shape}, expected {shape}"
-            )
+        if got[name] != shape:
+            raise ValueError(f"parameter {name!r} has shape {got[name]}, expected {shape}")
 
 
 class Parameters(Mapping[str, np.ndarray]):
@@ -296,7 +295,7 @@ def forward(
         raise ValueError("model was not configured with key-argument features")
 
     if params.layout != cfg.layout:
-        _check_param_shapes(params, expected_shapes(cfg))
+        _check_shapes(dict(params.layout), cfg)
     emb = params["embeddings"]
     x = emb[token_ids]
     if cfg.uses_keyargs:
@@ -482,11 +481,7 @@ def read_flat(fh: BinaryIO, layout, cfg: ModelConfig) -> Parameters:
     got = {name: tuple(shape) for name, shape in layout}
     for name in sorted(got.keys() - shapes.keys()):
         raise ValueError(f"unexpected parameter {name!r}")
-    for name, shape in shapes.items():
-        if name not in got:
-            raise ValueError(f"missing parameter {name!r}")
-        if got[name] != shape:
-            raise ValueError(f"parameter {name!r} has shape {got[name]}, expected {shape}")
+    _check_shapes(got, cfg)
     if [name for name, _ in layout] != list(shapes):
         raise ValueError(f"the layout lists {[name for name, _ in layout]}, expected {list(shapes)}")
     here = fh.tell()

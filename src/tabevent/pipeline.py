@@ -139,6 +139,8 @@ class ExtractorModel:
                 }
                 for event_type in sorted(stages["stage1"].label_set.groups.keys() - schemas.keys()):
                     raise ValueError(f"stage1: event type {event_type!r} has no schema")
+                if build_label_sets(schemas) != (stages["stage1"].label_set, stages["stage2"].label_set):
+                    raise ValueError("the label sets are not those the schemas build")
             except KeyError as exc:
                 raise ValueError(f"{where}: missing field {exc}") from None
             except ValueError as exc:
@@ -223,15 +225,16 @@ def stage2(
     model: TaggerModel,
     labels1: LabelSet,
     detections: Sequence[tuple[str, LabelSequence]],
-    schemas: Mapping[str, EventSchema],
 ) -> list[EventMention]:
     """Fill in non-key arguments for each stage-1 detection.
 
-    Plain Viterbi decoding. Stage-1 key spans are taken first, then stage-2
-    non-key spans, left to right; a span is kept only if its role is still
-    unclaimed and none of its tokens is taken. Non-key spans therefore never
-    displace a key span, and of two stage-1 spans of one key role the
-    leftmost is kept.
+    Plain Viterbi decoding. Roles come from the label sets, which `ExtractorModel.load`
+    checks against the schemas: a detection's key roles are its type's group in `labels1`,
+    and stage 2's labels hold non-key roles only, so a span of the detected type is an
+    argument. Stage-1 key spans are taken first, then stage-2 non-key spans, left to right;
+    a span is kept only if its role is still unclaimed and none of its tokens is taken.
+    Non-key spans therefore never displace a key span, and of two stage-1 spans of one key
+    role the leftmost is kept.
     """
     if model.cfg.num_keyarg_labels != len(labels1):
         raise ValueError(
@@ -240,21 +243,17 @@ def stage2(
         )
     mentions: list[EventMention] = []
     for event_type, seq in detections:
-        schema = schemas[event_type]
-        key_roles = {role_label(event_type, p) for p in schema.key_args}
-        feature_ids = project_tags(seq.tags, labels1, key_roles)
+        feature_ids = project_tags(seq.tags, labels1, labels1.groups[event_type])
         P = model.emissions(sentence, keyarg_ids=feature_ids)
         path, _ = crf.viterbi(P, model.transitions)
         tags2 = [model.label_set.labels[i] for i in path]
 
-        candidates = [(span, schema.key_args) for span in spans_from_tags(seq.tags)]
-        candidates += [(span, schema.nonkey_args) for span in spans_from_tags(tags2)]
         arguments: list[Argument] = []
         claimed_roles: set[str] = set()
         occupied: set[int] = set()
-        for (role, start, end), props in candidates:
+        for role, start, end in spans_from_tags(seq.tags) + spans_from_tags(tags2):
             role_type, prop = split_role(role)
-            if role_type != event_type or prop not in props or prop in claimed_roles:
+            if role_type != event_type or prop in claimed_roles:
                 continue
             tokens = set(range(start, end))
             if tokens & occupied:
@@ -276,9 +275,7 @@ def extract_sentence(
 ) -> dict:
     """Full two-stage extraction of one sentence into an output record."""
     detections = stage1(sentence, model.stage1, decoder, lambda_factor, max_solutions)
-    mentions = stage2(
-        sentence, model.stage2, model.stage1.label_set, detections, model.schemas
-    )
+    mentions = stage2(sentence, model.stage2, model.stage1.label_set, detections)
     surfaces = sentence.surfaces
     events = [
         {
@@ -455,11 +452,9 @@ def train_pipeline(
         for event_type in sorted(rec.get("event_types", [])):
             if event_type not in schemas:
                 raise ValueError(f"record {rec.get('sentence_id')}: unknown event type {event_type!r}")
-            schema = schemas[event_type]
-            key_roles = {role_label(event_type, p) for p in schema.key_args}
-            nonkey_roles = {role_label(event_type, p) for p in schema.nonkey_args}
+            nonkey_roles = {role_label(event_type, p) for p in schemas[event_type].nonkey_args}
             gold2 = project_tags(tags, labels2, nonkey_roles)
-            feature_ids = project_tags(tags, labels1, key_roles)
+            feature_ids = project_tags(tags, labels1, labels1.groups[event_type])
             stage2_instances.append(_Instance(token_ids, gold2, keyarg_ids=feature_ids))
 
     # Stage 2 trains on the gold key labels, not on stage 1's output, so the two

@@ -497,6 +497,9 @@ class TestPipelineCommands:
              "stage2: vocab entry 'microsoft' has id -1, outside [0, "),
             ("model", lambda m: m["schemas"].pop(0),
              "stage1: event type 'business.acquisition' has no schema"),
+            ("model", lambda m: m["schemas"][0].update(key_args=m["schemas"][0]["nonkey_args"],
+                                                       nonkey_args=m["schemas"][0]["key_args"]),
+             ": the label sets are not those the schemas build"),
             ("model", lambda m: m.update(format_version=True),
              ": unsupported model format version True"),
             ("model", lambda m: m.update(format_version=1.0),
@@ -660,7 +663,8 @@ class TestPipelineCommands:
              "dataset-list-type", "dataset-int-polarity", "model-null-num-labels",
              "model-list-importance", "corpus-empty-sentence", "dataset-empty-record",
              "model-nan-tensor", "tables-repeated-type", "model-vocab-id-large",
-             "model-vocab-id-negative", "model-type-without-schema", "model-version-bool",
+             "model-vocab-id-negative", "model-type-without-schema", "model-key-args-swapped",
+             "model-version-bool",
              "model-version-float", "corpus-short-heads", "tables-unused-property",
              "tables-no-entries", "pred-missing-id", "pred-list-id", "pred-stray-id",
              "pred-int-events", "pred-string-event", "pred-missing-type", "pred-missing-role",

@@ -384,14 +384,21 @@ class TestBitIdentity:
         assert digest.hexdigest() == want
 
 
+def flat_problem(n_types, n_tokens):
+    """n_types event types x 3 key roles over n_tokens tokens, emissions and then transitions
+    drawn N(0, 0.01) from default_rng(0)."""
+    roles = [f"t{i}:r{j}" for i in range(n_types) for j in range(3)]
+    labels = LabelSet(roles, {f"t{i}": roles[3 * i : 3 * i + 3] for i in range(n_types)})
+    rng = np.random.default_rng(0)
+    L = len(labels)
+    return DecodeProblem(rng.normal(0, 0.01, size=(n_tokens, L)), rng.normal(0, 0.01, size=(L, L)),
+                         labels)
+
+
 def flat_six_type_problem():
     """6 event types x 3 key roles, 20 tokens, every score near 0: so many paths tie within
     the bound that a search without a node budget ran out of memory here."""
-    roles = [f"t{i}:r{j}" for i in range(6) for j in range(3)]
-    labels = LabelSet(roles, {f"t{i}": roles[3 * i : 3 * i + 3] for i in range(6)})
-    rng = np.random.default_rng(0)
-    L = len(labels)
-    return DecodeProblem(rng.normal(0, 0.01, size=(20, L)), rng.normal(0, 0.01, size=(L, L)), labels)
+    return flat_problem(6, 20)
 
 
 class TestNodeBudget:
@@ -463,6 +470,27 @@ class TestNodeBudget:
         assert cut >= 50 and with_waiting >= 10
 
 
+class TestNodeCap:
+    def test_cap_below_the_budget_ends_the_search(self, monkeypatch):
+        """A cap of 2 x n x L nodes ends the search where NODE_BUDGET = 2 does, quickly, with
+        feasible paths that are not proven the best."""
+        prob = flat_six_type_problem()
+        gap, k = prob.lambda_factor * prob.n, prob.max_solutions + 1
+        monkeypatch.setattr(ilp, "NODE_BUDGET", 2)
+        by_budget = ilp._search(prob, gap, k)
+        monkeypatch.undo()
+        monkeypatch.setattr(ilp, "NODE_CAP", 2 * prob.n * len(prob.labels))
+        start = time.perf_counter()
+        found, exact = ilp._search(prob, gap, k)
+        assert time.perf_counter() - start < 0.5
+        assert (found, exact) == by_budget and not exact
+        for path, score in found:
+            assert ilp.check_constraints([prob.labels.labels[l] for l in path], prob.labels) == []
+            assert score == crf.seq_score(prob.emissions, prob.transitions, path)
+        assert not ilp.ilp_decode_multi(prob).exact
+        assert ilp.check_constraints(ilp.ilp_decode(prob).tags, prob.labels) == []
+
+
 class TestDecodeTables:
     def test_built_once_per_label_set(self):
         labels = LabelSet(["a", "b"], {"t": {"a", "b"}})
@@ -478,8 +506,7 @@ class TestDecodeTables:
             labels = oracle.random_label_set(rng, max_labels=9, n_groups=3)
             A = rng.normal(size=(len(labels), len(labels)))
             lattice = ilp._lattice(DecodeProblem(np.zeros((1, len(labels))), A, labels))
-            start_ok, allowed = ilp.transition_lattice(labels)
-            label_bits, group_masks = ilp._group_masks(labels)
+            start_ok, allowed, label_bits, group_masks = ilp.transition_lattice(labels)
             assert lattice.key == A.tobytes()
             assert lattice.starts == tuple(np.flatnonzero(start_ok).tolist())
             assert lattice.succ == tuple(tuple(np.flatnonzero(row).tolist()) for row in allowed)

@@ -178,7 +178,7 @@ class TestStage2:
         model2 = FixedTagger(
             force_emissions(labels2, out_tags), np.zeros((len(labels2),) * 2), labels2, cfg=cfg2
         )
-        mentions = stage2(sent, model2, labels1, self.detection(labels1, key_tags), schemas)
+        mentions = stage2(sent, model2, labels1, self.detection(labels1, key_tags))
         assert len(mentions) == 1
         args = {(a.role, a.start, a.end) for a in mentions[0].arguments}
         assert args == {("employee", 0, 1), ("employer", 2, 3), ("title", 3, 5)}
@@ -192,7 +192,7 @@ class TestStage2:
         model2 = FixedTagger(
             force_emissions(labels2, out_tags), np.zeros((len(labels2),) * 2), labels2, cfg=cfg2
         )
-        mentions = stage2(sent, model2, labels1, self.detection(labels1, key_tags), schemas)
+        mentions = stage2(sent, model2, labels1, self.detection(labels1, key_tags))
         roles = {a.role for a in mentions[0].arguments}
         assert roles == {"employee", "employer"}
         key_args = {(a.role, a.start, a.end) for a in mentions[0].arguments}
@@ -206,7 +206,7 @@ class TestStage2:
         model2 = FixedTagger(
             force_emissions(labels2, out_tags), np.zeros((len(labels2),) * 2), labels2, cfg=cfg2
         )
-        mentions = stage2(sent, model2, labels1, self.detection(labels1, key_tags), schemas)
+        mentions = stage2(sent, model2, labels1, self.detection(labels1, key_tags))
         assert {a.role for a in mentions[0].arguments} == {"employee", "employer"}
 
     def test_duplicate_role_keeps_leftmost(self, fixture_corpus):
@@ -217,7 +217,7 @@ class TestStage2:
         model2 = FixedTagger(
             force_emissions(labels2, out_tags), np.zeros((len(labels2),) * 2), labels2, cfg=cfg2
         )
-        mentions = stage2(sent, model2, labels1, self.detection(labels1, key_tags), schemas)
+        mentions = stage2(sent, model2, labels1, self.detection(labels1, key_tags))
         titles = [(a.start, a.end) for a in mentions[0].arguments if a.role == "title"]
         assert titles == [(3, 4)]
 
@@ -239,7 +239,7 @@ class TestStage2:
             np.zeros((3, len(labels2))), np.zeros((len(labels2),) * 2), labels2, cfg=cfg2
         )
         detections = [("t", LabelSequence(key_tags, score=0.0))]
-        mentions = stage2(sent, model2, labels1, detections, schemas)
+        mentions = stage2(sent, model2, labels1, detections)
         assert len(mentions) == 1
         assert [(a.role, a.start, a.end) for a in mentions[0].arguments] == [("a", 0, 1)]
 
@@ -256,7 +256,7 @@ class TestStage2:
             np.zeros((len(sent), len(labels2))), np.zeros((len(labels2),) * 2), labels2, cfg=cfg_bad
         )
         with pytest.raises(ValueError, match="key-argument"):
-            stage2(sent, model2, labels1, self.detection(labels1, ["O"] * len(sent)), schemas)
+            stage2(sent, model2, labels1, self.detection(labels1, ["O"] * len(sent)))
 
 
 def fast_settings(**kwargs):
@@ -776,6 +776,19 @@ class TestModelFormatV3Validation:
                            header=lambda p: p["stage2"]["label_set"]["roles"].pop())
         with pytest.raises(ValueError, match=r"stage2: the label set has \d+ labels, the network \d+"):
             ExtractorModel.load(path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda p: p["schemas"][0].update(key_args=p["schemas"][0]["nonkey_args"],
+                                         nonkey_args=p["schemas"][0]["key_args"]),
+        lambda p: p["stage2"]["label_set"]["roles"].reverse(),
+        lambda p: p["schemas"].append({**p["schemas"][1], "event_type": "people.divorce"}),
+    ], ids=["key-args-swapped", "stage2-roles-reordered", "schema-without-labels"])
+    def test_label_sets_other_than_the_schemas_build(self, model_path, tmp_path, edit):
+        """Extraction reads roles from the label sets alone, so they must be the schemas'."""
+        path = self.edited(model_path, tmp_path, header=edit)
+        with pytest.raises(ValueError) as exc:
+            ExtractorModel.load(path)
+        assert str(exc.value) == f"{path}: the label sets are not those the schemas build"
 
     def test_stage2_features_disagree_with_stage1(self, tmp_path):
         """Stage 2 takes one feature per stage-1 label; a stage 1 of other labels is refused."""
