@@ -28,27 +28,23 @@ def _header(seed: int | None, command: str) -> dict:
     return rec
 
 
-def _write_json(path: str, payload: dict, meta: dict) -> None:
-    payload = {"meta": meta, **payload}
+def _write_json(path: str, payload: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=False)
+        json.dump(payload, fh, indent=2)
         fh.write("\n")
 
 
 def _write_manifest(
     out_path: str, command: str, inputs: dict, outputs: list[str], seed: int | None, t0: float
 ) -> None:
-    manifest = {
+    _write_json(out_path + ".manifest.json", {
         "command": command,
         "inputs": inputs,
         "outputs": outputs,
         "seed": seed,
         "version": __version__,
         "wall_time_s": round(time.monotonic() - t0, 6),
-    }
-    with open(out_path + ".manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+    })
 
 
 @contextlib.contextmanager
@@ -179,7 +175,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     supervision.write_dataset(args.out, records, header=header)
     outputs = [args.out]
     if args.stats:
-        _write_json(args.stats, report, header)
+        _write_json(args.stats, {"meta": header, **report})
         outputs.append(args.stats)
     inputs = {"tables": args.tables, "corpus": args.corpus, "aliases": args.aliases}
     _write_manifest(args.out, "gen", inputs, outputs, args.seed, t0)
@@ -236,7 +232,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         gold = [evaluation.mentions_from_record(rec, schemas)
                 for rec in supervision.check_dataset(gold, args.gold)]
     metrics = evaluation.score_all_standards(read_jsonl(args.pred), gold, schemas, (args.pred, args.gold))
-    _write_json(args.out, metrics, _header(None, "eval"))
+    _write_json(args.out, {"meta": _header(None, "eval"), **metrics})
     inputs = {"pred": args.pred, "gold": args.gold}
     _write_manifest(args.out, "eval", inputs, [args.out], None, t0)
     for standard, scores in metrics.items():
@@ -265,8 +261,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     for path in args.dataset:
         records = supervision.read_dataset(path)
         rows.append(supervision.dataset_report(records, name=path))
-    payload = {"datasets": rows}
-    _write_json(args.out, payload, _header(None, "report"))
+    _write_json(args.out, {"meta": _header(None, "report"), "datasets": rows})
     _write_manifest(args.out, "report", {"datasets": args.dataset}, [args.out], None, t0)
     for row in rows:
         print(

@@ -435,19 +435,10 @@ class Argument:
 
 @dataclass(frozen=True)
 class EventMention:
+    """An extracted event; `pipeline.stage2` claims its arguments, one span per role, disjoint."""
+
     event_type: str
     arguments: tuple[Argument, ...]
-
-    def __post_init__(self) -> None:
-        roles = [a.role for a in self.arguments]
-        if len(set(roles)) != len(roles):
-            raise ValueError(f"mention {self.event_type}: duplicate argument roles")
-        spans = sorted((a.start, a.end) for a in self.arguments)
-        for (s1, e1), (s2, _) in zip(spans, spans[1:]):
-            if s2 < e1:
-                raise ValueError(
-                    f"mention {self.event_type}: overlapping argument spans"
-                )
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from .core import (
     normalize_surface,
     spans_from_tags,
 )
-from .supervision import role_label, split_role
+from .supervision import claim_spans, role_label, split_role
 
 DECODERS = ("viterbi", "ilp", "ilp_multi")
 
@@ -132,6 +132,10 @@ class ExtractorModel:
                 if takes != given:
                     raise ValueError(f"the network takes {takes} key-argument labels, stage 1's "
                                      f"label set has {given}")
+                where = f"{path}: stage1"
+                if stages["stage1"].cfg.uses_keyargs:
+                    raise ValueError(f"the network takes {stages['stage1'].cfg.num_keyarg_labels} "
+                                     "key-argument labels, which only stage 2 is given")
                 where = path
                 schemas = {
                     schema.event_type: schema
@@ -231,10 +235,10 @@ def stage2(
     Plain Viterbi decoding. Roles come from the label sets, which `ExtractorModel.load`
     checks against the schemas: a detection's key roles are its type's group in `labels1`,
     and stage 2's labels hold non-key roles only, so a span of the detected type is an
-    argument. Stage-1 key spans are taken first, then stage-2 non-key spans, left to right;
-    a span is kept only if its role is still unclaimed and none of its tokens is taken.
-    Non-key spans therefore never displace a key span, and of two stage-1 spans of one key
-    role the leftmost is kept.
+    argument. The type's stage-1 key spans and then its stage-2 non-key spans, left to right,
+    go through `claim_spans` named by property, as `gen` labels a sentence. Non-key spans
+    therefore never displace a key span, and of two stage-1 spans of one key role the
+    leftmost is kept.
     """
     if model.cfg.num_keyarg_labels != len(labels1):
         raise ValueError(
@@ -248,21 +252,12 @@ def stage2(
         path, _ = crf.viterbi(P, model.transitions)
         tags2 = [model.label_set.labels[i] for i in path]
 
-        arguments: list[Argument] = []
-        claimed_roles: set[str] = set()
-        occupied: set[int] = set()
-        for role, start, end in spans_from_tags(seq.tags) + spans_from_tags(tags2):
-            role_type, prop = split_role(role)
-            if role_type != event_type or prop in claimed_roles:
-                continue
-            tokens = set(range(start, end))
-            if tokens & occupied:
-                continue
-            arguments.append(Argument(prop, start, end))
-            claimed_roles.add(prop)
-            occupied |= tokens
-        arguments.sort(key=lambda a: (a.start, a.end, a.role))
-        mentions.append(EventMention(event_type, tuple(arguments)))
+        spans = [(*split_role(role), start, end)
+                 for role, start, end in spans_from_tags(seq.tags) + spans_from_tags(tags2)]
+        kept, _ = claim_spans((prop, start, end) for role_type, prop, start, end in spans
+                              if role_type == event_type)
+        arguments = tuple(Argument(*span) for span in sorted(kept, key=lambda span: span[1]))
+        mentions.append(EventMention(event_type, arguments))
     return mentions
 
 

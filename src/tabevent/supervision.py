@@ -339,22 +339,23 @@ class LabeledInstance:
     diagnostics: list[str] = field(default_factory=list)
 
 
-def _claim_free_spans(
-    candidates: Iterable[tuple[str, int, int]],
-) -> tuple[list[tuple[str, int, int]], list[tuple[str, int, int]]]:
-    """Walk (name, start, end) spans in order, keeping each whose tokens are free.
+def claim_spans(candidates: Iterable[tuple]) -> tuple[list[tuple], list[tuple]]:
+    """Walk (name, start, end) spans in order, keeping each whose name is not kept yet and
+    whose tokens are free; the one claim rule of labelling, merging and stage 2.
 
     Returns the kept spans and the dropped spans, both in walk order.
     """
-    kept: list[tuple[str, int, int]] = []
-    dropped: list[tuple[str, int, int]] = []
+    kept: list[tuple] = []
+    dropped: list[tuple] = []
+    names: set = set()
     occupied: set[int] = set()
     for name, start, end in candidates:
         tokens = set(range(start, end))
-        if tokens & occupied:
+        if name in names or tokens & occupied:
             dropped.append((name, start, end))
             continue
         kept.append((name, start, end))
+        names.add(name)
         occupied |= tokens
     return kept, dropped
 
@@ -373,7 +374,7 @@ def label_sentence(
     not validated up front (generate_dataset checks every parse once), but a
     dependency walk that fails on it raises the parse's first violation.
     """
-    kept_spans, dropped = _claim_free_spans(
+    kept_spans, dropped = claim_spans(
         (p, *matches[p]) for p in _by_importance(schema.importance, matches)
     )
     diagnostics = [
@@ -403,24 +404,24 @@ def _merge_positive_instances(
 ) -> dict:
     """Fold one sentence's (entry id, positive instance) pairs into a single record.
 
-    Span conflicts keep the first role in (event type, entry id) order and
-    are logged; such shared spans stay recoverable per type through the
-    record's event_types list.
+    Span conflicts keep the first span in (event type, entry id) order and are logged; the
+    claim name is (entry, role), so entries of one type each keep a span of a role. Shared
+    spans stay recoverable per type through the record's event_types list.
     """
     instances = sorted(instances, key=lambda pair: (pair[1].event_type, pair[0]))
-    kept, dropped = _claim_free_spans(
-        (role_label(inst.event_type, prop), *inst.spans[prop])
-        for _, inst in instances
+    kept, dropped = claim_spans(
+        ((k, role_label(inst.event_type, prop)), *inst.spans[prop])
+        for k, (_, inst) in enumerate(instances)
         for prop in _by_importance(schemas[inst.event_type].importance, inst.spans)
     )
     diagnostics.extend(
         f"merge-overlap: dropped {role} span [{start},{end}) in {sentence.id}"
-        for role, start, end in dropped
+        for (_, role), start, end in dropped
     )
     return {
         "sentence_id": sentence.id,
         "tokens": list(sentence.surfaces),
-        "labels": tags_from_spans(len(sentence), kept),
+        "labels": tags_from_spans(len(sentence), ((role, s, e) for (_, role), s, e in kept)),
         "event_types": sorted({inst.event_type for _, inst in instances}),
         "polarity": "positive",
     }
@@ -431,23 +432,24 @@ def _indexed_matcher(
 ) -> Callable[[ParsedSentence], list[tuple[EventTable, TableEntry, dict[str, tuple[int, int]]]]]:
     """A run's matcher: each entry a sentence matches, with its matched spans.
 
-    Inverts the alias map once, then indexes each value's forms
-    (`_value_forms`), normalizing the value once, under its (table, entry)
-    position, since entry ids need not be unique, and property. A pair may
-    repeat under a form that two values share; the scan keeps the first of
-    equal spans, so that changes nothing. A sentence is scanned once; the
-    entries with a span come back in (table, entry) order. An entry with no
-    span is never labelled, which skips only a `trivial` negative without
-    diagnostics.
+    Normalizes the alias map (so a map given in code may use any case) and
+    inverts it once, then indexes each value's forms (`_value_forms`),
+    normalizing the value once, under its (table, entry) position, since
+    entry ids need not be unique, and property. A pair may repeat under a
+    form that two values share; the scan keeps the first of equal spans, so
+    that changes nothing. A sentence is scanned once; the entries with a span
+    come back in (table, entry) order. An entry with no span is never
+    labelled, which skips only a `trivial` negative without diagnostics.
     """
-    redirects = _redirects(cfg.alias_map)
+    alias_map = {normalize_surface(s): normalize_surface(c) for s, c in cfg.alias_map.items()}
+    redirects = _redirects(alias_map)
     entries = [(table, entry) for table in tables for entry in table.entries]
     index, widths = _pattern_index(
         (k, prop, tuple(form.split()))
         for k, (_, entry) in enumerate(entries)
         for prop, values in sorted(entry.values.items())
         for value in values
-        for form in _value_forms(normalize_surface(value), cfg.alias_map, redirects)
+        for form in _value_forms(normalize_surface(value), alias_map, redirects)
     )
 
     def match(sentence: ParsedSentence) -> list:
@@ -486,11 +488,12 @@ def generate_dataset(
 
     diagnostics: list[str] = []
     outcomes: list[dict | tuple[str, int | None]] = []
+    pools: dict[str, list[int]] = {"partial": [], "distance": [], "trivial": []}
     trigger_counts: dict[str, dict[str, int]] = {}
     positive_instances = 0
     reason_rank = {"distance": 0, "partial": 1, "trivial": 2}
 
-    for sentence in corpus:
+    for pos, sentence in enumerate(corpus):
         positives: list[tuple[str, LabeledInstance]] = []
         negatives: list[tuple[str, int | None]] = []
         for table, entry, spans in match(sentence):
@@ -506,15 +509,12 @@ def generate_dataset(
             else:
                 negatives.append((inst.reason, inst.max_key_distance))
         positive_instances += len(positives)
-        outcomes.append(
-            _merge_positive_instances(sentence, positives, schemas, diagnostics) if positives
-            else min(negatives, key=lambda neg: reason_rank[neg[0]], default=("trivial", None))
-        )
-
-    pools: dict[str, list[int]] = {"partial": [], "distance": [], "trivial": []}
-    for pos, outcome in enumerate(outcomes):
-        if isinstance(outcome, tuple):
-            pools[outcome[0]].append(pos)
+        if positives:
+            outcomes.append(_merge_positive_instances(sentence, positives, schemas, diagnostics))
+        else:
+            best = min(negatives, key=lambda neg: reason_rank[neg[0]], default=("trivial", None))
+            pools[best[0]].append(pos)
+            outcomes.append(best)
 
     n_pos = len(outcomes) - sum(map(len, pools.values()))
     rng = random.Random(seed)

@@ -5,7 +5,7 @@ import pathlib
 import threading
 
 import pytest
-from test_pipeline import edited_model, tensor_offset
+from test_pipeline import edited_model, stage1_with_key_argument_features, tensor_offset
 
 import tabevent
 from tabevent import cli, oracle
@@ -17,7 +17,9 @@ from tabevent.pipeline import ExtractorModel
 # `load` and `save` with its `meta`; and what `extract` wrote from it with the k-best decoder on
 # fixtures/s1s4_corpus.jsonl when format 1 was the format `train` wrote. The metrics are what
 # `eval` wrote for that output against the README's gen output, with the model's schemas, when
-# events were paired greedily by argument overlap.
+# events were paired greedily by argument overlap. `model_v1_pred_viterbi.jsonl` and
+# `model_v1_pred_ilp.jsonl` are what `extract` wrote from the format-3 model on the same corpus
+# with the other two decoders; neither finds an event there.
 DATA = pathlib.Path(__file__).resolve().parent / "data"
 MODEL, PRED, METRICS = (DATA / name for name in
                         ("model_v3.bin", "model_v1_pred_multi.jsonl", "model_v1_metrics.json"))
@@ -328,9 +330,11 @@ class TestPipelineCommands:
 
     def test_extract_matches_committed_output(self, fixture_paths, tmp_path):
         out = tmp_path / "pred.jsonl"
-        assert run(["extract", "--model", str(MODEL), "--corpus", fixture_paths["corpus"],
-                    "--out", str(out), "--decoder", "ilp_multi"]) == 0
-        assert out.read_bytes() == PRED.read_bytes()
+        for decoder, pinned in [("ilp_multi", PRED), ("viterbi", DATA / "model_v1_pred_viterbi.jsonl"),
+                                ("ilp", DATA / "model_v1_pred_ilp.jsonl")]:
+            assert run(["extract", "--model", str(MODEL), "--corpus", fixture_paths["corpus"],
+                        "--out", str(out), "--decoder", decoder]) == 0
+            assert out.read_bytes() == pinned.read_bytes(), decoder
 
     def test_extract_ini_decoder_matches_committed_output(self, fixture_paths, tmp_path):
         """The k-best decoder named in the INI file, as a run's manifest names it."""
@@ -436,6 +440,13 @@ class TestPipelineCommands:
                     "--out", str(tmp_path / "pred.jsonl")]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}: stage2: tensor 'crf.A' ends early")
+
+    def test_extract_rejects_stage1_taking_key_argument_features(self, fixture_paths, tmp_path, capsys):
+        bad = stage1_with_key_argument_features(tmp_path)
+        assert run(["extract", "--model", bad, "--corpus", fixture_paths["corpus"],
+                    "--out", str(tmp_path / "pred.jsonl")]) == 1
+        assert capsys.readouterr().err == (f"error: {bad}: stage1: the network takes 3 key-argument "
+                                           "labels, which only stage 2 is given\n")
 
     @pytest.mark.parametrize(
         "kind, edit, named",

@@ -5,8 +5,6 @@ import numpy as np
 import pytest
 
 from tabevent.core import (
-    Argument,
-    EventMention,
     EventTable,
     LabelSet,
     ParsedSentence,
@@ -189,16 +187,6 @@ def test_spans_from_tags():
     ]:
         assert tags_from_spans(n, spans) == want
         assert spans_from_tags(want) == spans
-
-
-class TestEventMention:
-    def test_duplicate_role(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            EventMention("t", (Argument("r", 0, 1), Argument("r", 2, 3)))
-
-    def test_overlap(self):
-        with pytest.raises(ValueError, match="overlap"):
-            EventMention("t", (Argument("r", 0, 2), Argument("q", 1, 3)))
 
 
 def test_read_jsonl_reports_file_and_line(tmp_path):

@@ -1,7 +1,9 @@
 import base64
+import dataclasses
 import json
 import os
 import pathlib
+import random
 import signal
 import time
 import tracemalloc
@@ -11,7 +13,7 @@ import pytest
 
 from corpusgen import build_learn_corpus
 from tabevent import crf, ilp, neural, pipeline, supervision
-from tabevent.core import EventSchema, LabelSequence, ParsedSentence
+from tabevent.core import Argument, EventSchema, LabelSequence, ParsedSentence, spans_from_tags
 from tabevent.pipeline import (
     ExtractorModel,
     TaggerModel,
@@ -22,7 +24,7 @@ from tabevent.pipeline import (
     stage2,
     train_pipeline,
 )
-from tabevent.supervision import GenerationConfig
+from tabevent.supervision import GenerationConfig, split_role
 
 DATA = pathlib.Path(__file__).resolve().parent / "data"
 MODEL = DATA / "model_v3.bin"
@@ -242,6 +244,44 @@ class TestStage2:
         mentions = stage2(sent, model2, labels1, detections)
         assert len(mentions) == 1
         assert [(a.role, a.start, a.end) for a in mentions[0].arguments] == [("a", 0, 1)]
+
+    @staticmethod
+    def reference_assembly(event_type, key_tags, tags2):
+        """A mention's arguments as stage 2 built them with its own loop, before it claimed
+        spans through `claim_spans`."""
+        arguments, claimed_roles, occupied = [], set(), set()
+        for role, start, end in spans_from_tags(key_tags) + spans_from_tags(tags2):
+            role_type, prop = split_role(role)
+            if role_type != event_type or prop in claimed_roles:
+                continue
+            tokens = set(range(start, end))
+            if tokens & occupied:
+                continue
+            arguments.append(Argument(prop, start, end))
+            claimed_roles.add(prop)
+            occupied |= tokens
+        arguments.sort(key=lambda a: (a.start, a.end, a.role))
+        return tuple(arguments)
+
+    def test_assembly_equals_the_loop_it_replaced_on_random_draws(self):
+        """10,000 draws of (type, stage-1 tags, stage-2 tags) over two types with few roles, so
+        roles repeat and spans of one role, of other types and of both stages overlap. Stage 2
+        keeps what its own loop kept, and each mention has unique roles and disjoint spans."""
+        schemas, labels1, labels2, cfg2 = self.setup_models(0)
+        A = np.zeros((len(labels2),) * 2)
+        rng = random.Random(0)
+        for _ in range(10_000):
+            n = rng.randint(1, 8)
+            key_tags = tuple(rng.choice(labels1.labels + ("O",) * 3) for _ in range(n))
+            tags2 = [rng.choice(labels2.labels + ("O",) * 2) for _ in range(n)]
+            event_type = rng.choice(sorted(schemas))
+            sent = ParsedSentence.build("s", ["w"] * n, [-1] + [0] * (n - 1))
+            model2 = FixedTagger(force_emissions(labels2, tags2), A, labels2, cfg=cfg2)
+            [mention] = stage2(sent, model2, labels1, [(event_type, LabelSequence(key_tags, 0.0))])
+            assert mention.arguments == self.reference_assembly(event_type, key_tags, tags2)
+            roles = [a.role for a in mention.arguments]
+            assert len(set(roles)) == len(roles)
+            assert all(a.end <= b.start for a, b in zip(mention.arguments, mention.arguments[1:]))
 
     def test_label_set_size_mismatch(self, fixture_corpus):
         sent = fixture_corpus[4]
@@ -600,6 +640,18 @@ def tensor_offset(model, stage, name):
     raise KeyError(name)
 
 
+def stage1_with_key_argument_features(tmp_path):
+    """A copy of the committed model whose stage-1 network also takes three key-argument
+    labels, with their feature table; everything else is the committed model's."""
+    model = ExtractorModel.load(str(MODEL))
+    cfg1 = dataclasses.replace(model.stage1.cfg, keyarg_embed_dim=2, num_keyarg_labels=3)
+    params = neural.init_params(cfg1, np.random.default_rng(0))
+    model.stage1 = TaggerModel(cfg1, params, model.stage1.label_set)
+    path = tmp_path / "stage1_keyargs.bin"
+    model.save(str(path))
+    return str(path)
+
+
 class TestModelFileValidation:
     """The committed model file, its format version, and files of the retired formats 1 and 2."""
 
@@ -789,6 +841,15 @@ class TestModelFormatV3Validation:
         with pytest.raises(ValueError) as exc:
             ExtractorModel.load(path)
         assert str(exc.value) == f"{path}: the label sets are not those the schemas build"
+
+    def test_stage1_taking_key_argument_features_refused(self, tmp_path):
+        """Only stage 2 is given key-argument features, so a stage-1 network that takes them is
+        refused on load, not on the first sentence it tags."""
+        path = stage1_with_key_argument_features(tmp_path)
+        with pytest.raises(ValueError) as exc:
+            ExtractorModel.load(path)
+        assert str(exc.value) == (f"{path}: stage1: the network takes 3 key-argument labels, "
+                                  "which only stage 2 is given")
 
     def test_stage2_features_disagree_with_stage1(self, tmp_path):
         """Stage 2 takes one feature per stage-1 label; a stage 1 of other labels is refused."""

@@ -169,18 +169,19 @@ class TestMatching:
         assert not inst.positive and inst.reason == "partial"
 
     def test_alias_expansion_both_directions(self):
-        aliases = {"ms": "microsoft"}
         entry = TableEntry("e", {"acquiring_company": ("MS",)})
         s = ParsedSentence.build(
             "x", ["Microsoft", "bought", "aQuantive", "in", "2007"], [1, -1, 1, 4, 1]
         )
-        assert spans_of(s, entry, aliases) == {"acquiring_company": (0, 1)}
         # reverse direction: entry says Microsoft, sentence says MS
         entry2 = TableEntry("e2", {"acquiring_company": ("Microsoft",)})
         s2 = ParsedSentence.build(
             "y", ["MS", "bought", "aQuantive", "in", "2007"], [1, -1, 1, 4, 1]
         )
-        assert spans_of(s2, entry2, aliases) == {"acquiring_company": (0, 1)}
+        # a map given in code, not read by `read_alias_map`, matches in any case
+        for aliases in ({"ms": "microsoft"}, {"MS": "Microsoft"}, {" Ms ": "MICROSOFT"}):
+            assert spans_of(s, entry, aliases) == {"acquiring_company": (0, 1)}, aliases
+            assert spans_of(s2, entry2, aliases) == {"acquiring_company": (0, 1)}, aliases
 
     def test_aliases_not_transitive(self):
         # ms -> microsoft <- msft: MS matches its canonical form, not MSFT
@@ -407,6 +408,19 @@ class TestGenerateDataset:
         assert [r["polarity"] for r in records] == ["positive", "positive"]
         assert records[1]["labels"] == ["B-t:who", "O", "B-t:what"]
         assert report["positive_instances"] == 2
+
+    def test_two_entries_of_one_type_each_keep_their_spans(self):
+        """Merging claims a span per (entry, role), so two entries of one type in one sentence
+        both keep a span of each role."""
+        table = EventTable("m", ("a", "b"), (), (
+            TableEntry("e1", {"a": ("x",), "b": ("y",)}),
+            TableEntry("e2", {"a": ("z",), "b": ("w",)}),
+        ))
+        sent = ParsedSentence.build("s", ["x", "y", "and", "z", "w"], [1, -1, 1, 4, 1])
+        records, report = generate_dataset([table], [sent], GenerationConfig(), Strategy.ALL)
+        assert records[0]["labels"] == ["B-m:a", "B-m:b", "O", "B-m:a", "B-m:b"]
+        assert report["positive_instances"] == 2
+        assert report["diagnostics"] == []
 
     def test_merge_orders_entries_by_id_not_table_order(self):
         table = EventTable(
