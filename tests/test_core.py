@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from tabevent.core import (
+    Argument,
+    EventMention,
     EventTable,
     LabelSet,
     ParsedSentence,
@@ -17,6 +19,7 @@ from tabevent.core import (
     tags_from_spans,
     validate_sentence,
 )
+from tabevent.supervision import claim_spans
 
 
 def test_normalize_surface():
@@ -187,6 +190,26 @@ def test_spans_from_tags():
     ]:
         assert tags_from_spans(n, spans) == want
         assert spans_from_tags(want) == spans
+
+
+class TestEventMention:
+    """A mention's arguments come from `claim_spans`, which holds one span per role and
+    disjoint spans; these pin that on the arguments a mention is built from."""
+
+    @staticmethod
+    def mention(candidates):
+        kept, dropped = claim_spans(candidates)
+        return EventMention("t", tuple(Argument(*span) for span in kept)), dropped
+
+    def test_duplicate_role(self):
+        mention, dropped = self.mention([("r", 0, 1), ("r", 2, 3)])
+        assert mention.arguments == (Argument("r", 0, 1),)
+        assert dropped == [("r", 2, 3)]
+
+    def test_overlap(self):
+        mention, dropped = self.mention([("r", 0, 2), ("q", 1, 3)])
+        assert mention.arguments == (Argument("r", 0, 2),)
+        assert dropped == [("q", 1, 3)]
 
 
 def test_read_jsonl_reports_file_and_line(tmp_path):
